@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from . import VerificationError
@@ -309,27 +309,34 @@ class ExtensionCharacter:
     csum: dict
     p_stab: list
 
-    def value(self, x: MonomialElement) -> int:
+    @cached_property
+    def _table(self) -> dict:
+        """Value of every element c * p of V'_lam, built once; an element
+        reached by two decompositions must get one value."""
         g = self.data.ctx.group
-        if not hasattr(self, "_p_by_weyl"):
-            # the symmetric factor of x = c * p is pinned by the Weyl image
-            # of x modulo the Weyl image of C', so bucket the candidates
-            rho_c = {c.weyl for c in self.data.c_closure.elements}
-            buckets: dict = {}
+        scale = self.modulus // (4 * self.data.ctx.d0)
+        table: dict = {}
+        for c in self.data.c_closure.elements:
+            c_exp = self.theta_exp * self.csum[c] * scale
             for p in self.p_stab:
-                for w in rho_c:
-                    buckets.setdefault(w * p.weyl, []).append((p, g.inv(p)))
-            self._p_by_weyl = buckets
-        for p, p_inv in self._p_by_weyl.get(x.weyl, ()):
-            c = g.mul(x, p_inv)
-            if c in self.csum:
-                scale = self.modulus // (4 * self.data.ctx.d0)
-                return (self.theta_exp * self.csum[c] * scale + self.mu[p]) % self.modulus
-        raise ValueError("element is not in the inertia subgroup")
+                x = g.mul(c, p)
+                val = (c_exp + self.mu[p]) % self.modulus
+                if table.setdefault(x, val) != val:
+                    raise VerificationError(
+                        "inertia element has two values as c * p",
+                        {"signs": self.lam.signs, "element": x,
+                         "values": (table[x], val)},
+                    )
+        return table
+
+    def value(self, x: MonomialElement) -> int:
+        val = self._table.get(x)
+        if val is None:
+            raise ValueError("element is not in the inertia subgroup")
+        return val
 
     def conjugate(self, x: MonomialElement) -> "ExtensionCharacter":
         """The transported character g -> value(x g x^{-1})."""
-        g = self.data.ctx.group
         return _TransportedCharacter(self, x)
 
 
@@ -359,7 +366,7 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
     # modulus: enough room for the cyclic part and the symmetric part
     p_exponent = 1
     for p in p_stab:
-        p_exponent = math.lcm(p_exponent, _element_order(g, p))
+        p_exponent = math.lcm(p_exponent, g.order(p))
     modulus = math.lcm(4 * d0, p_exponent)
 
     def mul(a, b):
@@ -387,14 +394,6 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
     ext = ExtensionCharacter(data, lam, modulus, theta_exp, mu, csum, p_stab)
     _check_restriction(data, lam, ext)
     return ext
-
-
-def _element_order(g, x) -> int:
-    k, acc = 1, x
-    while acc != g.identity:
-        acc = g.mul(acc, x)
-        k += 1
-    return k
 
 
 def _check_restriction(data: SupplementData, lam: HPrimeCharacter,

@@ -8,6 +8,7 @@ first: (s * t)(i) = s(t(i)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -273,7 +274,7 @@ def relative_weyl_centralizer(
                     transversal[q] = g * u
                     nxt.append(q)
         frontier = nxt
-    weyl_order = (2**n) * _factorial(n)
+    weyl_order = (2**n) * math.factorial(n)
     if weyl_order % len(transversal):
         raise ValueError("orbit size does not divide the Weyl group order")
     target = weyl_order // len(transversal)
@@ -312,10 +313,3 @@ def relative_weyl_centralizer(
     twist_rep = canon[w_l]
     cent = tuple(r for r in reps if canon[r * w_l * r.inverse()] == twist_rep)
     return CosetGroup(n, len(levi_group), tuple(reps), cent, twist_rep)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -16,6 +16,7 @@ over the choice of reduced word is exercised by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -60,10 +61,8 @@ class ExtendedWeylGroup:
         self._simples = [None] + [
             SignedPermutation.simple_reflection(n, i) for i in range(1, n + 1)
         ]
-        # the fold result is affine in the right torus: caching the matrix
-        # of each Weyl part and the cocycle of each Weyl pair makes repeated
-        # products (closures, sweeps) cheap
-        self._action_matrices: dict[tuple, np.ndarray] = {}
+        # the fold result is affine in the right torus: caching the cocycle
+        # of each Weyl pair makes repeated products (closures, sweeps) cheap
         self._cocycles: dict[tuple, tuple] = {}
         self.identity = MonomialElement(
             (0,) * n, SignedPermutation.identity(n)
@@ -171,18 +170,11 @@ class ExtendedWeylGroup:
             hit = self._fold(x.weyl, y.weyl)
             self._cocycles[key] = hit
         cocycle, product = hit
-        acted = self._action_matrix(x.weyl) @ np.array(y.torus, dtype=np.int64)
+        acted = _act_on_coroot_coords(x.weyl.images, y.torus)
         torus = tuple(
-            int(a + b + c) % mod for a, b, c in zip(x.torus, acted, cocycle)
+            (a + b + c) % mod for a, b, c in zip(x.torus, acted, cocycle)
         )
         return MonomialElement(torus, product)
-
-    def _action_matrix(self, w: SignedPermutation) -> np.ndarray:
-        m = self._action_matrices.get(w.images)
-        if m is None:
-            m = self.weyl_torus_matrix(w)
-            self._action_matrices[w.images] = m
-        return m
 
     def _fold(self, w1: SignedPermutation, w2: SignedPermutation):
         """Fold the reduced word of w1 through (0, w2): returns the cocycle
@@ -214,7 +206,10 @@ class ExtendedWeylGroup:
     def inv(self, x: MonomialElement) -> MonomialElement:
         winv = x.weyl.inverse()
         folded = self.mul(self.lift(winv), x)
-        assert folded.weyl.is_identity()
+        if not folded.weyl.is_identity():
+            raise VerificationError(
+                "w^{-1} w is not the identity", {"weyl": x.weyl.images}
+            )
         return MonomialElement(
             tuple(-c % self.modulus for c in folded.torus), winv
         )
@@ -359,6 +354,23 @@ def _apply_simple_left(images: list, inv: list, i: int) -> None:
         images[abs(p) - 1] = i if p > 0 else -i
         images[abs(r) - 1] = (i - 1) if r > 0 else -(i - 1)
         inv[i - 1], inv[i] = r, p
+
+
+def _act_on_coroot_coords(images: tuple, c: tuple) -> list:
+    """w.c over Z: coroot to e-coordinates, signed permutation, suffix sums back."""
+    e = [a - b for a, b in zip(c, c[1:])]
+    e.append(c[-1])
+    e[0] += c[0]
+    moved = [0] * len(c)
+    for image, v in zip(images, e):
+        if image > 0:
+            moved[image - 1] = v
+        else:
+            moved[-image - 1] = -v
+    out = list(accumulate(reversed(moved)))
+    out.reverse()
+    out[0] //= 2
+    return out
 
 
 def _apply_simple_torus(t: list, i: int, n: int) -> None:

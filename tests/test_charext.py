@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from bweyl import VerificationError
 from bweyl.charext import (
     check_multiplicative,
     extend_character,
@@ -79,6 +81,36 @@ def test_trivial_extension_is_trivial(data_t1):
         assert ext.value(c) == 0
     for p in ext.p_stab:
         assert ext.value(p) == 0
+
+
+def test_value_table_matches_decomposition(data_t3):
+    g = data_t3.ctx.group
+    lam = max(irr_of_hprime(data_t3), key=lambda c: c.signs)
+    ext = extend_character(data_t3, lam)
+    assert len(ext.p_stab) < len(data_t3.p_closure.elements)
+    scale = ext.modulus // (4 * data_t3.ctx.d0)
+    for c in data_t3.c_closure.elements:
+        for p in ext.p_stab:
+            want = (ext.theta_exp * ext.csum[c] * scale + ext.mu[p]) % ext.modulus
+            assert ext.value(g.mul(c, p)) == want
+    outside = next(p for p in data_t3.p_closure.elements if p not in ext.p_stab)
+    with pytest.raises(ValueError):
+        ext.value(outside)
+
+
+def test_value_table_rejects_two_values(data_t1):
+    g = data_t1.ctx.group
+    lam = [c for c in irr_of_hprime(data_t1) if c.signs == (1,)][0]
+    ext = extend_character(data_t1, lam)
+    # listing c_1' in the symmetric part too decomposes c_1' as c_1' * 1
+    # and as 1 * c_1'; give the second a different value
+    c1p = data_t1.c_primes[0]
+    corrupt = dataclasses.replace(
+        ext, p_stab=list(ext.p_stab) + [c1p],
+        mu={**ext.mu, c1p: (ext.value(c1p) + 1) % ext.modulus},
+    )
+    with pytest.raises(VerificationError):
+        corrupt.value(g.identity)
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (2, 2, 1), (4, 1, 0), (4, 2, 1), (6, 3, 0)])

@@ -116,3 +116,12 @@ def test_reports_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical reports
+
+
+def test_reports_identical_across_jobs(capsys):
+    argv = ["verify", "--suite", "supplement", "--suite", "charext",
+            "--d0", "1", "--tl", "1", "--m", "0,1", "--format", "json"]
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2

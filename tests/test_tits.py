@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bweyl import VerificationError
 from bweyl.sperm import SignedPermutation, closure as perm_closure
 from bweyl.tits import (
     ExtendedWeylGroup,
@@ -207,6 +210,37 @@ def test_weyl_act_torus_matches_fold(g3):
         via_mul = g3.mul(g3.mul(x, g3.torus(t)), g3.inv(x))
         assert via_mul.weyl.is_identity()
         assert via_mul.torus == g3.weyl_act_torus(x.weyl, t)
+
+
+@st.composite
+def weyl_and_torus(draw):
+    n = draw(st.integers(min_value=2, max_value=18))
+    k = draw(st.sampled_from([2, 3]))
+    perm = draw(st.permutations(list(range(1, n + 1))))
+    w = SignedPermutation(tuple(draw(st.sampled_from([x, -x])) for x in perm))
+    t = tuple(draw(st.lists(st.integers(0, 2**k - 1), min_size=n, max_size=n)))
+    return n, k, w, t
+
+
+@given(weyl_and_torus())
+@settings(max_examples=200, deadline=None)
+def test_mul_torus_action_matches_reduced_word(case):
+    n, k, w, t = case
+    g = ExtendedWeylGroup(n, k)
+    acted = g.mul(g.lift(w), g.torus(t))
+    assert acted.weyl == w
+    assert acted.torus == g.weyl_act_torus(w, t)
+
+
+def test_inv_rejects_corrupt_cocycle():
+    g = ExtendedWeylGroup(3)
+    w = SignedPermutation((2, -3, 1))
+    winv = w.inverse()
+    cocycle, _ = g._fold(winv, w)
+    not_identity = SignedPermutation.simple_reflection(3, 1)
+    g._cocycles[(winv.images, w.images)] = (cocycle, not_identity)
+    with pytest.raises(VerificationError):
+        g.inv(g.lift(w))
 
 
 def test_fixed_subgroup_small():
