@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from . import VerificationError
+from .sperm import broken_edge, orbit
 from .supplement import SupplementData
 from .tits import MonomialElement
 
@@ -59,34 +60,29 @@ def _hprime_basis(data: SupplementData) -> list[MonomialElement]:
 
 
 def _hprime_coordinates(data: SupplementData) -> dict:
-    """Coordinates of every H' element over the basis, certified by BFS."""
-    cached = _scratch(data).get("hcoords")
-    if cached is not None:
-        return cached
+    """Coordinates of every H' element over the basis, certified by checking
+    every edge of the labelled orbit."""
+    coords = data.memo.get("hcoords")
+    if coords is not None:
+        return coords
     g = data.ctx.group
     basis = _hprime_basis(data)
-    coords = {g.identity: (0,) * len(basis)}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            cx = coords[x]
-            for i, b in enumerate(basis):
-                y = g.mul(x, b)
-                cy = tuple((c + (1 if j == i else 0)) % 2 for j, c in enumerate(cx))
-                if y in coords:
-                    if coords[y] != cy:
-                        raise VerificationError(
-                            "head subgroup has hidden relations",
-                            {"element": y},
-                        )
-                else:
-                    coords[y] = cy
-                    nxt.append(y)
-        frontier = nxt
+    moves = range(len(basis))
+
+    def act(x, i):
+        return g.mul(x, basis[i])
+
+    def step(cx, i):
+        return tuple((c + (1 if j == i else 0)) % 2 for j, c in enumerate(cx))
+
+    coords = orbit({g.identity: (0,) * len(basis)}, moves, act,
+                   len(data.h_prime.elements), step)
+    bad = broken_edge(coords, moves, act, step)
+    if bad is not None:
+        raise VerificationError("head subgroup has hidden relations", {"element": bad})
     if len(coords) != len(data.h_prime.elements):
         raise VerificationError("head coordinates missed elements", {})
-    _scratch(data)["hcoords"] = coords
+    data.memo["hcoords"] = coords
     return coords
 
 
@@ -138,7 +134,7 @@ def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
     conjugation action being a homomorphism extends to the closure) plus the
     symmetric-part filter give the same set."""
     key = ("inertia", lam.signs)
-    cached = _scratch(data).get(key)
+    cached = data.memo.get(key)
     if cached is not None:
         return cached
     g = data.ctx.group
@@ -166,15 +162,8 @@ def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
                  "expected": len(data.c_closure.elements) * len(p_stab)},
             )
     result = (data.c_closure, p_stab)
-    _scratch(data)[key] = result
+    data.memo[key] = result
     return result
-
-
-_scratch_tables: dict = {}
-
-
-def _scratch(data: SupplementData) -> dict:
-    return _scratch_tables.setdefault(id(data), {})
 
 
 # -- extensions ------------------------------------------------------------------
@@ -183,45 +172,21 @@ def _scratch(data: SupplementData) -> dict:
 def _cyclic_sum_coordinates(data: SupplementData) -> dict:
     """For every element of C', the sum of its exponents over the c_i',
     modulo 4*d0 (well defined by the central product structure)."""
-    cached = _scratch(data).get("csum")
-    if cached is not None:
-        return cached
+    coords = data.memo.get("csum")
+    if coords is not None:
+        return coords
     g = data.ctx.group
     mod = 4 * data.ctx.d0
-    coords = {g.identity: 0}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for c in data.c_primes:
-                y = g.mul(x, c)
-                cy = (coords[x] + 1) % mod
-                if y in coords:
-                    if coords[y] != cy:
-                        raise VerificationError(
-                            "cyclic part has hidden relations", {}
-                        )
-                else:
-                    coords[y] = cy
-                    nxt.append(y)
-        frontier = nxt
-    _scratch(data)["csum"] = coords
+
+    def step(v, c):
+        return (v + 1) % mod
+
+    coords = orbit({g.identity: 0}, data.c_primes, g.mul,
+                   len(data.c_closure.elements), step)
+    if broken_edge(coords, data.c_primes, g.mul, step) is not None:
+        raise VerificationError("cyclic part has hidden relations", {})
+    data.memo["csum"] = coords
     return coords
-
-
-def _subgroup_elements(mul, identity, gens):
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in gens:
-                y = mul(x, h)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def _linear_characters(elements, mul, identity, inverse, modulus):
@@ -232,7 +197,7 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
     comms = {
         mul(mul(inverse(x), inverse(y)), mul(x, y)) for x in elems for y in elems
     }
-    derived = _subgroup_elements(mul, identity, comms)
+    derived = orbit({identity: None}, comms, mul, len(elems))
     # coset representatives of the abelianization
     rep_of = {}
     reps = []
@@ -250,9 +215,7 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
         if r in span:
             continue
         gens.append(r)
-        span = {rep_of[x] for x in _subgroup_elements(
-            mul, identity, [g for g in gens])}
-        span |= {rep_of[mul(s, d)] for s in list(span) for d in derived}
+        span = {rep_of[x] for x in orbit({identity: None}, gens, mul, len(elems))}
     orders = []
     for r in gens:
         k, acc = 1, r
@@ -261,32 +224,23 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
             k += 1
         orders.append(k)
     chars = []
-    for exps in iproduct(*[range(o) for o in orders]):
-        # propagate values by BFS over generator multiplication
-        values = {rep_of[identity]: 0}
-        frontier = [rep_of[identity]]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for x in frontier:
-                for gen, e, o in zip(gens, exps, orders):
-                    if modulus % o:
-                        ok = False
-                        break
-                    y = rep_of[mul(x, gen)]
-                    val = (values[x] + e * (modulus // o)) % modulus
-                    if y in values:
-                        if values[y] != val:
-                            ok = False
-                            break
-                    else:
-                        values[y] = val
-                        nxt.append(y)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(values) == len(reps):
-            chars.append({x: values[rep_of[x]] for x in elems})
+    if all(modulus % o == 0 for o in orders):
+        # the abelianization's Cayley graph on the generators, shared by the
+        # value propagation of every candidate exponent vector
+        moves = range(len(gens))
+        cayley = {(x, i): rep_of[mul(x, gens[i])] for x in reps for i in moves}
+
+        def act(x, i):
+            return cayley[x, i]
+
+        for exps in iproduct(*[range(o) for o in orders]):
+            def step(v, i):
+                return (v + exps[i] * (modulus // orders[i])) % modulus
+
+            values = orbit({rep_of[identity]: 0}, moves, act, len(reps), step)
+            if (len(values) == len(reps)
+                    and broken_edge(values, moves, act, step) is None):
+                chars.append({x: values[rep_of[x]] for x in elems})
     expected = len(reps)
     if len(chars) != expected:
         raise VerificationError(
@@ -377,7 +331,8 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
     )
     # restriction constraints on the symmetric part: the head elements inside
     # P' must get their lam-values
-    head_in_p = [h for h in data.h_prime.elements if h in set(p_stab)]
+    p_set = set(p_stab)
+    head_in_p = [h for h in data.h_prime.elements if h in p_set]
     valid = []
     for chi in chars:
         if all(
@@ -434,7 +389,8 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter,
             for p in ext.p_stab
         ]
         gens = list(data.c_primes) + list(data.p_primes)
-        gens = [x for x in gens if x in set(elements)] or [g.identity]
+        element_set = set(elements)
+        gens = [x for x in gens if x in element_set] or [g.identity]
         pairs = [(x, y) for x in elements for y in gens]
         pairs += [
             (rng.choice(elements), rng.choice(elements)) for _ in range(sample)
@@ -462,43 +418,33 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter,
 # -- equivariant assembly --------------------------------------------------------
 
 
-def verify_equivariance(data: SupplementData, e_action=None) -> dict:
+def verify_equivariance(data: SupplementData) -> dict:
     """Build the extension map on orbit representatives, transport along a
-    fixed transversal, and check V'-equivariance on generators.  The
-    `e_action` hook is for field automorphisms; they centralize the
-    supplement here, so the default action is trivial and nontrivial hooks
-    are reported as unexercised."""
+    fixed transversal, and check V'-equivariance on generators.  Field
+    automorphisms centralize the supplement here, so the outer action is
+    trivial; nontrivial outer actions are reported as unexercised."""
     g = data.ctx.group
-    if e_action is not None:
-        raise NotImplementedError("nontrivial outer actions are not exercised")
     chars = irr_of_hprime(data)
     gens = [data.c_primes[0]] + list(data.p_primes)
-    # orbits under the generated action, with transversal elements
-    transversal: dict[tuple, tuple] = {}
+
+    def act(mu, x):
+        return _conj_action_on_characters(data, x, mu)
+
+    # orbits under the generated action, each character labelled with its
+    # mover: the generators along its BFS path, the last step leftmost
     orbits = []
     for lam in sorted(chars, key=lambda c: c.signs):
-        if lam.signs in transversal:
+        if any(lam.signs in orb for orb in orbits):
             continue
-        orbit = {lam.signs: (lam, g.identity)}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for x in gens:
-                    nu = _conj_action_on_characters(data, x, mu)
-                    if nu.signs not in orbit:
-                        mover = g.mul(x, orbit[mu.signs][1])
-                        orbit[nu.signs] = (nu, mover)
-                        nxt.append(nu)
-            frontier = nxt
-        orbits.append(orbit)
-        transversal.update(orbit)
+        movers = orbit({lam: g.identity}, gens, act, len(chars),
+                       step=lambda mover, x: g.mul(x, mover))
+        orbits.append({mu.signs: (mu, mover) for mu, mover in movers.items()})
     extension_of = {}
-    for orbit in orbits:
-        rep_signs = min(orbit)
-        rep, _ = orbit[rep_signs]
+    for orb in orbits:
+        rep_signs = min(orb)
+        rep, _ = orb[rep_signs]
         base_ext = extend_character(data, rep)
-        for signs, (lam, mover) in orbit.items():
+        for signs, (lam, mover) in orb.items():
             extension_of[signs] = (
                 base_ext if signs == rep_signs else base_ext.conjugate(g.inv(mover))
             )
@@ -537,7 +483,8 @@ def extension_report(data: SupplementData) -> dict:
     for lam in irr_of_hprime(data):
         ext = extend_character(data, lam)
         _, p_stab = inertia_decomposition(data, lam)
-        gens = list(data.c_primes) + [p for p in data.p_primes if p in set(p_stab)]
+        p_set = set(p_stab)
+        gens = list(data.c_primes) + [p for p in data.p_primes if p in p_set]
         per_character.append({
             "signs": list(lam.signs),
             "inertia_order": len(data.c_closure.elements) * len(p_stab),

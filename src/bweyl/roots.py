@@ -82,7 +82,6 @@ class RootSubset:
 
     def components(self) -> list[frozenset]:
         """Connected components under non-orthogonality, sorted by least root."""
-        pos = {a for a in self.roots if is_positive(a)}
         remaining = set(self.roots)
         comps = []
         while remaining:
@@ -96,7 +95,6 @@ class RootSubset:
                         frontier.append(b)
             remaining -= comp
             comps.append(frozenset(comp))
-        del pos
         return sorted(comps, key=min)
 
 

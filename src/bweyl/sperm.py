@@ -1,5 +1,7 @@
 """The hyperoctahedral group of signed permutations, Sylow twist elements,
-and relative Weyl group computations by honest coset enumeration.
+relative Weyl group computations by honest coset enumeration, and `orbit`,
+the budgeted breadth-first enumeration behind every closure and orbit in
+the package.
 
 A signed permutation on {+-1, ..., +-n} is stored one-line on the positive
 part; sigma(-i) = -sigma(i) is implied.  Composition applies the right factor
@@ -9,7 +11,8 @@ first: (s * t)(i) = s(t(i)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import reduce
 
 from . import BudgetExceededError
@@ -18,8 +21,10 @@ from .roots import RootSubset, coroot, dot
 __all__ = [
     "CosetGroup",
     "SignedPermutation",
+    "broken_edge",
     "closure",
     "is_in_WD",
+    "orbit",
     "orbits_on_support",
     "relative_weyl_centralizer",
     "sylow_twist",
@@ -186,25 +191,52 @@ def w_l_prime_parts(l: int, d0: int, t_l: int, n: int | None = None):
     return w_l_prime, parts, taus
 
 
+def orbit(seeds: dict, gens, act, budget: int, step=None) -> dict:
+    """Breadth-first orbit of the seed points under `act`.
+
+    `seeds` maps point -> label.  The result maps every point of the orbit to
+    its label, in BFS order: frontier by frontier, each point acted on by
+    `gens` in the given order.  A new point y = act(x, g) gets the label
+    step(labels[x], g), or None without `step`.  An orbit may hold at most
+    `budget` points; past that, BudgetExceededError is raised.
+    """
+    labels = dict(seeds)
+    if len(labels) > budget:
+        raise BudgetExceededError(f"orbit exceeded {budget} points")
+    frontier = list(labels)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in labels:
+                    if len(labels) >= budget:
+                        raise BudgetExceededError(f"orbit exceeded {budget} points")
+                    labels[y] = None if step is None else step(labels[x], g)
+                    nxt.append(y)
+        frontier = nxt
+    return labels
+
+
+def broken_edge(labels: dict, gens, act, step):
+    """The first image act(x, g), in BFS order, whose label differs from
+    step(labels[x], g); None when every edge of the orbit agrees, that is,
+    when the labels are a well-defined function of the point."""
+    for x, label in labels.items():
+        for g in gens:
+            y = act(x, g)
+            if labels[y] != step(label, g):
+                return y
+    return None
+
+
 def closure(generators, budget: int = 2_000_000):
     """BFS closure of a list of group elements (anything with * and inverse)."""
     if not generators:
         raise ValueError("need at least one generator")
     gens = list(generators) + [g.inverse() for g in generators]
-    seen = {generators[0] * generators[0].inverse()}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError(f"closure exceeded {budget} elements")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    identity = generators[0] * generators[0].inverse()
+    return set(orbit({identity: None}, gens, operator.mul, budget))
 
 
 def reflection(n: int, a) -> SignedPermutation:
@@ -231,6 +263,8 @@ class CosetGroup:
     elements: tuple  # canonical representatives of all of N_W(W_L)/W_L
     centralizer: tuple  # representatives centralizing the twist coset
     twist_rep: SignedPermutation
+    # every element of N_W(W_L) -> the canonical representative of its coset
+    canonical: dict = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -245,35 +279,21 @@ def relative_weyl_centralizer(
 ) -> CosetGroup:
     """C_{N_W(W_L)/W_L}(w_l W_L) for W = W(B_n), by orbit-stabilizer.
 
-    The stabilizer of the root set is assembled from Schreier generators of
-    the orbit of the set under W, closed, and quotiented by W_L; the
-    centralizer is read off the quotient.  Raises BudgetExceededError when
-    the orbit or a closure would exceed the cap.
+    The stabilizer of the root set is the closure of Schreier generators of
+    the orbit of the set under W, taken in BFS order until the closure has
+    the order |W| / |orbit|; it is quotiented by W_L and the centralizer is
+    read off the quotient.  Raises BudgetExceededError when the orbit or a
+    closure would exceed the cap.
     """
     gens = [SignedPermutation.simple_reflection(n, i) for i in range(1, n + 1)]
-    base = frozenset(levi_roots.roots)
 
-    def act(g: SignedPermutation, rootset: frozenset) -> frozenset:
+    def act(rootset: frozenset, g: SignedPermutation) -> frozenset:
         return frozenset(g.act_on_root(a) for a in rootset)
 
-    # orbit with transversal: point -> group element mapping base to it
-    transversal = {base: SignedPermutation.identity(n)}
-    frontier = [base]
-    schreier: set[SignedPermutation] = set()
-    while frontier:
-        nxt = []
-        for point in frontier:
-            u = transversal[point]
-            for g in gens:
-                q = act(g, point)
-                if q in transversal:
-                    schreier.add(transversal[q].inverse() * g * u)
-                else:
-                    if len(transversal) > budget:
-                        raise BudgetExceededError("orbit of the root set too large")
-                    transversal[q] = g * u
-                    nxt.append(q)
-        frontier = nxt
+    # orbit with transversal: point -> group element mapping the base to it
+    identity = SignedPermutation.identity(n)
+    transversal = orbit({frozenset(levi_roots.roots): identity}, gens, act,
+                        budget, step=lambda u, g: g * u)
     weyl_order = (2**n) * math.factorial(n)
     if weyl_order % len(transversal):
         raise ValueError("orbit size does not divide the Weyl group order")
@@ -281,15 +301,16 @@ def relative_weyl_centralizer(
     if target > budget:
         raise BudgetExceededError("stabilizer too large to enumerate")
     # grow the stabilizer one essential Schreier generator at a time
-    stab = {SignedPermutation.identity(n)}
+    schreier = (transversal[act(point, g)].inverse() * g * u
+                for point, u in transversal.items() for g in gens)
+    stab = {identity}
     essential: list[SignedPermutation] = []
-    for s in sorted(schreier, key=lambda g: g.images):
-        if s in stab:
-            continue
-        essential.append(s)
-        stab = closure(essential, budget=budget)
+    for s in schreier:
         if len(stab) == target:
             break
+        if s not in stab:
+            essential.append(s)
+            stab = closure(essential, budget=budget)
     if len(stab) != target:
         raise ValueError("Schreier generators did not produce the full stabilizer")
     levi_group = closure(
@@ -312,4 +333,4 @@ def relative_weyl_centralizer(
         raise ValueError("coset partition failed")
     twist_rep = canon[w_l]
     cent = tuple(r for r in reps if canon[r * w_l * r.inverse()] == twist_rep)
-    return CosetGroup(n, len(levi_group), tuple(reps), cent, twist_rep)
+    return CosetGroup(n, len(levi_group), tuple(reps), cent, twist_rep, canon)

@@ -318,7 +318,7 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int,
            "semidirect decomposition, head intersection, relative Weyl match",
            lambda: build_supplement(l, d, m, relative_weyl_budget=budget) and None)
     if checks[-1].passed:
-        data_orders = build_supplement(l, d, m)
+        data_orders = build_supplement(l, d, m, relative_weyl_budget=budget)
         expected_v = 2 * (2 * d0) ** t_l * 2 ** (t_l - 1) * math.factorial(t_l)
         checks.append(CheckResult(
             "orders",

@@ -8,25 +8,20 @@ p_k, the distinguished cycle lift c_1, the folding homomorphisms iota_1 and
 iota_2, and the supplement V' = C' x| P' with V' cap H = H'.  Every claimed
 identity is checked exactly; failures raise with a counterexample payload.
 
-Conjugation is written x^g = g^{-1} x g throughout.
+Conjugation is written x^g = g x g^{-1} throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import VerificationError
-
-# Conjugation direction used in every element construction: x^g = g x g^{-1}.
-# Pinned empirically: with the opposite direction the interleaved conjugates
-# p_i^{g_1}, p_j^{g_2} land on non-orthogonal root pairs and iota_2 stops
-# being multiplicative, while this direction passes the entire identity suite.
-_CONJ_DIRECTION = "left"
 from .roots import levi_root_subset
-from .sperm import SignedPermutation, closure as perm_closure, orbits_on_support
+from .sperm import SignedPermutation, closure as perm_closure, orbit, orbits_on_support
 from .tits import (
     ExtendedWeylGroup,
     GeneratedSubgroup,
@@ -103,9 +98,12 @@ class SupplementContext:
         return self.frob(x) == x
 
     def pconj(self, x: MonomialElement, g: MonomialElement) -> MonomialElement:
-        """The conjugation x^g used in all element constructions."""
-        if _CONJ_DIRECTION == "right":
-            return self.group.conj_pow(x, g)
+        """The conjugation x^g = g x g^{-1} used in all element constructions.
+
+        With the opposite direction the interleaved conjugates p_i^{g_1},
+        p_j^{g_2} land on non-orthogonal root pairs and iota_2 stops being
+        multiplicative, while this direction passes the entire identity suite.
+        """
         return self.group.conj(g, x)
 
     # -- element constructions --------------------------------------------------
@@ -161,30 +159,17 @@ class SupplementContext:
             )
         return roots
 
-    def _subsystem_word_lift(self, orbit, target: SignedPermutation):
-        """An element of the rank-one-generated subsystem group over the orbit
-        with Weyl image `target`, found by BFS in the subsystem Weyl group."""
+    @cached_property
+    def subsystem_lifts(self) -> dict:
+        """Every element of the Weyl group W(B_{d0}) of the subsystem over
+        the first orbit, mapped to a lift in the rank-one-generated
+        subsystem group: the product of root lifts along the BFS word."""
         g = self.group
-        simples = self._subsystem_simple_roots(orbit)
-        refls = [g.root_lift(a).weyl for a in simples]
-        lifts = [g.root_lift(a) for a in simples]
-        frontier = {SignedPermutation.identity(self.n): g.identity}
-        seen = dict(frontier)
-        while frontier:
-            nxt = {}
-            for w, x in frontier.items():
-                if w == target:
-                    return x
-                for r, lift in zip(refls, lifts):
-                    w2 = w * r
-                    if w2 not in seen:
-                        y = g.mul(x, lift)
-                        seen[w2] = y
-                        nxt[w2] = y
-            frontier = nxt
-        raise VerificationError(
-            "target is not in the subsystem Weyl group",
-            {"orbit": orbit, "target": target.images},
+        lifts = [g.root_lift(a) for a in self._subsystem_simple_roots(self.orbits[0])]
+        return orbit(
+            {SignedPermutation.identity(self.n): g.identity}, lifts,
+            lambda w, lift: w * lift.weyl,
+            2**self.d0 * math.factorial(self.d0), step=g.mul,
         )
 
     def subsystem_torsion(self, orbit) -> GeneratedSubgroup:
@@ -201,7 +186,12 @@ class SupplementContext:
     def _find_c1(self) -> MonomialElement:
         """The lift of cbar_1 in the orbit-1 subsystem fixed by the twisted
         Frobenius, with lexicographically least torus part."""
-        x0 = self._subsystem_word_lift(self.orbits[0], self.cbar1)
+        x0 = self.subsystem_lifts.get(self.cbar1)
+        if x0 is None:
+            raise VerificationError(
+                "target is not in the subsystem Weyl group",
+                {"orbit": self.orbits[0], "target": self.cbar1.images},
+            )
         candidates = []
         for h in self.subsystem_torsion(self.orbits[0]).elements:
             y = self.group.mul(h, x0)
@@ -384,16 +374,11 @@ def _orbit_subsystem_fixed(ctx: SupplementContext) -> list[MonomialElement]:
     """Twisted-Frobenius-fixed elements of the subsystem group over orbit 1,
     enumerated via the centralizer of the twist in the subsystem Weyl group."""
     g = ctx.group
-    orbit = ctx.orbits[0]
-    simples = self_roots = ctx._subsystem_simple_roots(orbit)
-    refls = [g.root_lift(a).weyl for a in simples]
-    subsystem_weyl = perm_closure(refls, budget=2**16)
-    torsion = ctx.subsystem_torsion(orbit).elements
+    torsion = ctx.subsystem_torsion(ctx.orbits[0]).elements
     fixed = []
-    for u in sorted(subsystem_weyl, key=lambda s: s.images):
+    for u, xu in sorted(ctx.subsystem_lifts.items(), key=lambda item: item[0].images):
         if u * ctx.w_l != ctx.w_l * u:
             continue
-        xu = ctx._subsystem_word_lift(orbit, u)
         for h in torsion:
             y = g.mul(h, xu)
             if ctx.is_frob_fixed(y):
@@ -411,6 +396,8 @@ class SupplementData:
     h_prime: GeneratedSubgroup
     v_prime_order: int
     relative_weyl_order: int
+    # tables that charext derives from this supplement, built once each
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def v_prime_generators(self) -> list:
@@ -430,7 +417,7 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
     the semidirect decomposition V' = C' x| P' with V' cap H = H', and the
     relative Weyl group comparison (brute force when the rank allows it).
     """
-    key = (l, d, m, q)
+    key = (l, d, m, q, relative_weyl_budget)
     if key in _supplement_cache:
         return _supplement_cache[key]
     ctx = SupplementContext(l, d, m, q)
@@ -705,27 +692,21 @@ def _verify_relative_weyl(ctx, c_primes, p_primes, budget) -> int:
             "relative Weyl centralizer order matches the wreath formula",
             {"order": cg.order, "expected": expected},
         )
-        levi_group = perm_closure(
-            [reflection(ctx.n, a) for a in levi.positive()], budget=budget
-        )
 
-        def canon(w):
-            return min((w * h for h in levi_group), key=lambda s: s.images)
+        def act(x, w):
+            y = x * w
+            _expect(
+                y in cg.canonical,
+                "supplement generators normalize the Levi Weyl group",
+                {"product": y.images},
+            )
+            return cg.canonical[y]
 
+        start = cg.canonical[SignedPermutation.identity(ctx.n)]
+        generated = orbit({start: None}, gens_w, act, len(cg.elements))
         reps = set(cg.centralizer)
-        generated = {canon(SignedPermutation.identity(ctx.n))}
-        frontier = list(generated)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for w in gens_w:
-                    y = canon(x * w)
-                    if y not in generated:
-                        generated.add(y)
-                        nxt.append(y)
-            frontier = nxt
         _expect(
-            generated == reps,
+            generated.keys() == reps,
             "supplement generators cover the relative Weyl centralizer",
             {"generated": len(generated), "expected": len(reps)},
         )

@@ -16,6 +16,7 @@ over the choice of reduced word is exercised by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import BudgetExceededError, VerificationError
 from .roots import coroot, dot
-from .sperm import SignedPermutation
+from .sperm import SignedPermutation, orbit
 
 __all__ = [
     "ExtendedWeylGroup",
@@ -420,30 +421,18 @@ class GeneratedSubgroup:
     ) -> "GeneratedSubgroup":
         gens = list(generators)
         inv_gens = [group.inv(g) for g in gens]
-        seen = {group.identity}
-        order = [group.identity]
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens + inv_gens:
-                    y = group.mul(x, g)
-                    if y not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetExceededError(
-                                f"closure exceeded {budget} elements"
-                            )
-                        seen.add(y)
-                        order.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return GeneratedSubgroup(group, tuple(gens), tuple(order))
+        elements = orbit({group.identity: None}, gens + inv_gens, group.mul, budget)
+        return GeneratedSubgroup(group, tuple(gens), tuple(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, x: MonomialElement) -> bool:
-        return x in set(self.elements)
+        return x in self._members
 
 
 def fixed_subgroup(

@@ -132,9 +132,16 @@ def test_equivariance(l, d, m):
     assert sum(len(o) for o in report["orbits"]) == report["characters"]
 
 
-def test_equivariance_rejects_outer_hook(data_t1):
-    with pytest.raises(NotImplementedError):
-        verify_equivariance(data_t1, e_action=object())
+def test_head_basis_with_hidden_relation_is_rejected(monkeypatch):
+    from bweyl import charext
+
+    # a copy of the cached supplement starts with an empty memo
+    data = dataclasses.replace(build_supplement(4, 1, 0))
+    basis = charext._hprime_basis
+    monkeypatch.setattr(charext, "_hprime_basis",
+                        lambda d: [d.ctx.h0] + basis(d))
+    with pytest.raises(VerificationError, match="head subgroup has hidden relations"):
+        irr_of_hprime(data)
 
 
 def test_partitions_and_multipartitions():

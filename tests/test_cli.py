@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from bweyl.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -125,3 +130,36 @@ def test_reports_identical_across_jobs(capsys):
     code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _canonical_checks(out):
+    return sorted((r["suite"], json.dumps(r["params"], sort_keys=True),
+                   json.dumps(c, sort_keys=True))
+                  for r in json.loads(out) for c in r["checks"])
+
+
+def test_budget_result_independent_of_suite_order(capsys):
+    # the supplement built under the default budget by extmap-hypotheses
+    # must not stand in for one built under --budget 10
+    argv = ["verify", "--d0", "1", "--tl", "3", "--m", "2", "--budget", "10",
+            "--jobs", "1", "--format", "json"]
+    code1, out1, _ = run_cli(capsys, *argv, "--suite", "supplement",
+                             "--suite", "extmap-hypotheses")
+    code2, out2, _ = run_cli(capsys, *argv, "--suite", "extmap-hypotheses",
+                             "--suite", "supplement")
+    assert code1 == code2 == 1
+    assert _canonical_checks(out1) == _canonical_checks(out2)
+
+
+def test_reports_identical_under_optimize():
+    # checks must not be asserts that python -O strips
+    argv = ["-m", "bweyl.cli", "verify", "--suite", "supplement", "--suite",
+            "charext", "--d0", "1", "--tl", "1", "--m", "0,1", "--jobs", "1"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       text=True, env=env, timeout=300)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from bweyl.sperm import (
     SignedPermutation,
     closure,
     is_in_WD,
+    orbit,
     orbits_on_support,
     relative_weyl_centralizer,
     sylow_twist,
@@ -209,3 +212,42 @@ def test_relative_weyl_budget():
     w_l = sylow_twist(4, 2, 4)
     with pytest.raises(BudgetExceededError):
         relative_weyl_centralizer(4, levi, w_l, budget=3)
+
+
+B3_GENS = [SignedPermutation.simple_reflection(3, i) for i in (1, 2, 3)]
+
+
+def _b3_orbit(budget):
+    return orbit({SignedPermutation.identity(3): ()}, range(3),
+                 lambda x, i: x * B3_GENS[i], budget,
+                 step=lambda word, i: word + (i,))
+
+
+def test_orbit_bfs_order_and_labels():
+    labels = _b3_orbit(48)
+    points = list(labels)
+    assert len(points) == 48
+    assert points[0] == SignedPermutation.identity(3) and points[1:4] == B3_GENS
+    index = {x: k for k, x in enumerate(points)}
+    first_edge = {}
+    for x in points:
+        for i in range(3):
+            first_edge.setdefault(x * B3_GENS[i], (index[x], i))
+    # each point is discovered by the first edge into it, in edge order, and
+    # is labelled by stepping its discoverer's label along that edge
+    found = [first_edge[y] for y in points[1:]]
+    assert found == sorted(found)
+    for y, (parent, i) in zip(points[1:], found):
+        assert labels[y] == labels[points[parent]] + (i,)
+    # BFS words are reduced: their lengths count W(B_3) by Coxeter length
+    counts = Counter(len(word) for word in labels.values())
+    assert [counts[k] for k in range(10)] == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
+
+
+def test_orbit_and_closure_budget_boundary():
+    assert len(_b3_orbit(48)) == 48
+    with pytest.raises(BudgetExceededError):
+        _b3_orbit(47)
+    assert len(closure(B3_GENS, budget=48)) == 48
+    with pytest.raises(BudgetExceededError):
+        closure(B3_GENS, budget=47)

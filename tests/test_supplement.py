@@ -2,7 +2,7 @@ import pytest
 
 from bweyl import VerificationError
 from bweyl.roots import levi_root_subset
-from bweyl.sperm import SignedPermutation
+from bweyl.sperm import SignedPermutation, closure as perm_closure
 from bweyl.supplement import (
     SupplementContext,
     build_supplement,
@@ -175,6 +175,16 @@ def test_no_fixed_lift_error_payload():
     ctx.cbar1 = bad
     with pytest.raises(VerificationError):
         ctx._find_c1()
+
+
+def test_subsystem_lifts_cover_the_subsystem_weyl_group():
+    ctx = SupplementContext(10, 5, 0)
+    g = ctx.group
+    refls = [g.root_lift(a).weyl
+             for a in ctx._subsystem_simple_roots(ctx.orbits[0])]
+    lifts = ctx.subsystem_lifts
+    assert set(lifts) == perm_closure(refls) and len(lifts) == 2**5 * 120
+    assert all(x.weyl == u for u, x in lifts.items())
 
 
 def test_h_parity_centrality_in_levi():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bweyl import VerificationError
+from bweyl import BudgetExceededError, VerificationError
 from bweyl.sperm import SignedPermutation, closure as perm_closure
 from bweyl.tits import (
     ExtendedWeylGroup,
@@ -66,6 +66,15 @@ def test_closure_order_small():
     g = ExtendedWeylGroup(3)
     v = GeneratedSubgroup.generate(g, [g.simple_lift(i) for i in (1, 2, 3)])
     assert len(v) == 2**3 * 48
+
+
+def test_generate_budget_boundary(g2):
+    gens = [g2.simple_lift(1), g2.simple_lift(2)]
+    v = GeneratedSubgroup.generate(g2, gens, budget=32)
+    assert len(v) == 32
+    assert g2.simple_lift(2) in v and g2.torus((1, 0)) not in v
+    with pytest.raises(BudgetExceededError):
+        GeneratedSubgroup.generate(g2, gens, budget=31)
 
 
 def test_closure_with_full_torsion():
