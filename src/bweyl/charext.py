@@ -427,24 +427,24 @@ def verify_equivariance(data: SupplementData) -> dict:
     chars = irr_of_hprime(data)
     gens = [data.c_primes[0]] + list(data.p_primes)
 
-    def act(mu, x):
-        return _conj_action_on_characters(data, x, mu)
+    by_signs = {lam.signs: lam for lam in chars}
 
-    # orbits under the generated action, each character labelled with its
+    def act(signs, x):
+        return _conj_action_on_characters(data, x, by_signs[signs]).signs
+
+    # orbits under the generated action, each sign vector labelled with its
     # mover: the generators along its BFS path, the last step leftmost
     orbits = []
-    for lam in sorted(chars, key=lambda c: c.signs):
-        if any(lam.signs in orb for orb in orbits):
+    for signs in sorted(by_signs):
+        if any(signs in orb for orb in orbits):
             continue
-        movers = orbit({lam: g.identity}, gens, act, len(chars),
-                       step=lambda mover, x: g.mul(x, mover))
-        orbits.append({mu.signs: (mu, mover) for mu, mover in movers.items()})
+        orbits.append(orbit({signs: g.identity}, gens, act, len(chars),
+                            step=lambda mover, x: g.mul(x, mover)))
     extension_of = {}
     for orb in orbits:
         rep_signs = min(orb)
-        rep, _ = orb[rep_signs]
-        base_ext = extend_character(data, rep)
-        for signs, (lam, mover) in orb.items():
+        base_ext = extend_character(data, by_signs[rep_signs])
+        for signs, mover in orb.items():
             extension_of[signs] = (
                 base_ext if signs == rep_signs else base_ext.conjugate(g.inv(mover))
             )

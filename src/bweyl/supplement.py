@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import VerificationError
+from . import BudgetExceededError, VerificationError
 from .roots import levi_root_subset
 from .sperm import SignedPermutation, closure as perm_closure, orbit, orbits_on_support
 from .tits import (
@@ -163,13 +163,16 @@ class SupplementContext:
     def subsystem_lifts(self) -> dict:
         """Every element of the Weyl group W(B_{d0}) of the subsystem over
         the first orbit, mapped to a lift in the rank-one-generated
-        subsystem group: the product of root lifts along the BFS word."""
+        subsystem group: the product of root lifts along the BFS word.
+        The table holds 2^d0 d0! points; past 2^16 it is refused unbuilt."""
+        order = 2**self.d0 * math.factorial(self.d0)
+        if order > 2**16:
+            raise BudgetExceededError(f"orbit of {order} points exceeds 65536")
         g = self.group
         lifts = [g.root_lift(a) for a in self._subsystem_simple_roots(self.orbits[0])]
         return orbit(
             {SignedPermutation.identity(self.n): g.identity}, lifts,
-            lambda w, lift: w * lift.weyl,
-            2**self.d0 * math.factorial(self.d0), step=g.mul,
+            lambda w, lift: w * lift.weyl, order, step=g.mul,
         )
 
     def subsystem_torsion(self, orbit) -> GeneratedSubgroup:
@@ -185,9 +188,17 @@ class SupplementContext:
 
     def _find_c1(self) -> MonomialElement:
         """The lift of cbar_1 in the orbit-1 subsystem fixed by the twisted
-        Frobenius, with lexicographically least torus part."""
-        x0 = self.subsystem_lifts.get(self.cbar1)
-        if x0 is None:
+        Frobenius, with lexicographically least torus part.
+
+        cbar_1 is the Coxeter element r_1 r_2 ... r_{d0} of the subsystem's
+        simple reflections, so the product x0 of their lifts lies over it.
+        Two lifts of cbar_1 in the subsystem group differ by an element of
+        its order-2 torus, so the candidates h x0 do not depend on the word.
+        """
+        g = self.group
+        x0 = g.prod([g.root_lift(a)
+                     for a in self._subsystem_simple_roots(self.orbits[0])])
+        if x0.weyl != self.cbar1:
             raise VerificationError(
                 "target is not in the subsystem Weyl group",
                 {"orbit": self.orbits[0], "target": self.cbar1.images},

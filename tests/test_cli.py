@@ -67,6 +67,22 @@ def test_group_rejects_even_d0(capsys):
     assert code == 2
 
 
+def test_group_refuses_large_subsystem_table(capsys):
+    # W(B_7) has 645120 elements: the lift table is refused, not built
+    code, _, err = run_cli(capsys, "group", "--d0", "7", "--tl", "1",
+                           "--m", "0", "--d", "7")
+    assert code == 2 and "exceeds 65536" in err
+
+
+def test_hl_structure_at_d0_7(capsys):
+    # building the twist-adapted elements does not enumerate W(B_{d0})
+    code, out, _ = run_cli(capsys, "verify", "--suite", "hl-structure",
+                           "--d0", "7", "--tl", "1", "--format", "json")
+    assert code == 0
+    [report] = json.loads(out)
+    assert report["passed"] and len(report["checks"]) == 4
+
+
 def test_verify_small_subset(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "wreath", "--suite", "supplement",

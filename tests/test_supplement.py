@@ -1,6 +1,6 @@
 import pytest
 
-from bweyl import VerificationError
+from bweyl import BudgetExceededError, VerificationError
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import SignedPermutation, closure as perm_closure
 from bweyl.supplement import (
@@ -185,6 +185,14 @@ def test_subsystem_lifts_cover_the_subsystem_weyl_group():
     lifts = ctx.subsystem_lifts
     assert set(lifts) == perm_closure(refls) and len(lifts) == 2**5 * 120
     assert all(x.weyl == u for u, x in lifts.items())
+
+
+def test_c1_does_not_enumerate_the_subsystem():
+    ctx = SupplementContext(14, 7, 0)
+    assert ctx.is_frob_fixed(ctx.c1) and ctx.c1.weyl == ctx.cbar1
+    assert "subsystem_lifts" not in vars(ctx)
+    with pytest.raises(BudgetExceededError):
+        ctx.subsystem_lifts
 
 
 def test_h_parity_centrality_in_levi():
