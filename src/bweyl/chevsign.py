@@ -16,10 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import VerificationError
-from .roots import build_root_system, coroot, dot, is_positive
-from .sperm import SignedPermutation
-from .supplement import SupplementContext
-from .tits import ExtendedWeylGroup, MonomialElement
+from .roots import (
+    are_orthogonal_long,
+    build_root_system,
+    coroot,
+    dot,
+    is_positive,
+    simple_roots,
+)
+from .sperm import reflection
+from .supplement import SupplementContext, build_supplement
+from .tits import ExtendedWeylGroup, MonomialElement, root_character_eval
 
 __all__ = [
     "FormalRootTerm",
@@ -103,11 +110,17 @@ def _weyl_rep(n: int, a: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignTable:
-    """eta[(b, a)] = sign of n_b(1) x_a(u) n_b(1)^{-1} = x_{s_b(a)}(eta u)."""
+    """eta[(b, a)] = sign of n_b(1) x_a(u) n_b(1)^{-1} = x_{s_b(a)}(eta u).
+
+    A full table has a row for every root b; otherwise it holds the rows for
+    the simple roots b, which is all that conjugation reads.  `simples`
+    lists the simple roots with their reflections, in the order of the
+    simple lifts, for folding a reduced word."""
 
     rank: int
     eta: dict
-    full: bool = True
+    simples: tuple
+    full: bool
 
     def __call__(self, b: tuple, a: tuple) -> int:
         return self.eta[(b, a)]
@@ -116,44 +129,37 @@ class SignTable:
         """A copy with a single entry negated (for mutation testing)."""
         eta = dict(self.eta)
         eta[(b, a)] = -eta[(b, a)]
-        return SignTable(self.rank, eta, self.full)
+        return replace(self, eta=eta)
 
 
 _sign_table_cache: dict = {}
 
 
-def build_sign_table(n: int, simple_only: bool | None = None) -> SignTable:
+def build_sign_table(n: int, full: bool = False) -> SignTable:
     """Conjugation signs for the rank-n type-B system, by exact integer
-    matrix arithmetic in the odd orthogonal realization.
-
-    Full tables (every pair of roots) are built for rank <= 12; above that
-    only the rows for simple b are computed, which is all that folding a
-    reduced word ever reads.
+    matrix arithmetic in the odd orthogonal realization: the rows for the
+    simple roots b, or with `full` the rows for every root b, which only
+    the consistency laws read.
     """
-    if simple_only is None:
-        simple_only = n > 12
-    key = (n, simple_only)
+    key = (n, full)
     if key in _sign_table_cache:
         return _sign_table_cache[key]
-    ambient = build_root_system("B", n)
-    roots = sorted(ambient.roots)
-    from .roots import simple_roots
-
-    b_list = list(simple_roots("B", n)) if simple_only else roots
+    roots = sorted(build_root_system("B", n).roots)
+    simples = tuple((b, reflection(n, b)) for b in simple_roots("B", n))
+    rows = [(b, reflection(n, b)) for b in roots] if full else simples
     by_matrix = {}
     for a in roots:
         for u in (1, -1):
             by_matrix[_root_matrix(n, a, u).tobytes()] = (a, u)
     gram = _gram(n)
     eta = {}
-    for b in b_list:
+    for b, refl in rows:
         w = _weyl_rep(n, b)
         w_inv = _weyl_rep_inverse(n, b)
         if not np.array_equal(w @ w_inv, np.eye(2 * n + 1, dtype=np.int64)):
             raise VerificationError("monomial matrix inverse failed", {"b": b})
         if not np.array_equal(w.T @ gram @ w, gram):
             raise VerificationError("monomial matrix is not orthogonal", {"b": b})
-        refl = _reflection(n, b)
         for a in roots:
             conj = w @ _root_matrix(n, a, 1) @ w_inv
             hit = by_matrix.get(conj.tobytes())
@@ -169,7 +175,7 @@ def build_sign_table(n: int, simple_only: bool | None = None) -> SignTable:
                     {"b": b, "a": a, "target": target},
                 )
             eta[(b, a)] = sign
-    table = SignTable(n, eta, not simple_only)
+    table = SignTable(n, eta, simples, full)
     _sign_table_cache[key] = table
     return table
 
@@ -177,26 +183,6 @@ def build_sign_table(n: int, simple_only: bool | None = None) -> SignTable:
 def _weyl_rep_inverse(n: int, a: tuple) -> np.ndarray:
     neg = tuple(-x for x in a)
     return _root_matrix(n, a, -1) @ _root_matrix(n, neg, 1) @ _root_matrix(n, a, -1)
-
-
-def _reflection(n: int, a: tuple) -> SignedPermutation:
-    from .sperm import reflection
-
-    return reflection(n, a)
-
-
-_simple_data_cache: dict = {}
-
-
-def _simple_data(n: int):
-    if n not in _simple_data_cache:
-        from .roots import simple_roots
-
-        _simple_data_cache[n] = [
-            (a, SignedPermutation.simple_reflection(n, i + 1))
-            for i, a in enumerate(simple_roots("B", n))
-        ]
-    return _simple_data_cache[n]
 
 
 # -- conjugation of formal terms ----------------------------------------------
@@ -217,13 +203,10 @@ def conjugate(
     """
     root, sign = term.root, term.sign
     word = group.reduced_word(x.weyl)
-    simples = _simple_data(group.n)
     for i in reversed(word):
-        b, refl = simples[i - 1]
+        b, refl = table.simples[i - 1]
         sign *= table(b, root)
         root = refl.act_on_root(root)
-    from .tits import root_character_eval
-
     pairing = root_character_eval(root, x.torus)
     if pairing % 2:
         raise ValueError("torus part acts by a fourth root, not a sign")
@@ -284,17 +267,14 @@ def _bm_block_roots(ctx: SupplementContext):
     return out
 
 
-def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3,
-                             table: SignTable | None = None) -> dict:
+def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
     """[L_i, c_j'] = 1 for i != j and [B_m-block, V'] = 1, at the level of
     formal root terms.  Returns a summary; raises with a counterexample on
     any failed conjugation."""
-    from .supplement import build_supplement
-
     data = build_supplement(l, d, m, q)
     ctx = data.ctx
     g = ctx.group
-    table = table or build_sign_table(ctx.n)
+    table = build_sign_table(ctx.n)
     checked = 0
     for i in range(1, ctx.t_l + 1):
         terms = _levi_factor_terms(ctx, i, table)
@@ -338,12 +318,11 @@ def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3,
     return {"l": l, "d": d, "m": m, "conjugations_checked": checked}
 
 
-def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3,
-                            table: SignTable | None = None) -> dict:
+def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3) -> dict:
     """F^{d0} on x_{e_1-e_2}(u) gives x_{eps (e_1-e_2)}(eps u^{q^{d0}}) with
     eps = +1 for odd d and -1 for even d."""
     ctx = SupplementContext(l, d, m, q)
-    table = table or build_sign_table(ctx.n)
+    table = build_sign_table(ctx.n)
     g = ctx.group
     eps = 1 if d % 2 else -1
     base_root = tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(ctx.n))
@@ -367,16 +346,13 @@ def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3,
     return {"l": l, "d": d, "eps": eps}
 
 
-def verify_graph_action(l: int, d: int, m: int, q: int = 3,
-                        table: SignTable | None = None) -> dict:
+def verify_graph_action(l: int, d: int, m: int, q: int = 3) -> dict:
     """c_1' acts on the first rank-one factor exactly as v_l', and trivially
     on the B-block, verified on all formal generator terms."""
-    from .supplement import build_supplement
-
     data = build_supplement(l, d, m, q)
     ctx = data.ctx
     g = ctx.group
-    table = table or build_sign_table(ctx.n)
+    table = build_sign_table(ctx.n)
     # the correction element x = v_l' (c_1' ... c_t')^{-1} is a torus element
     prod_c = g.prod(data.c_primes)
     x = g.mul(ctx.v_l_prime, g.inv(prod_c))
@@ -386,8 +362,6 @@ def verify_graph_action(l: int, d: int, m: int, q: int = 3,
             {"weyl": x.weyl.images},
         )
     base_root = tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(ctx.n))
-    from .tits import root_character_eval
-
     if root_character_eval(base_root, x.torus) % 4:
         raise VerificationError(
             "the torus correction does not centralize the first factor",
@@ -423,7 +397,7 @@ def check_sign_table_consistency(table: SignTable) -> list:
     bad = []
     roots = sorted(build_root_system("B", n).roots)
     for b in roots:
-        refl = _reflection(n, b)
+        refl = reflection(n, b)
         cr = coroot(b)
         for a in roots:
             square = table(b, a) * table(b, refl.act_on_root(a))
@@ -431,11 +405,6 @@ def check_sign_table_consistency(table: SignTable) -> list:
                 bad.append(("square-law", b, a))
             if table(b, a) != table(b, tuple(-x for x in a)):
                 bad.append(("negation-symmetry", b, a))
-            if (
-                dot(a, b) == 0
-                and dot(a, a) == 2
-                and dot(b, b) == 2
-                and table(b, a) != 1
-            ):
+            if are_orthogonal_long(a, b) and table(b, a) != 1:
                 bad.append(("orthogonal-long", b, a))
     return bad

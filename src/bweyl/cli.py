@@ -157,8 +157,12 @@ def _run_mutation(args) -> int:
         _emit([report], args.format)
         return CHECK_FAILURE if not report.passed else 0
     if args.mutate.startswith("sign:"):
-        index = int(args.mutate.split(":", 1)[1])
-        table = build_sign_table(3)
+        try:
+            index = int(args.mutate.split(":", 1)[1])
+        except ValueError:
+            print("error: sign index must be an integer", file=sys.stderr)
+            return USAGE_ERROR
+        table = build_sign_table(3, full=True)
         keys = sorted(table.eta)
         if not 0 <= index < len(keys):
             print(f"error: sign index out of range 0..{len(keys) - 1}",

@@ -307,30 +307,35 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int,
     """The full identity bundle of the supplement at one parameter point;
     construction and checks live in the builder, which raises on the first
     failed identity."""
-    from .supplement import build_supplement, check_frobenius_conventions, SupplementContext
+    from .supplement import build_supplement, check_frobenius_conventions
 
     t0 = time.time()
     l = 2 * d0 * t_l
     checks: list[CheckResult] = []
+    data = None
+
+    def build():
+        nonlocal data
+        data = build_supplement(l, d, m, relative_weyl_budget=budget)
+
     _guard(checks, "supplement-identities",
            "h/p/c element identities, iota homomorphisms and injectivity, "
            "Weyl projections, conjugation table, central product, "
            "semidirect decomposition, head intersection, relative Weyl match",
-           lambda: build_supplement(l, d, m, relative_weyl_budget=budget) and None)
-    if checks[-1].passed:
-        data_orders = build_supplement(l, d, m, relative_weyl_budget=budget)
+           build)
+    if data is not None:
         expected_v = 2 * (2 * d0) ** t_l * 2 ** (t_l - 1) * math.factorial(t_l)
         checks.append(CheckResult(
             "orders",
             "|V'| = 2 (2 d0)^t 2^(t-1) t!, |H'| = 2^t, "
             "|W_rel| = (2 d0)^t t!",
-            data_orders.v_prime_order == expected_v
-            and len(data_orders.h_prime.elements) == 2**t_l
-            and data_orders.relative_weyl_order
+            data.v_prime_order == expected_v
+            and len(data.h_prime.elements) == 2**t_l
+            and data.relative_weyl_order
             == (2 * d0) ** t_l * math.factorial(t_l),
-            {"v_prime": data_orders.v_prime_order},
+            {"v_prime": data.v_prime_order},
         ))
-        conv = check_frobenius_conventions(SupplementContext(l, d, m))
+        conv = check_frobenius_conventions(data.ctx)
         checks.append(CheckResult(
             "frobenius-convention",
             "twist-conjugation convention pinned by the fixed-point rank "
@@ -494,7 +499,7 @@ def suite_mutation(rank: int = 3) -> SuiteReport:
 
     t0 = time.time()
     checks: list[CheckResult] = []
-    table = build_sign_table(rank)
+    table = build_sign_table(rank, full=True)
     undetected = []
     for key in sorted(table.eta):
         flipped = table.flipped(*key)

@@ -454,8 +454,12 @@ def torsion_two_subgroup_fixed_rank(
 
     The twisted Frobenius is linear there, so the fixed subgroup is the
     kernel of (M - 1) mod 2 for M the Weyl action matrix; the element count
-    is cross-checked by direct enumeration.
+    is cross-checked by direct enumeration, which is refused past 2^20
+    vectors.
     """
+    if l > 20:
+        raise BudgetExceededError(
+            f"2^{l} order-2 torus vectors exceed the 2^20 enumeration budget")
     m = group.weyl_torus_matrix(twist.weyl)[:l, :l] % 2
     mm = (m - np.eye(l, dtype=np.int64)) % 2
     rank = _f2_rank(mm.copy())

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from bweyl import VerificationError
+from bweyl import VerificationError, chevsign
 from bweyl.chevsign import (
     FormalRootTerm,
     _gram,
@@ -17,14 +17,14 @@ from bweyl.chevsign import (
     verify_graph_action,
     verify_twist_power_sign,
 )
-from bweyl.roots import build_root_system, coroot, dot
+from bweyl.roots import build_root_system, coroot, dot, simple_roots
 from bweyl.supplement import SupplementContext
 from bweyl.tits import ExtendedWeylGroup
 
 
 @pytest.fixture(scope="module")
 def t3():
-    return build_sign_table(3)
+    return build_sign_table(3, full=True)
 
 
 def test_matrices_preserve_form():
@@ -47,7 +47,7 @@ def test_one_parameter_law():
 def test_weyl_rep_squares():
     # n_a(1)^2 acts on x_b(u) by the root character of the order-2 element
     for n in (2, 3):
-        table = build_sign_table(n)
+        table = build_sign_table(n, full=True)
         from bweyl.sperm import reflection
 
         for a in sorted(build_root_system("B", n).roots):
@@ -60,6 +60,20 @@ def test_weyl_rep_squares():
 
 def test_table_consistency(t3):
     assert check_sign_table_consistency(t3) == []
+
+
+def test_simple_rows_are_the_full_table_restricted():
+    for n in range(2, 7):
+        table = build_sign_table(n)
+        simple = {b for b, _ in table.simples}
+        assert simple == set(simple_roots("B", n))
+        full = build_sign_table(n, full=True).eta
+        assert table.eta == {k: v for k, v in full.items() if k[0] in simple}
+
+
+def test_consistency_laws_need_full_table():
+    with pytest.raises(ValueError):
+        check_sign_table_consistency(build_sign_table(3))
 
 
 def test_orthogonal_long_rule(t3):
@@ -169,12 +183,13 @@ def test_graph_action(l, d, m):
     verify_graph_action(l, d, m)
 
 
-def test_commutator_detects_corruption():
+def test_commutator_detects_corruption(monkeypatch):
     # flips touching the folded conjugation paths break the suite directly;
     # every other flip is caught by the table consistency laws
     table = build_sign_table(5).flipped((-1, 1, 0, 0, 0), (0, 0, 0, 0, 1))
+    monkeypatch.setattr(chevsign, "build_sign_table", lambda n: table)
     with pytest.raises(VerificationError):
-        verify_commutator_lemmas(4, 1, 1, table=table)
+        verify_commutator_lemmas(4, 1, 1)
 
 
 def test_weyl_rep_is_monomial():

@@ -128,6 +128,7 @@ def test_mutation_cocycle_exits_one(capsys):
 def test_mutation_bad_argument(capsys):
     assert run_cli(capsys, "verify", "--mutate", "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "--mutate", "sign:99999")[0] == 2
+    assert run_cli(capsys, "verify", "--mutate", "sign:x")[0] == 2
 
 
 def test_reports_deterministic(capsys):

@@ -50,6 +50,18 @@ def test_hl_suite_small():
     assert len(report.checks) == 6  # l in {2,4,6} x two parities
 
 
+def test_hl_suite_refuses_large_torus_enumeration():
+    # l = 28 would enumerate 2^28 order-2 torus vectors: refused, not built
+    report = suite_hl_structure(d0_values=(7,), l_cap=28, q_values=(3,))
+    by_l = {}
+    for c in report.checks:
+        by_l.setdefault(c.check_id.split("-")[2], []).append(c)
+    assert sorted(by_l) == ["l14", "l28"]
+    assert all(c.passed for c in by_l["l14"])
+    assert all(not c.passed and "budget exceeded" in c.counterexample["error"]
+               for c in by_l["l28"])
+
+
 def test_wreath_suite():
     assert suite_wreath(m_max=3, t_max=3).passed
 
