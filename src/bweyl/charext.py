@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
-from . import VerificationError
+from . import BudgetExceededError, VerificationError
 from .sperm import broken_edge, orbit
 from .supplement import SupplementData
 from .tits import MonomialElement
@@ -222,6 +222,8 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
         while rep_of[acc] != rep_of[identity]:
             acc = mul(acc, r)
             k += 1
+            if k > len(elems):
+                raise BudgetExceededError("runaway order in the abelianization")
         orders.append(k)
     chars = []
     if all(modulus % o == 0 for o in orders):

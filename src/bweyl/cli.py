@@ -68,10 +68,10 @@ def _verify_points(args) -> list:
     for d0 in args.d0:
         for t_l in args.tl:
             for m in args.m:
-                d_values = args.d if args.d else (d0, 2 * d0)
+                d_values = (d0, 2 * d0) if args.d is None else args.d
                 for d in d_values:
                     dd0 = d if d % 2 else d // 2
-                    if dd0 != d0 or d0 % 2 == 0:
+                    if dd0 != d0:
                         continue
                     points.append((d0, t_l, m, d))
     return points
@@ -89,17 +89,22 @@ def _run_point_suite(task):
 def cmd_verify(args) -> int:
     from .suites import GLOBAL_SUITES, POINT_SUITES
 
-    for ell in args.ell:
-        if not is_prime(ell) or ell == 2:
-            print(f"error: --ell wants odd primes, got {ell}", file=sys.stderr)
+    rules = (("--d0", args.d0, lambda v: v >= 1 and v % 2, "odd integers >= 1"),
+             ("--tl", args.tl, lambda v: v >= 1, "integers >= 1"),
+             ("--m", args.m, lambda v: v >= 0, "integers >= 0"),
+             ("--ell", args.ell, lambda v: v > 2 and is_prime(v), "odd primes"),
+             ("--q", args.q, lambda v: v >= 2, "integers >= 2"))
+    for flag, values, ok, want in rules:
+        if not values or not all(map(ok, values)):
+            print(f"error: {flag} wants a non-empty list of {want}", file=sys.stderr)
             return USAGE_ERROR
-    if any(q < 2 for q in args.q):
-        print("error: --q wants integers >= 2", file=sys.stderr)
-        return USAGE_ERROR
     suites = args.suite or (list(GLOBAL_SUITES) + list(POINT_SUITES))
     unknown = [s for s in suites if s not in GLOBAL_SUITES and s not in POINT_SUITES]
     if unknown:
         print(f"error: unknown suites {unknown}", file=sys.stderr)
+        return USAGE_ERROR
+    if any(s in POINT_SUITES for s in suites) and not _verify_points(args):
+        print("error: no --d value is d0 or 2 d0 for a --d0 value", file=sys.stderr)
         return USAGE_ERROR
     if args.mutate is not None:
         return _run_mutation(args)

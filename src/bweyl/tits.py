@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import sub
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from . import BudgetExceededError, VerificationError
 from .roots import coroot, dot
@@ -73,36 +72,18 @@ class ExtendedWeylGroup:
 
     def coroot_coords(self, evec: Iterable[int]) -> tuple:
         """Convert an e-basis cocharacter vector (even coordinate sum) into
-        coroot-basis coordinates: c_1 = (sum v_j)/2, c_i = suffix sums."""
+        coroot-basis coordinates mod the torsion modulus."""
         v = list(evec)
-        total = sum(v)
-        if total % 2:
+        if sum(v) % 2:
             raise ValueError(f"{v} is not in the coroot lattice")
-        coords = [0] * self.n
-        coords[0] = total // 2
-        for i in range(1, self.n):
-            coords[i] = sum(v[i:])
-        return tuple(c % self.modulus for c in coords)
-
-    def evec_from_coords(self, coords: Iterable[int]) -> tuple:
-        """Inverse of coroot_coords, with values mod the torsion modulus."""
-        c = list(coords)
-        v = [0] * self.n
-        v[0] = 2 * c[0] - (c[1] if self.n > 1 else 0)
-        for i in range(1, self.n - 1):
-            v[i] = c[i] - c[i + 1]
-        if self.n > 1:
-            v[self.n - 1] = c[self.n - 1]
-        return tuple(x % self.modulus for x in v)
+        return tuple(c % self.modulus for c in _from_e(v))
 
     def h_short(self, i: int, exponent: int = 1) -> MonomialElement:
         """The image of the coroot of e_i at the fourth root of unity raised
         to `exponent`: coordinates exponent * (1, 2, ..., 2, 0, ..., 0)."""
-        coords = [0] * self.n
-        coords[0] = exponent % self.modulus
-        for j in range(1, i):
-            coords[j] = (2 * exponent) % self.modulus
-        return MonomialElement(tuple(coords), SignedPermutation.identity(self.n))
+        evec = [0] * self.n
+        evec[i - 1] = 2 * exponent
+        return self.torus(self.coroot_coords(evec))
 
     def h_simple(self, i: int) -> MonomialElement:
         """The lift relation value m_i^2: coordinates 2 * unit_i."""
@@ -229,7 +210,7 @@ class ExtendedWeylGroup:
             acc = self.mul(acc, x)
             k += 1
             if k > 16 * self.modulus * 4**self.n:
-                raise RuntimeError("runaway order computation")
+                raise BudgetExceededError("runaway order computation")
         return k
 
     def conj_pow(self, x: MonomialElement, g: MonomialElement) -> MonomialElement:
@@ -275,14 +256,14 @@ class ExtendedWeylGroup:
             _apply_simple_torus(t, i, self.n)
         return tuple(c % self.modulus for c in t)
 
-    def weyl_torus_matrix(self, w: SignedPermutation) -> np.ndarray:
-        """Matrix of w on the coroot basis, reduced mod the torsion modulus."""
-        cols = []
-        for i in range(self.n):
-            unit = [0] * self.n
-            unit[i] = 1
-            cols.append(self.weyl_act_torus(w, unit))
-        return np.array(cols, dtype=np.int64).T % self.modulus
+    def weyl_torus_matrix(self, w: SignedPermutation) -> tuple:
+        """Columns of w on the coroot basis: column i is w.unit_i mod 2^k."""
+        n, mod = self.n, self.modulus
+        return tuple(
+            tuple(c % mod for c in _act_on_coroot_coords(
+                w.images, [int(j == i) for j in range(n)]))
+            for i in range(n)
+        )
 
     # -- subsystem lifts --------------------------------------------------------
 
@@ -357,21 +338,33 @@ def _apply_simple_left(images: list, inv: list, i: int) -> None:
         inv[i - 1], inv[i] = r, p
 
 
-def _act_on_coroot_coords(images: tuple, c: tuple) -> list:
-    """w.c over Z: coroot to e-coordinates, signed permutation, suffix sums back."""
-    e = [a - b for a, b in zip(c, c[1:])]
+def _to_e(c) -> list:
+    """Coroot coordinates to e-coordinates over Z: the vector sum_i c_i
+    alpha_i^vee, with alpha_1^vee = 2 e_1 and alpha_i^vee = e_i - e_{i-1}."""
+    e = list(map(sub, c, c[1:]))
     e.append(c[-1])
     e[0] += c[0]
+    return e
+
+
+def _from_e(v) -> list:
+    """Inverse of _to_e on the coroot lattice (even coordinate sum): suffix
+    sums, the first one halved."""
+    c = list(accumulate(reversed(v)))
+    c.reverse()
+    c[0] //= 2
+    return c
+
+
+def _act_on_coroot_coords(images: tuple, c) -> list:
+    """w.c over Z: the signed permutation w acting on e-coordinates."""
     moved = [0] * len(c)
-    for image, v in zip(images, e):
+    for image, v in zip(images, _to_e(c)):
         if image > 0:
             moved[image - 1] = v
         else:
             moved[-image - 1] = -v
-    out = list(accumulate(reversed(moved)))
-    out.reverse()
-    out[0] //= 2
-    return out
+    return _from_e(moved)
 
 
 def _apply_simple_torus(t: list, i: int, n: int) -> None:
@@ -389,20 +382,9 @@ def _apply_simple_torus(t: list, i: int, n: int) -> None:
 
 def root_character_eval(a, x: MonomialElement | TorusTorsionElement) -> int:
     """The root a evaluated on a torsion torus element, as an exponent of the
-    fixed fourth root of unity: sum_i c_i <a, coroot_i>, mod 4."""
+    fixed fourth root of unity: <a, sum_i c_i alpha_i^vee>, mod 4."""
     coords = x.torus if isinstance(x, MonomialElement) else x
-    n = len(coords)
-    total = 0
-    for i, c in enumerate(coords, start=1):
-        if c:
-            if i == 1:
-                cr = tuple(2 if j == 0 else 0 for j in range(n))
-            else:
-                cr = tuple(
-                    1 if j == i - 1 else -1 if j == i - 2 else 0 for j in range(n)
-                )
-            total += c * dot(a, cr)
-    return total % 4
+    return dot(a, _to_e(coords)) % 4
 
 
 @dataclass(frozen=True)
@@ -460,14 +442,16 @@ def torsion_two_subgroup_fixed_rank(
     if l > 20:
         raise BudgetExceededError(
             f"2^{l} order-2 torus vectors exceed the 2^20 enumeration budget")
-    m = group.weyl_torus_matrix(twist.weyl)[:l, :l] % 2
-    mm = (m - np.eye(l, dtype=np.int64)) % 2
-    rank = _f2_rank(mm.copy())
-    kernel_rank = l - rank
-    # direct enumeration: all 2^l even vectors, vectorized
-    bits = ((np.arange(2**l)[:, None] >> np.arange(l)[None, :]) & 1).astype(np.int64)
-    fixed_mask = ((bits @ mm.T) % 2 == 0).all(axis=1)
-    count = int(fixed_mask.sum())
+    cols = group.weyl_torus_matrix(twist.weyl)[:l]
+    # columns of (M - 1) mod 2 on the first l coordinates, as bitmasks
+    moved = [m ^ (1 << j) for j, m in enumerate(_f2_masks(c[:l] for c in cols))]
+    kernel_rank = l - _f2_rank(moved)
+    # direct enumeration of all 2^l vectors in Gray-code order: each step
+    # flips one coordinate, so the image changes by one column
+    image, count = 0, 1
+    for step in range(1, 2**l):
+        image ^= moved[(step & -step).bit_length() - 1]
+        count += not image
     if count != 2**kernel_rank:
         raise VerificationError(
             "kernel rank disagrees with enumerated fixed-point count",
@@ -476,16 +460,17 @@ def torsion_two_subgroup_fixed_rank(
     return kernel_rank, count
 
 
-def _f2_rank(m: np.ndarray) -> int:
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r, c] % 2), None)
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        for r in range(rows):
-            if r != rank and m[r, c] % 2:
-                m[r] = (m[r] + m[rank]) % 2
-        rank += 1
-    return rank
+def _f2_masks(vectors) -> list:
+    """Integer vectors mod 2 as bitmasks, bit i for coordinate i."""
+    return [sum(1 << i for i, x in enumerate(v) if x % 2) for v in vectors]
+
+
+def _f2_rank(vectors) -> int:
+    """Rank over F_2 of integer bitmasks: an XOR basis by leading bit."""
+    basis = {}
+    for v in vectors:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from bweyl import VerificationError
+from bweyl import BudgetExceededError, VerificationError
 from bweyl.charext import (
+    _linear_characters,
     check_multiplicative,
     extend_character,
     extension_report,
@@ -185,3 +186,10 @@ def test_extension_report_schema(data_t2):
 def test_wreath_budget():
     with pytest.raises(ValueError):
         wreath_character_degrees(10, 10, budget=100)
+
+
+def test_linear_characters_runaway_order_is_a_budget_error():
+    # mul(a, b) = a with trivial inverses: the commutators are trivial and
+    # 1 generates the abelianization, but its powers never reach 0
+    with pytest.raises(BudgetExceededError):
+        _linear_characters([0, 1], lambda a, b: a, 0, lambda x: 0, 2)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from bweyl.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -97,6 +99,23 @@ def test_verify_small_subset(capsys):
 def test_verify_rejects_bad_ell(capsys):
     code, _, err = run_cli(capsys, "verify", "--ell", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", ""],
+    ["--suite", "supplement", "--tl", "0"],
+    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "-1"],
+    ["--suite", "cyclo-lemma", "--ell", ""],
+    ["--suite", "supplement", "--d0", "2"],
+    ["--suite", "hl-structure", "--d0", "2"],
+    ["--suite", "supplement", "--d0", "", "--tl", "1"],
+    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--d", ""],
+    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--d", "4"],
+])
+def test_verify_rejects_unusable_parameters(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_rejects_unknown_suite(capsys):

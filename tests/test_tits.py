@@ -1,15 +1,20 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bweyl import BudgetExceededError, VerificationError
+from bweyl import tits
 from bweyl.sperm import SignedPermutation, closure as perm_closure
 from bweyl.tits import (
     ExtendedWeylGroup,
     GeneratedSubgroup,
+    _f2_rank,
+    _from_e,
+    _to_e,
     fixed_subgroup,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
@@ -179,9 +184,15 @@ def test_frobenius_basics(g3):
 def test_torus_coordinate_conversion(g3):
     # 2 e_3 = coroot of e_3 = alpha_1^vee + 2 alpha_2^vee + 2 alpha_3^vee
     assert g3.coroot_coords((0, 0, 2)) == (1, 2, 2)
-    assert g3.evec_from_coords((1, 2, 2)) == (0, 0, 2)
+    assert _to_e((1, 2, 2)) == [0, 0, 2]
     with pytest.raises(ValueError):
         g3.coroot_coords((1, 0, 0))
+    rng = random.Random(17)
+    for n in range(1, 19):
+        c = [rng.randrange(-9, 10) for _ in range(n)]
+        assert _from_e(_to_e(c)) == c
+        v = _to_e(c)
+        assert sum(v) % 2 == 0 and _to_e(_from_e(v)) == v
 
 
 def test_h_short_square(g3):
@@ -199,6 +210,32 @@ def test_root_character_eval(g3):
     h = g3.h_short(2, 1)
     assert root_character_eval((0, 1, 0), h) == 2  # acts by -1
     assert root_character_eval((1, 0, 0), h) == 0
+
+
+def _coroot_basis_pairing(a, coords):
+    """sum_i c_i <a, alpha_i^vee>, one coroot vector per coordinate."""
+    n = len(coords)
+    total = 0
+    for i, c in enumerate(coords, start=1):
+        if i == 1:
+            cr = tuple(2 if j == 0 else 0 for j in range(n))
+        else:
+            cr = tuple(1 if j == i - 1 else -1 if j == i - 2 else 0 for j in range(n))
+        total += c * sum(x * y for x, y in zip(a, cr))
+    return total % 4
+
+
+def test_root_character_eval_matches_coroot_sum():
+    rng = random.Random(29)
+    for n in range(2, 19):
+        for _ in range(40):
+            i, j = rng.sample(range(n), 2)
+            a = [0] * n
+            a[i] = rng.choice((1, -1))
+            if rng.random() < 0.7:  # long root +-e_i +- e_j
+                a[j] = rng.choice((1, -1))
+            t = tuple(rng.randrange(4) for _ in range(n))
+            assert root_character_eval(tuple(a), t) == _coroot_basis_pairing(a, t)
 
 
 def test_root_lift_lands_in_rank_one(g3):
@@ -241,6 +278,35 @@ def test_mul_torus_action_matches_reduced_word(case):
     assert acted.torus == g.weyl_act_torus(w, t)
 
 
+@given(weyl_and_torus())
+@settings(max_examples=100, deadline=None)
+def test_weyl_torus_matrix_columns_match_reduced_word(case):
+    n, k, w, _ = case
+    g = ExtendedWeylGroup(n, k)
+    cols = g.weyl_torus_matrix(w)
+    assert len(cols) == n
+    for i, col in enumerate(cols):
+        assert col == g.weyl_act_torus(w, tuple(int(j == i) for j in range(n)))
+
+
+def test_f2_rank_matches_span_size():
+    rng = random.Random(31)
+    for _ in range(300):
+        bits = rng.randrange(1, 9)
+        vectors = [rng.randrange(2**bits) for _ in range(rng.randrange(0, 10))]
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        assert len(span) == 2 ** _f2_rank(vectors)
+
+
+def test_order_runaway_is_a_budget_error():
+    g = ExtendedWeylGroup(2)
+    g.mul = lambda x, y: g.simple_lift(1)  # powers never reach the identity
+    with pytest.raises(BudgetExceededError):
+        g.order(g.simple_lift(1))
+
+
 def test_inv_rejects_corrupt_cocycle():
     g = ExtendedWeylGroup(3)
     w = SignedPermutation((2, -3, 1))
@@ -274,3 +340,31 @@ def test_torsion_fixed_rank_matches_enumeration():
     sub = GeneratedSubgroup.generate(g, gens)
     fixed = fixed_subgroup(sub, 3, v)
     assert len(fixed) == count
+
+
+def _twist_at(l, d):
+    from bweyl.supplement import SupplementContext
+
+    ctx = SupplementContext(l, d, 0)
+    return ctx.group, ctx.v_l
+
+
+def test_torsion_fixed_rank_cross_check_fires(monkeypatch):
+    g, v = _twist_at(6, 3)
+    assert torsion_two_subgroup_fixed_rank(g, 6, 3, v) == (2, 4)
+    real = tits._f2_rank
+    monkeypatch.setattr(tits, "_f2_rank", lambda vectors: real(vectors) + 1)
+    with pytest.raises(VerificationError):
+        torsion_two_subgroup_fixed_rank(g, 6, 3, v)
+
+
+def test_torsion_fixed_rank_memory_at_l18():
+    g, v = _twist_at(18, 3)
+    tracemalloc.start()
+    try:
+        rank, count = torsion_two_subgroup_fixed_rank(g, 18, 3, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rank, count) == (6, 64)
+    assert peak < 4 * 2**20
