@@ -98,6 +98,10 @@ def cmd_verify(args) -> int:
         if not values or not all(map(ok, values)):
             print(f"error: {flag} wants a non-empty list of {want}", file=sys.stderr)
             return USAGE_ERROR
+    for flag, value, least in (("--n", args.n, 2), ("--budget", args.budget, 1)):
+        if value < least:
+            print(f"error: {flag} wants an integer >= {least}", file=sys.stderr)
+            return USAGE_ERROR
     suites = args.suite or (list(GLOBAL_SUITES) + list(POINT_SUITES))
     unknown = [s for s in suites if s not in GLOBAL_SUITES and s not in POINT_SUITES]
     if unknown:

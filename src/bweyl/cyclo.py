@@ -8,7 +8,6 @@ Everything runs on arbitrary-precision integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +24,6 @@ __all__ = [
     "generic_order_eval_ell_part",
     "is_prime",
     "multiplicative_order",
-    "split_degree_descent",
 ]
 
 
@@ -198,13 +196,6 @@ def e_set(ctx: EllContext, bound: int) -> tuple[int, ...]:
             {"q": ctx.q, "ell": ctx.ell, "found": found, "expected": tuple(expected)},
         )
     return found
-
-
-def split_degree_descent(d: int, k: int) -> int:
-    """Split degree after replacing the field endomorphism by its k-th power."""
-    if d < 1 or k < 1:
-        raise ValueError("arguments must be positive")
-    return d // math.gcd(d, k)
 
 
 # -- generic orders ----------------------------------------------------------

@@ -71,15 +71,6 @@ class RootSubset:
     def positive(self) -> list[Root]:
         return sorted(a for a in self.roots if is_positive(a))
 
-    def is_closed_subsystem_of(self, ambient: "RootSubset") -> bool:
-        """alpha, beta in self and alpha + beta in ambient imply the sum is in self."""
-        for a in self.roots:
-            for b in self.roots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if any(s) and s in ambient.roots and s not in self.roots:
-                    return False
-        return True
-
     def components(self) -> list[frozenset]:
         """Connected components under non-orthogonality, sorted by least root."""
         remaining = set(self.roots)

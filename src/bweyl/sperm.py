@@ -1,7 +1,8 @@
 """The hyperoctahedral group of signed permutations, Sylow twist elements,
-relative Weyl group computations by honest coset enumeration, and `orbit`,
-the budgeted breadth-first enumeration behind every closure and orbit in
-the package.
+`centralizer`, the budgeted centralizer of a signed permutation by cycle
+matching, the relative Weyl centralizer built on it, and `orbit`, the
+budgeted breadth-first enumeration behind every closure and orbit in the
+package.
 
 A signed permutation on {+-1, ..., +-n} is stored one-line on the positive
 part; sigma(-i) = -sigma(i) is implied.  Composition applies the right factor
@@ -10,20 +11,21 @@ first: (s * t)(i) = s(t(i)).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
-from . import BudgetExceededError
-from .roots import RootSubset, coroot, dot
+from . import BudgetExceededError, VerificationError
+from .roots import RootSubset, coroot, dot, levi_root_subset
 
 __all__ = [
     "CosetGroup",
     "SignedPermutation",
     "broken_edge",
+    "centralizer",
     "closure",
-    "is_in_WD",
     "orbit",
     "orbits_on_support",
     "relative_weyl_centralizer",
@@ -75,8 +77,19 @@ class SignedPermutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1] if i > 0 else -self.images[-i - 1]
 
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "SignedPermutation":
+        """Build from images already known to form a signed permutation."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "images", images)
+        return obj
+
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        return SignedPermutation(tuple(self(x) for x in other.images))
+        s = self.images
+        if len(s) != len(other.images):
+            raise ValueError("signed permutations of different ranks")
+        return SignedPermutation._unchecked(
+            tuple([s[x - 1] if x > 0 else -s[-x - 1] for x in other.images]))
 
     def inverse(self) -> "SignedPermutation":
         inv = [0] * len(self.images)
@@ -85,7 +98,7 @@ class SignedPermutation:
                 inv[x - 1] = i
             else:
                 inv[-x - 1] = -i
-        return SignedPermutation(tuple(inv))
+        return SignedPermutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images, start=1))
@@ -114,11 +127,6 @@ class SignedPermutation:
     def __lt__(self, other: "SignedPermutation") -> bool:
         # deterministic ordering for canonical representatives and reports
         return self.images < other.images
-
-
-def is_in_WD(s: SignedPermutation) -> bool:
-    """Membership in the index-2 type-D subgroup: evenly many sign changes."""
-    return s.sign_change_count() % 2 == 0
 
 
 def orbits_on_support(s: SignedPermutation, l: int) -> list[tuple]:
@@ -253,22 +261,103 @@ def reflection(n: int, a) -> SignedPermutation:
     return SignedPermutation(tuple(images))
 
 
+def centralizer(x: SignedPermutation, budget: int) -> list:
+    """The centralizer of x in W(B_k), k = rank of x, by cycle matching.
+
+    g centralizes x exactly when g(x(i)) = x(g(i)) for every i.  So g maps
+    each signed cycle of x onto a cycle of the same length L and sign, and
+    the image of one point of the cycle, any of the 2L signed points of the
+    target cycle, fixes g on all of it (Carter, Conjugacy classes in the
+    Weyl group, 1972).  The centralizer has prod (2L)^c c! elements over
+    the c cycles of each type; past `budget` elements BudgetExceededError
+    is raised before any is built.
+    """
+    types: dict = {}
+    seen: set = set()
+    for start in range(1, x.rank + 1):
+        if start in seen:
+            continue
+        cycle, y = [start], x(start)
+        while abs(y) != start:
+            cycle.append(y)
+            y = x(y)
+        seen.update(map(abs, cycle))
+        types.setdefault((len(cycle), y > 0), []).append(cycle)
+    order = math.prod((2 * length) ** len(cycles) * math.factorial(len(cycles))
+                      for (length, _), cycles in types.items())
+    if order > budget:
+        raise BudgetExceededError(f"centralizer of {order} elements exceeds {budget}")
+
+    def images_from(source: list, target: int) -> list:
+        # g(x^r(c)) = x^r(g(c)) along the source cycle, as (position, image)
+        out = []
+        for point in source:
+            out.append((point - 1, target) if point > 0 else (-point - 1, -target))
+            target = x(target)
+        return out
+
+    per_type = []
+    for cycles in types.values():
+        per_type.append([
+            [pair for source, t in zip(cycles, starts) for pair in images_from(source, t)]
+            for matched in itertools.permutations(cycles)
+            for starts in itertools.product(*(d + [-p for p in d] for d in matched))
+        ])
+    out = []
+    for parts in itertools.product(*per_type):
+        images = [0] * x.rank
+        for part in parts:
+            for pos, img in part:
+                images[pos] = img
+        out.append(SignedPermutation(tuple(images)))
+    return out
+
+
+def _pair_block_image(x: SignedPermutation, pairs: int) -> SignedPermutation | None:
+    """The signed permutation x induces on the pair sums e_{2i-1} + e_{2i},
+    i <= pairs; None when x does not move each pair block onto a pair block
+    with one sign."""
+    images = []
+    it = iter(x.images[:2 * pairs])
+    for a, b in zip(it, it):
+        j = (abs(a) + 1) // 2
+        if j > pairs or (abs(b) + 1) // 2 != j or (a > 0) != (b > 0):
+            return None
+        images.append(j if a > 0 else -j)
+    return SignedPermutation._unchecked(tuple(images))
+
+
+def _least_lift(p: SignedPermutation, n: int) -> SignedPermutation:
+    """The least element of W(B_n) over p in W(B_pairs): each pair block in
+    increasing order, or decreasing when negated, and the coordinates past
+    the pairs reversed and negated."""
+    images = []
+    for t in p.images:
+        images += (2 * t - 1, 2 * t) if t > 0 else (2 * t, 2 * t + 1)
+    return SignedPermutation._unchecked(tuple(images) + tuple(range(-n, -2 * p.rank)))
+
+
 @dataclass(frozen=True)
 class CosetGroup:
-    """N_W(W_L)/W_L with explicit canonical coset representatives, plus the
-    centralizer of a distinguished twist coset."""
+    """C_{N_W(W_L)/W_L}(w_l W_L) for W = W(B_n) and the Levi root set
+    B_m x A_1^{pairs}: the roots +-(e_{2i} - e_{2i-1}), i <= pairs, and a
+    type-B block on the last m = n - 2 pairs coordinates.  A coset is named
+    by its lexicographically least element."""
 
     ambient_rank: int
-    levi_order: int
-    elements: tuple  # canonical representatives of all of N_W(W_L)/W_L
-    centralizer: tuple  # representatives centralizing the twist coset
+    pairs: int
+    centralizer: tuple  # representatives centralizing the twist coset, sorted
     twist_rep: SignedPermutation
-    # every element of N_W(W_L) -> the canonical representative of its coset
-    canonical: dict = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.centralizer)
+
+    def canonical(self, x: SignedPermutation) -> SignedPermutation | None:
+        """The representative of the coset x W_L, in O(n); None when x is not
+        in N_W(W_L)."""
+        p = _pair_block_image(x, self.pairs)
+        return None if p is None else _least_lift(p, self.ambient_rank)
 
 
 def relative_weyl_centralizer(
@@ -277,60 +366,35 @@ def relative_weyl_centralizer(
     w_l: SignedPermutation,
     budget: int = 4_000_000,
 ) -> CosetGroup:
-    """C_{N_W(W_L)/W_L}(w_l W_L) for W = W(B_n), by orbit-stabilizer.
+    """C_{N_W(W_L)/W_L}(w_l W_L) for W = W(B_n) and the Levi root set
+    B_m x A_1^{l/2} (see `CosetGroup`).
 
-    The stabilizer of the root set is the closure of Schreier generators of
-    the orbit of the set under W, taken in BFS order until the closure has
-    the order |W| / |orbit|; it is quotiented by W_L and the centralizer is
-    read off the quotient.  Raises BudgetExceededError when the orbit or a
-    closure would exceed the cap.
+    An element of W stabilizes the root set exactly when it moves each pair
+    block {2i-1, 2i} onto a pair block with one sign, so N_W(W_L) acts on
+    the pair sums e_{2i-1} + e_{2i} as W(B_{l/2}), with kernel W_L (Howlett,
+    Normalizers of parabolic subgroups of reflection groups, 1980).  The
+    centralizer of the image of w_l there is lifted to the least
+    representatives of its cosets, and each lift is checked to stabilize the
+    root set and to centralize w_l modulo W_L.  Raises BudgetExceededError
+    past `budget` cosets.
     """
-    gens = [SignedPermutation.simple_reflection(n, i) for i in range(1, n + 1)]
-
-    def act(rootset: frozenset, g: SignedPermutation) -> frozenset:
-        return frozenset(g.act_on_root(a) for a in rootset)
-
-    # orbit with transversal: point -> group element mapping the base to it
-    identity = SignedPermutation.identity(n)
-    transversal = orbit({frozenset(levi_roots.roots): identity}, gens, act,
-                        budget, step=lambda u, g: g * u)
-    weyl_order = (2**n) * math.factorial(n)
-    if weyl_order % len(transversal):
-        raise ValueError("orbit size does not divide the Weyl group order")
-    target = weyl_order // len(transversal)
-    if target > budget:
-        raise BudgetExceededError("stabilizer too large to enumerate")
-    # grow the stabilizer one essential Schreier generator at a time
-    schreier = (transversal[act(point, g)].inverse() * g * u
-                for point, u in transversal.items() for g in gens)
-    stab = {identity}
-    essential: list[SignedPermutation] = []
-    for s in schreier:
-        if len(stab) == target:
-            break
-        if s not in stab:
-            essential.append(s)
-            stab = closure(essential, budget=budget)
-    if len(stab) != target:
-        raise ValueError("Schreier generators did not produce the full stabilizer")
-    levi_group = closure(
-        [reflection(n, a) for a in levi_roots.positive()], budget=budget
-    )
-    if not levi_group <= stab or w_l not in stab:
-        raise ValueError("Levi reflections or twist do not stabilize the root set")
-    # one pass over the stabilizer assigns every element its canonical coset rep
-    canon: dict[SignedPermutation, SignedPermutation] = {}
-    reps = []
-    for g in sorted(stab, key=lambda s: s.images):
-        if g in canon:
-            continue
-        coset = sorted((g * h for h in levi_group), key=lambda s: s.images)
-        rep = coset[0]
-        reps.append(rep)
-        for x in coset:
-            canon[x] = rep
-    if len(reps) * len(levi_group) != len(stab):
-        raise ValueError("coset partition failed")
-    twist_rep = canon[w_l]
-    cent = tuple(r for r in reps if canon[r * w_l * r.inverse()] == twist_rep)
-    return CosetGroup(n, len(levi_group), tuple(reps), cent, twist_rep, canon)
+    m = sum(1 for a in levi_roots.roots if dot(a, a) == 1) // 2
+    pairs = (n - m) // 2
+    # levi_root_subset depends on n and m only; d0 = pairs, t_l = 1 name it
+    if 2 * pairs != n - m or levi_roots != levi_root_subset(n, m, pairs, 1):
+        raise ValueError("not the Levi root set B_m x A_1^{l/2} of W(B_n)")
+    twist = _pair_block_image(w_l, pairs)
+    if twist is None:
+        raise ValueError("the twist does not stabilize the Levi root set")
+    twist_rep = _least_lift(twist, n)
+    positive = levi_roots.positive()
+    reps = sorted(_least_lift(c, n) for c in centralizer(twist, budget))
+    cosets = CosetGroup(n, pairs, tuple(reps), twist_rep)
+    for r in reps:
+        if not all(r.act_on_root(a) in levi_roots.roots for a in positive):
+            raise VerificationError("relative Weyl lift does not stabilize the "
+                                    "Levi root set", {"lift": r.images})
+        if cosets.canonical(r * w_l * r.inverse()) != twist_rep:
+            raise VerificationError("relative Weyl lift does not centralize the "
+                                    "twist modulo W_L", {"lift": r.images})
+    return cosets

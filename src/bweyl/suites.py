@@ -142,7 +142,7 @@ def suite_cyclotomic_lemma(ells=(5, 7, 11, 13), q_max=50, k_max=30) -> SuiteRepo
     the structure of the index set with ell | Phi_e(q)."""
     from .cyclo import e_set, ell_valuation_phi
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     failures = []
     e_set_failures = []
@@ -182,7 +182,7 @@ def suite_cyclotomic_lemma(ells=(5, 7, 11, 13), q_max=50, k_max=30) -> SuiteRepo
     ))
     return SuiteReport(
         "cyclo-lemma", {"ells": list(ells), "q_max": q_max, "k_max": k_max},
-        checks, time.time() - t0,
+        checks, time.perf_counter() - t0,
     )
 
 
@@ -193,7 +193,7 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
 
     from .tits import ExtendedWeylGroup, GeneratedSubgroup
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
 
     def squares_and_braids():
@@ -268,7 +268,7 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
     _guard(checks, "group-axioms",
            "exhaustive axioms at rank 2, randomized triples at ranks 3..6", axioms)
     return SuiteReport("tits-core", {"random_triples": random_triples},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteReport:
@@ -278,7 +278,7 @@ def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteR
     from .supplement import SupplementContext
     from .tits import torsion_two_subgroup_fixed_rank
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     for d0 in d0_values:
         for t_l in range(1, l_cap // (2 * d0) + 1):
@@ -299,7 +299,7 @@ def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteR
                            "order-2 torus fixed points have rank a_l", one)
     return SuiteReport("hl-structure",
                        {"d0_values": list(d0_values), "l_cap": l_cap},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_supplement(d0: int, t_l: int, m: int, d: int,
@@ -309,7 +309,7 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int,
     failed identity."""
     from .supplement import build_supplement, check_frobenius_conventions
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     l = 2 * d0 * t_l
     checks: list[CheckResult] = []
     data = None
@@ -344,13 +344,13 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int,
             conv,
         ))
     return SuiteReport("supplement", {"d0": d0, "t_l": t_l, "m": m, "d": d},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_commutators(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     from .chevsign import verify_commutator_lemmas, verify_twist_power_sign
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     l = 2 * d0 * t_l
     checks: list[CheckResult] = []
     _guard(checks, "factor-commutators",
@@ -361,26 +361,26 @@ def suite_commutators(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
            "eps = (-1)^{d+1}",
            lambda: verify_twist_power_sign(l, d, m) and None)
     return SuiteReport("commutators", {"d0": d0, "t_l": t_l, "m": m, "d": d},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_graph_action(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     from .chevsign import verify_graph_action
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     l = 2 * d0 * t_l
     checks: list[CheckResult] = []
     _guard(checks, "graph-action",
            "c_1' acts as v_l' on the first factor and trivially on the B-block",
            lambda: verify_graph_action(l, d, m) and None)
     return SuiteReport("graph-action", {"d0": d0, "t_l": t_l, "m": m, "d": d},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_extmap_hypotheses(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     from .supplement import verify_extmap_hypotheses
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     l = 2 * d0 * t_l
     checks: list[CheckResult] = []
     _guard(checks, "extmap-hypotheses",
@@ -388,7 +388,7 @@ def suite_extmap_hypotheses(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
            "relative Weyl quotient; index arithmetic matches",
            lambda: verify_extmap_hypotheses(l, d, m) and None)
     return SuiteReport("extmap-hypotheses", {"d0": d0, "t_l": t_l, "m": m, "d": d},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_charext(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
@@ -398,7 +398,7 @@ def suite_charext(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     )
     from .supplement import build_supplement
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     l = 2 * d0 * t_l
     checks: list[CheckResult] = []
 
@@ -420,7 +420,7 @@ def suite_charext(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
            "the orbit-transported extension map is supplement-equivariant",
            equivariance)
     return SuiteReport("charext", {"d0": d0, "t_l": t_l, "m": m, "d": d},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_atlas_ellparts(n_max: int = 12, ells=(5, 7, 11, 13),
@@ -432,7 +432,7 @@ def suite_atlas_ellparts(n_max: int = 12, ells=(5, 7, 11, 13),
         enumerate_rows, realize_row,
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     bad_rows = []
     bad_torsion = []
@@ -469,13 +469,13 @@ def suite_atlas_ellparts(n_max: int = 12, ells=(5, 7, 11, 13),
     return SuiteReport("atlas-ellparts",
                        {"n_max": n_max, "ells": list(ells), "q_values": list(q_values),
                         "rows": rows_checked},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_wreath(m_max: int = 6, t_max: int = 5) -> SuiteReport:
     from .charext import wreath_character_degrees
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     bad = []
     for m in range(1, m_max + 1):
@@ -489,7 +489,7 @@ def suite_wreath(m_max: int = 6, t_max: int = 5) -> SuiteReport:
         not bad, {"failures": bad},
     ))
     return SuiteReport("wreath", {"m_max": m_max, "t_max": t_max},
-                       checks, time.time() - t0)
+                       checks, time.perf_counter() - t0)
 
 
 def suite_mutation(rank: int = 3) -> SuiteReport:
@@ -497,7 +497,7 @@ def suite_mutation(rank: int = 3) -> SuiteReport:
     branch must be caught by at least one suite check."""
     from .chevsign import build_sign_table, check_sign_table_consistency
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     table = build_sign_table(rank, full=True)
     undetected = []
@@ -520,7 +520,7 @@ def suite_mutation(rank: int = 3) -> SuiteReport:
 
     _guard(checks, "cocycle-branch",
            "the corrupted cocycle branch fails the core suite", cocycle_branch)
-    return SuiteReport("mutation", {"rank": rank}, checks, time.time() - t0)
+    return SuiteReport("mutation", {"rank": rank}, checks, time.perf_counter() - t0)
 
 
 # -- dispatch ----------------------------------------------------------------------

@@ -15,18 +15,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import xor
 
-from . import BudgetExceededError, VerificationError
+from . import VerificationError
 from .roots import levi_root_subset
-from .sperm import SignedPermutation, closure as perm_closure, orbit, orbits_on_support
+from .sperm import (
+    SignedPermutation,
+    centralizer,
+    closure as perm_closure,
+    orbits_on_support,
+    relative_weyl_centralizer,
+)
 from .tits import (
     ExtendedWeylGroup,
     GeneratedSubgroup,
     MonomialElement,
     _f2_masks,
     _f2_rank,
+    least_reduced_word,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
@@ -160,22 +167,6 @@ class SupplementContext:
                 tuple(1 if j == b - 1 else -1 if j == a - 1 else 0 for j in range(self.n))
             )
         return roots
-
-    @cached_property
-    def subsystem_lifts(self) -> dict:
-        """Every element of the Weyl group W(B_{d0}) of the subsystem over
-        the first orbit, mapped to a lift in the rank-one-generated
-        subsystem group: the product of root lifts along the BFS word.
-        The table holds 2^d0 d0! points; past 2^16 it is refused unbuilt."""
-        order = 2**self.d0 * math.factorial(self.d0)
-        if order > 2**16:
-            raise BudgetExceededError(f"orbit of {order} points exceeds 65536")
-        g = self.group
-        lifts = [g.root_lift(a) for a in self._subsystem_simple_roots(self.orbits[0])]
-        return orbit(
-            {SignedPermutation.identity(self.n): g.identity}, lifts,
-            lambda w, lift: w * lift.weyl, order, step=g.mul,
-        )
 
     def subsystem_torsion(self, orbit) -> GeneratedSubgroup:
         """The order-2 torus subgroup generated by the orbit's roots."""
@@ -382,14 +373,23 @@ def verify_c1(ctx: SupplementContext) -> None:
 
 
 def _orbit_subsystem_fixed(ctx: SupplementContext) -> list[MonomialElement]:
-    """Twisted-Frobenius-fixed elements of the subsystem group over orbit 1,
-    enumerated via the centralizer of the twist in the subsystem Weyl group."""
+    """Twisted-Frobenius-fixed elements of the subsystem group over orbit 1.
+
+    The subsystem Weyl group is W(B_{d0}) on the orbit's coordinates, taken
+    in increasing order, with the subsystem's simple roots as its simple
+    reflections.  The twist acts there as one signed d0-cycle; each of the
+    2 d0 elements of its centralizer is lifted along its reduced word in the
+    simple-root lifts, and every torus translate of that lift is tested."""
     g = ctx.group
+    idx = sorted(ctx.orbits[0])
+    pos = {i: k for k, i in enumerate(idx, start=1)}
+    twist = SignedPermutation(tuple(
+        pos[ctx.w_l(i)] if ctx.w_l(i) > 0 else -pos[-ctx.w_l(i)] for i in idx))
+    lifts = [g.root_lift(a) for a in ctx._subsystem_simple_roots(ctx.orbits[0])]
     torsion = ctx.subsystem_torsion(ctx.orbits[0]).elements
     fixed = []
-    for u, xu in sorted(ctx.subsystem_lifts.items(), key=lambda item: item[0].images):
-        if u * ctx.w_l != ctx.w_l * u:
-            continue
+    for u in centralizer(twist, budget=2 * ctx.d0):
+        xu = g.prod([lifts[i - 1] for i in least_reduced_word(u.images)])
         for h in torsion:
             y = g.mul(h, xu)
             if ctx.is_frob_fixed(y):
@@ -426,7 +426,8 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
     and injectivity properties, the Weyl images of the supplement
     generators, the conjugation table, the central product structure of C',
     the semidirect decomposition V' = C' x| P' with V' cap H = H', and the
-    relative Weyl group comparison (brute force when the rank allows it).
+    relative Weyl group comparison against the centralizer of the twist
+    coset, at every rank.
     """
     key = (l, d, m, q, relative_weyl_budget)
     if key in _supplement_cache:
@@ -688,53 +689,38 @@ def _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime) -
 
 
 def _verify_relative_weyl(ctx, c_primes, p_primes, budget) -> int:
-    from .sperm import reflection, relative_weyl_centralizer
-
+    """The Weyl image of V' is a set of representatives of the relative Weyl
+    centralizer C_{N_W(W_L)/W_L}(w_l W_L); returns the measured order."""
     expected = (2 * ctx.d0) ** ctx.t_l * math.factorial(ctx.t_l)
     levi = levi_root_subset(ctx.n, ctx.m, ctx.d0, ctx.t_l)
+    cg = relative_weyl_centralizer(ctx.n, levi, ctx.w_l, budget=budget)
+    _expect(
+        cg.order == expected,
+        "relative Weyl centralizer order matches the wreath formula",
+        {"order": cg.order, "expected": expected},
+    )
     gens_w = [c.weyl for c in c_primes] + [pp.weyl for pp in p_primes]
-    if ctx.n <= 8:
-        cg = relative_weyl_centralizer(ctx.n, levi, ctx.w_l, budget=budget)
+    image = perm_closure(gens_w, budget=4 * expected)
+    cosets = set()
+    for w in sorted(image):
+        rep = cg.canonical(w)
         _expect(
-            cg.order == expected,
-            "relative Weyl centralizer order matches the wreath formula",
-            {"order": cg.order, "expected": expected},
+            rep is not None,
+            "supplement generators normalize the Levi Weyl group",
+            {"element": w.images},
         )
-
-        def act(x, w):
-            y = x * w
-            _expect(
-                y in cg.canonical,
-                "supplement generators normalize the Levi Weyl group",
-                {"product": y.images},
-            )
-            return cg.canonical[y]
-
-        start = cg.canonical[SignedPermutation.identity(ctx.n)]
-        generated = orbit({start: None}, gens_w, act, len(cg.elements))
-        reps = set(cg.centralizer)
-        _expect(
-            generated.keys() == reps,
-            "supplement generators cover the relative Weyl centralizer",
-            {"generated": len(generated), "expected": len(reps)},
-        )
-    else:
-        # structural check: the Weyl image has wreath order and misses W_L
-        image = perm_closure(gens_w, budget=4 * expected)
-        _expect(
-            len(image) == expected,
-            "Weyl image of V' has the wreath order",
-            {"order": len(image), "expected": expected},
-        )
-        levi_group = perm_closure(
-            [reflection(ctx.n, a) for a in levi.positive()], budget=budget
-        )
-        _expect(
-            set(image) & levi_group == {SignedPermutation.identity(ctx.n)},
-            "Weyl image of V' meets the Levi Weyl group trivially",
-            {},
-        )
-    return expected
+        cosets.add(rep)
+    _expect(
+        len(cosets) == len(image),
+        "Weyl image of V' meets the Levi Weyl group trivially",
+        {"image": len(image), "cosets": len(cosets)},
+    )
+    _expect(
+        cosets == set(cg.centralizer),
+        "supplement generators cover the relative Weyl centralizer",
+        {"generated": len(cosets), "expected": cg.order},
+    )
+    return cg.order
 
 
 def verify_extmap_hypotheses(l: int, d: int, m: int, q: int = 3) -> dict:

@@ -31,6 +31,7 @@ __all__ = [
     "MonomialElement",
     "TorusTorsionElement",
     "fixed_subgroup",
+    "least_reduced_word",
     "root_character_eval",
 ]
 
@@ -108,26 +109,9 @@ class ExtendedWeylGroup:
         """Lexicographically least reduced word of w, cached."""
         key = w.images
         cached = self._words.get(key)
-        if cached is not None:
-            return cached
-        word = []
-        images = list(w.images)
-        n = self.n
-        # repeatedly strip the least left descent: w <- s_i w
-        while True:
-            inv = [0] * (n + 1)
-            for pos, val in enumerate(images, start=1):
-                if val > 0:
-                    inv[val] = pos
-                else:
-                    inv[-val] = -pos
-            i = _least_descent(inv, n)
-            if i == 0:
-                break
-            word.append(i)
-            _apply_simple_left(images, inv, i)
-        self._words[key] = tuple(word)
-        return tuple(word)
+        if cached is None:
+            cached = self._words[key] = least_reduced_word(key)
+        return cached
 
     def length(self, w: SignedPermutation) -> int:
         return len(self.reduced_word(w))
@@ -313,6 +297,28 @@ def _mapping_perm(n: int, target1: int, target2: int) -> SignedPermutation:
     for pos in range(3, n + 1):
         images[pos - 1] = next(it)
     return SignedPermutation(tuple(images))
+
+
+def least_reduced_word(images: tuple) -> tuple:
+    """Lexicographically least reduced word, in s_1 (the sign change of 1)
+    and s_i (the swap of i-1 and i), of the signed permutation with these
+    one-line images; any rank >= 1."""
+    word = []
+    images = list(images)
+    n = len(images)
+    # repeatedly strip the least left descent: w <- s_i w
+    while True:
+        inv = [0] * (n + 1)
+        for pos, val in enumerate(images, start=1):
+            if val > 0:
+                inv[val] = pos
+            else:
+                inv[-val] = -pos
+        i = _least_descent(inv, n)
+        if i == 0:
+            return tuple(word)
+        word.append(i)
+        _apply_simple_left(images, inv, i)
 
 
 def _least_descent(inv: list, n: int) -> int:

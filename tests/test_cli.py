@@ -69,11 +69,24 @@ def test_group_rejects_even_d0(capsys):
     assert code == 2
 
 
-def test_group_refuses_large_subsystem_table(capsys):
-    # W(B_7) has 645120 elements: the lift table is refused, not built
-    code, _, err = run_cli(capsys, "group", "--d0", "7", "--tl", "1",
+def test_group_builds_the_d0_7_supplement(capsys):
+    # W(B_7) has 645120 elements; only the twist's centralizer is enumerated
+    code, out, _ = run_cli(capsys, "group", "--d0", "7", "--tl", "1",
                            "--m", "0", "--d", "7")
-    assert code == 2 and "exceeds 65536" in err
+    assert code == 0 and "|relative_weyl| = 14" in out
+
+
+@pytest.mark.parametrize("m,d", [(0, 7), (1, 14)])
+def test_point_suites_pass_at_d0_7(capsys, m, d):
+    suites = ["charext", "commutators", "extmap-hypotheses", "graph-action",
+              "supplement"]
+    code, out, _ = run_cli(capsys, "verify", *(f"--suite={s}" for s in suites),
+                           "--d0", "7", "--tl", "1", "--m", str(m), "--d", str(d),
+                           "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["suite"] for r in reports] == suites
+    assert all(r["passed"] and r["checks"] for r in reports)
 
 
 def test_hl_structure_at_d0_7(capsys):
@@ -111,6 +124,9 @@ def test_verify_rejects_bad_ell(capsys):
     ["--suite", "supplement", "--d0", "", "--tl", "1"],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--d", ""],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--d", "4"],
+    ["--suite", "atlas-ellparts", "--n", "1"],
+    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "0"],
+    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "-5"],
 ])
 def test_verify_rejects_unusable_parameters(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)

@@ -1,21 +1,24 @@
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bweyl import BudgetExceededError
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
+    centralizer,
     closure,
-    is_in_WD,
     orbit,
     orbits_on_support,
+    reflection,
     relative_weyl_centralizer,
     sylow_twist,
     w_l_prime_parts,
 )
+from bweyl.suites import SWEEP_POINTS
 
 
 def rand_perm(draw_images):
@@ -124,6 +127,11 @@ def test_w_l_prime_consistency(l, d0, t_l):
         assert p.order() == 2 * d0
 
 
+def is_in_WD(s: SignedPermutation) -> bool:
+    """Membership in the index-2 type-D subgroup: evenly many sign changes."""
+    return s.sign_change_count() % 2 == 0
+
+
 def test_is_in_WD():
     assert is_in_WD(SignedPermutation.identity(3))
     assert not is_in_WD(SignedPermutation.from_mapping(2, {1: -1}))
@@ -168,8 +176,6 @@ def _factorial(k):
 def test_relative_weyl_wreath_relations(n, m, d0, t_l, d):
     # images of the w'_{l,i} and tau_i generate the centralizer and satisfy
     # the wreath product relations
-    from bweyl.sperm import reflection
-
     l = n - m
     levi = levi_root_subset(n, m, d0, t_l)
     w_l = sylow_twist(l, d, n)
@@ -212,6 +218,112 @@ def test_relative_weyl_budget():
     w_l = sylow_twist(4, 2, 4)
     with pytest.raises(BudgetExceededError):
         relative_weyl_centralizer(4, levi, w_l, budget=3)
+
+
+def orbit_stabilizer_cosets(n, levi_roots, w_l, budget=4_000_000):
+    """The reference: N_W(W_L) as the stabilizer of the root set, grown from
+    Schreier generators of its orbit under W(B_n) until it has the order
+    |W| / |orbit|, partitioned into W_L-cosets named by their least element.
+    Returns (every element of N -> its coset's name, the names centralizing
+    the twist coset in increasing order, the name of the twist coset)."""
+    gens = [SignedPermutation.simple_reflection(n, i) for i in range(1, n + 1)]
+
+    def act(rootset, g):
+        return frozenset(g.act_on_root(a) for a in rootset)
+
+    identity = SignedPermutation.identity(n)
+    transversal = orbit({frozenset(levi_roots.roots): identity}, gens, act,
+                        budget, step=lambda u, g: g * u)
+    target = 2**n * math.factorial(n) // len(transversal)
+    schreier = (transversal[act(point, g)].inverse() * g * u
+                for point, u in transversal.items() for g in gens)
+    stab = {identity}
+    essential = []
+    for s in schreier:
+        if len(stab) == target:
+            break
+        if s not in stab:
+            essential.append(s)
+            stab = closure(essential, budget=budget)
+    assert len(stab) == target
+    levi_group = closure([reflection(n, a) for a in levi_roots.positive()], budget=budget)
+    canon, reps = {}, []
+    for g in sorted(stab):
+        if g in canon:
+            continue
+        coset = sorted(g * h for h in levi_group)
+        reps.append(coset[0])
+        for x in coset:
+            canon[x] = coset[0]
+    assert len(reps) * len(levi_group) == len(stab)
+    twist_rep = canon[w_l]
+    cent = tuple(r for r in reps if canon[r * w_l * r.inverse()] == twist_rep)
+    return canon, cent, twist_rep
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", [p for p in SWEEP_POINTS
+                                        if 2 * p[0] * p[1] + p[2] <= 8])
+def test_relative_weyl_matches_orbit_stabilizer(d0, t_l, m, d):
+    l = 2 * d0 * t_l
+    n = l + m
+    levi = levi_root_subset(n, m, d0, t_l)
+    w_l = sylow_twist(l, d, n)
+    _, cent, twist_rep = orbit_stabilizer_cosets(n, levi, w_l)
+    cg = relative_weyl_centralizer(n, levi, w_l)
+    assert cg.centralizer == cent and cg.twist_rep == twist_rep
+
+
+@pytest.mark.parametrize("n,m,d0,t_l,d", [(5, 1, 1, 2, 1), (4, 2, 1, 1, 2)])
+def test_canonical_names_every_coset_and_nothing_else(n, m, d0, t_l, d):
+    levi = levi_root_subset(n, m, d0, t_l)
+    canon, _, _ = orbit_stabilizer_cosets(n, levi, sylow_twist(n - m, d, n))
+    cg = relative_weyl_centralizer(n, levi, sylow_twist(n - m, d, n))
+    weyl = closure([SignedPermutation.simple_reflection(n, i) for i in range(1, n + 1)])
+    assert {x: cg.canonical(x) for x in weyl} == {x: canon.get(x) for x in weyl}
+
+
+def test_relative_weyl_rejects_other_levis():
+    # s_3 swaps 2 and 3, so it moves the pair {1, 2} off the pair blocks
+    with pytest.raises(ValueError):
+        relative_weyl_centralizer(4, levi_root_subset(4, 0, 1, 2),
+                                  SignedPermutation.simple_reflection(4, 3))
+    # one short root and one pair root: not B_m x A_1^{l/2}
+    odd = levi_root_subset(3, 1, 1, 1)
+    with pytest.raises(ValueError):
+        relative_weyl_centralizer(4, type(odd)(4, frozenset(a + (0,) for a in odd.roots)),
+                                  SignedPermutation.identity(4))
+
+
+def brute_force_centralizer(x):
+    k = x.rank
+    weyl = closure([SignedPermutation.simple_reflection(k, i) for i in range(1, k + 1)])
+    return {g for g in weyl if g * x == x * g}
+
+
+mixed_signed_perms = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.permutations(list(range(1, k + 1))).flatmap(
+        lambda p: st.tuples(*[st.sampled_from([x, -x]) for x in p])
+    )
+).map(SignedPermutation)
+
+
+@given(mixed_signed_perms)
+@example(SignedPermutation((2, 3, -1)))  # one negative 3-cycle
+@example(SignedPermutation((-2, 3, 1, 4)))  # a negative 3-cycle and a fixed point
+@example(SignedPermutation((2, 1, -3, -4)))  # a positive 2-cycle and two negative 1-cycles
+@example(SignedPermutation((3, 4, 1, 2)))  # two positive 2-cycles
+@settings(max_examples=80, deadline=None)
+def test_centralizer_matches_brute_force(x):
+    cent = centralizer(x, budget=384)
+    assert len(cent) == len(set(cent))
+    assert set(cent) == brute_force_centralizer(x)
+
+
+def test_centralizer_budget():
+    x = SignedPermutation.identity(4)  # centralizer is all 384 elements
+    assert len(centralizer(x, budget=384)) == 384
+    with pytest.raises(BudgetExceededError):
+        centralizer(x, budget=383)
 
 
 B3_GENS = [SignedPermutation.simple_reflection(3, i) for i in (1, 2, 3)]

@@ -1,10 +1,12 @@
 import pytest
 
-from bweyl import BudgetExceededError, VerificationError
+from bweyl import VerificationError
 from bweyl.roots import levi_root_subset
-from bweyl.sperm import SignedPermutation, closure as perm_closure
+from bweyl.sperm import SignedPermutation, closure as perm_closure, orbit
 from bweyl.supplement import (
     SupplementContext,
+    _orbit_subsystem_fixed,
+    _verify_relative_weyl,
     build_supplement,
     build_twist,
     check_frobenius_conventions,
@@ -178,21 +180,40 @@ def test_no_fixed_lift_error_payload():
 
 
 def test_subsystem_lifts_cover_the_subsystem_weyl_group():
+    # the reference: every element of W(B_5) over orbit 1, lifted along its
+    # BFS word in the simple-root lifts, filtered to those commuting with
+    # the twist, times the orbit's torus, filtered to the Frobenius-fixed
     ctx = SupplementContext(10, 5, 0)
     g = ctx.group
-    refls = [g.root_lift(a).weyl
-             for a in ctx._subsystem_simple_roots(ctx.orbits[0])]
-    lifts = ctx.subsystem_lifts
-    assert set(lifts) == perm_closure(refls) and len(lifts) == 2**5 * 120
-    assert all(x.weyl == u for u, x in lifts.items())
+    roots = ctx._subsystem_simple_roots(ctx.orbits[0])
+    lifts = orbit({SignedPermutation.identity(ctx.n): g.identity},
+                  [g.root_lift(a) for a in roots],
+                  lambda w, lift: w * lift.weyl, 2**5 * 120, step=g.mul)
+    assert set(lifts) == perm_closure([g.root_lift(a).weyl for a in roots])
+    assert len(lifts) == 2**5 * 120 and all(x.weyl == u for u, x in lifts.items())
+    torsion = ctx.subsystem_torsion(ctx.orbits[0]).elements
+    reference = {y for u, xu in lifts.items() if u * ctx.w_l == ctx.w_l * u
+                 for y in (g.mul(h, xu) for h in torsion) if ctx.is_frob_fixed(y)}
+    fixed = _orbit_subsystem_fixed(ctx)
+    assert len(fixed) == len(set(fixed)) and set(fixed) == reference
 
 
 def test_c1_does_not_enumerate_the_subsystem():
     ctx = SupplementContext(14, 7, 0)
     assert ctx.is_frob_fixed(ctx.c1) and ctx.c1.weyl == ctx.cbar1
-    assert "subsystem_lifts" not in vars(ctx)
-    with pytest.raises(BudgetExceededError):
-        ctx.subsystem_lifts
+
+
+@pytest.mark.parametrize("l,d,m", [(10, 5, 0), (10, 10, 1)])
+def test_conjugated_generator_misses_the_relative_weyl_centralizer(l, d, m):
+    # c_1' conjugated by a sign change of the first pair block: its image
+    # still has the wreath order and meets W_L trivially, but its cosets
+    # form the centralizer of another twist coset
+    data = build_supplement(l, d, m)
+    ctx, g = data.ctx, data.ctx.group
+    flip = g.lift(SignedPermutation.from_mapping(ctx.n, {1: -1, 2: -2}))
+    bad = g.conj(flip, data.c_primes[0])
+    with pytest.raises(VerificationError, match="cover the relative Weyl centralizer"):
+        _verify_relative_weyl(ctx, [bad], data.p_primes, 4_000_000)
 
 
 def test_h_parity_centrality_in_levi():
