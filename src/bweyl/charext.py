@@ -13,7 +13,8 @@ cross-check relative Weyl group structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
@@ -41,17 +42,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HPrimeCharacter:
-    """A sign character of the elementary abelian head, stored as a full
-    value table (exponents mod 2: 0 for +1, 1 for -1)."""
+    """A sign character of the elementary abelian head, given by its sign
+    exponents on the basis (h_0, p_1'^2, ...) (0 for +1, 1 for -1); values
+    are read through the head coordinates of its supplement."""
 
-    signs: tuple  # sign exponents on the basis (h_0, p_1'^2, ...)
-    table: tuple  # ((element, exponent mod 2), ...) over all of H'
+    signs: tuple
+    data: SupplementData = field(compare=False, repr=False)
 
     def value(self, h: MonomialElement) -> int:
-        return dict(self.table)[h]
-
-    def __hash__(self):
-        return hash(self.signs)
+        """The sign exponent of h in H'."""
+        coords = _hprime_coordinates(self.data)[h]
+        return sum(s * c for s, c in zip(self.signs, coords)) % 2
 
 
 def _hprime_basis(data: SupplementData) -> list[MonomialElement]:
@@ -88,39 +89,37 @@ def _hprime_coordinates(data: SupplementData) -> dict:
 
 def irr_of_hprime(data: SupplementData) -> list[HPrimeCharacter]:
     """All 2^rank sign characters, ordered by sign vector."""
-    coords = _hprime_coordinates(data)
+    _hprime_coordinates(data)  # certifies the basis before any character exists
     rank = len(_hprime_basis(data))
-    out = []
-    for signs in iproduct((0, 1), repeat=rank):
-        table = tuple(
-            (elt, sum(s * c for s, c in zip(signs, cvec)) % 2)
-            for elt, cvec in sorted(coords.items())
-        )
-        out.append(HPrimeCharacter(tuple(signs), table))
-    return out
+    return [HPrimeCharacter(signs, data) for signs in iproduct((0, 1), repeat=rank)]
+
+
+def _head_action(data: SupplementData, x: MonomialElement) -> tuple:
+    """The H'-coordinates of x b x^{-1} for each basis element b, computed
+    once per element and shared by every head character."""
+    memo = data.memo.setdefault("head_action", {})
+    rows = memo.get(x)
+    if rows is None:
+        g = data.ctx.group
+        coords = _hprime_coordinates(data)
+        images = [g.conj(x, b) for b in _hprime_basis(data)]
+        if any(hb not in coords for hb in images):
+            raise VerificationError(
+                "conjugation left the head subgroup", {"element": x}
+            )
+        rows = memo[x] = tuple(coords[hb] for hb in images)
+    return rows
+
+
+def _act_on_signs(rows: tuple, signs: tuple) -> tuple:
+    """The signs of lam^x from those of lam, x acting on H' by `rows`."""
+    return tuple(sum(s * c for s, c in zip(signs, row)) % 2 for row in rows)
 
 
 def _conj_action_on_characters(data: SupplementData, x: MonomialElement,
                                lam: HPrimeCharacter) -> HPrimeCharacter:
     """lam^x with (lam^x)(h) = lam(x h x^{-1})."""
-    g = data.ctx.group
-    coords = _hprime_coordinates(data)
-    basis = _hprime_basis(data)
-    new_signs = []
-    for b in basis:
-        hb = g.conj(x, b)
-        if hb not in coords:
-            raise VerificationError(
-                "conjugation left the head subgroup", {"element": x}
-            )
-        new_signs.append(
-            sum(s * c for s, c in zip(lam.signs, coords[hb])) % 2
-        )
-    table = tuple(
-        (elt, sum(s * c for s, c in zip(new_signs, cvec)) % 2)
-        for elt, cvec in sorted(coords.items())
-    )
-    return HPrimeCharacter(tuple(new_signs), table)
+    return HPrimeCharacter(_act_on_signs(_head_action(data, x), lam.signs), data)
 
 
 # -- inertia -------------------------------------------------------------------
@@ -128,11 +127,15 @@ def _conj_action_on_characters(data: SupplementData, x: MonomialElement,
 
 def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
                           brute_cap: int = 3000):
-    """(C', P'_lam).  The brute-force stabilizer over all of V' cross-checks
-    the semidirect shape whenever |V'| is within the cap; above it the
-    cyclic part's triviality on characters (a generator check, which the
-    conjugation action being a homomorphism extends to the closure) plus the
-    symmetric-part filter give the same set."""
+    """(C', P'_lam).  P'_lam filters the symmetric part by the action on
+    sign vectors, and every c_i' must fix lam.  Whenever |C'|·|P'| is
+    within the cap, the stabilizer of lam among all products c * p is also
+    counted by brute force and must have |C'|·|P'_lam| elements; the
+    conjugation action of each product is computed once per supplement and
+    shared by all head characters.  Above the cap the cyclic part's
+    triviality on characters (a generator check, which the conjugation
+    action being a homomorphism extends to the closure) plus the symmetric
+    filter give the same set."""
     key = ("inertia", lam.signs)
     cached = data.memo.get(key)
     if cached is not None:
@@ -149,12 +152,15 @@ def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
                 {"signs": lam.signs},
             )
     if len(data.c_closure.elements) * len(data.p_closure.elements) <= brute_cap:
-        stab_size = 0
-        for c in data.c_closure.elements:
-            for p in data.p_closure.elements:
-                x = g.mul(c, p)
-                if _conj_action_on_characters(data, x, lam) == lam:
-                    stab_size += 1
+        actions = data.memo.get("product_actions")
+        if actions is None:
+            actions = data.memo["product_actions"] = Counter(
+                _head_action(data, g.mul(c, p))
+                for c in data.c_closure.elements
+                for p in data.p_closure.elements
+            )
+        stab_size = sum(n for rows, n in actions.items()
+                        if _act_on_signs(rows, lam.signs) == lam.signs)
         if stab_size != len(data.c_closure.elements) * len(p_stab):
             raise VerificationError(
                 "inertia group is not the expected semidirect product",
@@ -315,10 +321,9 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
     d0 = data.ctx.d0
     _, p_stab = inertia_decomposition(data, lam)
     csum = _cyclic_sum_coordinates(data)
-    lam_values = dict(lam.table)
     # theta: value on every c_i' is a fixed root with square-chain matching
     # lam(h_0); h_0 sits at cyclic sum 2*d0
-    theta_exp = 1 if lam_values[data.ctx.h0] else 0
+    theta_exp = lam.value(data.ctx.h0)
     # modulus: enough room for the cyclic part and the symmetric part
     p_exponent = 1
     for p in p_stab:
@@ -338,7 +343,7 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
     valid = []
     for chi in chars:
         if all(
-            chi[h] % modulus == (lam_values[h] * modulus // 2) % modulus
+            chi[h] % modulus == (lam.value(h) * modulus // 2) % modulus
             for h in head_in_p
         ):
             valid.append(chi)
@@ -355,66 +360,67 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
 
 def _check_restriction(data: SupplementData, lam: HPrimeCharacter,
                        ext: ExtensionCharacter) -> None:
-    lam_values = dict(lam.table)
-    for h, sign in lam_values.items():
+    for h in data.h_prime.elements:
         got = ext.value(h)
-        if got != (sign * ext.modulus // 2) % ext.modulus:
+        if got != (lam.value(h) * ext.modulus // 2) % ext.modulus:
             raise VerificationError(
                 "extension does not restrict to the head character",
                 {"signs": lam.signs, "element": h, "got": got},
             )
 
 
-def check_multiplicative(data: SupplementData, ext: ExtensionCharacter,
-                         sample: int = 1000, seed: int = 7,
-                         exhaustive_cap: int = 10_000) -> int:
-    """Multiplicativity of the extension on pairs from the inertia subgroup:
-    exhaustive when the subgroup is small, sampled otherwise.  Returns the
-    number of checked pairs."""
-    import random
+def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
+    """Exact multiplicativity of ext on V'_lam = C' x| P'_lam by the
+    semidirect-product criterion (Clifford theory of a split extension):
+    f(c * p) = theta(c) + mu(p) is a homomorphism exactly when theta is one
+    on C', mu is one on P'_lam and theta(p c p^{-1}) = theta(c).  Checked:
 
+    - the decomposition x = c * p is unique (the value table has
+      |C'|·|P'_lam| elements, so C' meets P'_lam trivially), and the table
+      is theta on C' and mu on P'_lam;
+    - mu on all pairs of P'_lam: p q lies in P'_lam and mu(pq) = mu(p) + mu(q);
+    - for each c_i' and each p in P'_lam: p c_i' p^{-1} lies in C' and has
+      the theta-value of c_i'; conjugation by p is then an automorphism of
+      C' that theta, a homomorphism, cannot tell apart from the identity.
+
+    theta is theta_exp times the cyclic sum, a homomorphism on C' certified
+    when `_cyclic_sum_coordinates` found every Cayley edge of C' over the
+    c_i' consistent; it is not checked again here.  Returns the number of
+    relations checked."""
     g = data.ctx.group
-    rng = random.Random(seed)
-    size = len(data.c_closure.elements) * len(ext.p_stab)
-    if size**2 <= exhaustive_cap:
-        elements = [
-            g.mul(c, p)
-            for c in data.c_closure.elements
-            for p in ext.p_stab
-        ]
-        pairs = [(x, y) for x in elements for y in elements]
-    elif size <= exhaustive_cap:
-        # full closure against a generating set, plus random pairs
-        elements = [
-            g.mul(c, p)
-            for c in data.c_closure.elements
-            for p in ext.p_stab
-        ]
-        gens = list(data.c_primes) + list(data.p_primes)
-        element_set = set(elements)
-        gens = [x for x in gens if x in element_set] or [g.identity]
-        pairs = [(x, y) for x in elements for y in gens]
-        pairs += [
-            (rng.choice(elements), rng.choice(elements)) for _ in range(sample)
-        ]
-    else:
-        # sample inertia elements as c * p products without materializing
-        # the whole subgroup
-        def draw():
-            return g.mul(
-                rng.choice(data.c_closure.elements), rng.choice(ext.p_stab)
-            )
+    mod = ext.modulus
+    scale = mod // (4 * data.ctx.d0)
+    csum = _cyclic_sum_coordinates(data)
 
-        pairs = [(draw(), draw()) for _ in range(sample)]
-    for x, y in pairs:
-        lhs = ext.value(g.mul(x, y))
-        rhs = (ext.value(x) + ext.value(y)) % ext.modulus
-        if lhs != rhs:
-            raise VerificationError(
-                "extension is not multiplicative",
-                {"signs": ext.lam.signs, "x": x, "y": y},
-            )
-    return len(pairs)
+    def theta(c):
+        return ext.theta_exp * csum[c] * scale % mod
+
+    def fail(**pair):
+        raise VerificationError(
+            "extension is not multiplicative", {"signs": ext.lam.signs, **pair}
+        )
+
+    c_elems = data.c_closure.elements
+    if len(ext._table) != len(c_elems) * len(ext.p_stab):
+        fail(table=len(ext._table), c_part=len(c_elems), p_part=len(ext.p_stab))
+    for c in c_elems:
+        if ext.value(c) != theta(c):
+            fail(c=c, p=g.identity)
+    for p in ext.p_stab:
+        if ext.value(p) != ext.mu[p] % mod:
+            fail(c=g.identity, p=p)
+    for p in ext.p_stab:
+        for q in ext.p_stab:
+            pq = g.mul(p, q)
+            if pq not in ext.mu or (ext.mu[pq] - ext.mu[p] - ext.mu[q]) % mod:
+                fail(p=p, q=q)
+    for p in ext.p_stab:
+        for c in data.c_primes:
+            image = g.conj(p, c)
+            if image not in csum or theta(image) != theta(c):
+                fail(p=p, c=c)
+    n_p = len(ext.p_stab)
+    return 1 + len(c_elems) + n_p + n_p * n_p + n_p * len(data.c_primes)
 
 
 # -- equivariant assembly --------------------------------------------------------

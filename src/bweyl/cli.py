@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import BudgetExceededError, VerificationError
@@ -98,7 +99,8 @@ def cmd_verify(args) -> int:
         if not values or not all(map(ok, values)):
             print(f"error: {flag} wants a non-empty list of {want}", file=sys.stderr)
             return USAGE_ERROR
-    for flag, value, least in (("--n", args.n, 2), ("--budget", args.budget, 1)):
+    for flag, value, least in (("--n", args.n, 2), ("--budget", args.budget, 1),
+                               ("--jobs", args.jobs, 1)):
         if value < least:
             print(f"error: {flag} wants an integer >= {least}", file=sys.stderr)
             return USAGE_ERROR
@@ -132,10 +134,11 @@ def cmd_verify(args) -> int:
         for name in suites if name in POINT_SUITES
         for point in _verify_points(args)
     ]
-    if args.jobs > 1 and point_tasks:
+    workers = min(args.jobs, len(point_tasks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             point_reports = pool.map(_run_point_suite, point_tasks)
     else:
         point_reports = []

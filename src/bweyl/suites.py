@@ -92,14 +92,20 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _guard(checks: list, check_id: str, statement: str, fn) -> None:
+def _guard(checks: list, check_id: str, statement: str, fn,
+           verdict=None) -> None:
     """Run a check callable; a VerificationError payload becomes the
-    counterexample, any True return (or no return) is a pass.  An exceeded
-    enumeration budget also fails the check, with the budget as payload."""
+    counterexample, any True return (or no return) is a pass.  With a
+    `verdict`, fn returns the check's details, kept pass or fail, and
+    verdict(details) decides.  An exceeded enumeration budget also fails
+    the check, with the budget as payload."""
     from . import BudgetExceededError
 
     try:
         result = fn()
+        if verdict is not None:
+            checks.append(CheckResult(check_id, statement, verdict(result), result))
+            return
         passed = True if result is None else bool(result)
         checks.append(CheckResult(check_id, statement, passed,
                                   {} if passed else {"returned": result}))
@@ -335,14 +341,12 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int,
             == (2 * d0) ** t_l * math.factorial(t_l),
             {"v_prime": data.v_prime_order},
         ))
-        conv = check_frobenius_conventions(data.ctx)
-        checks.append(CheckResult(
-            "frobenius-convention",
-            "twist-conjugation convention pinned by the fixed-point rank "
-            "(reports when both conventions pass)",
-            conv["conjugate_by_twist"] == conv["expected_rank"],
-            conv,
-        ))
+        _guard(checks, "frobenius-convention",
+               "twist-conjugation convention pinned by the fixed-point rank "
+               "(reports when both conventions pass)",
+               lambda: check_frobenius_conventions(data.ctx),
+               verdict=lambda conv:
+                   conv["conjugate_by_twist"] == conv["expected_rank"])
     return SuiteReport("supplement", {"d0": d0, "t_l": t_l, "m": m, "d": d},
                        checks, time.perf_counter() - t0)
 

@@ -17,7 +17,10 @@ from bweyl.charext import (
     verify_equivariance,
     wreath_character_degrees,
 )
+from bweyl.sperm import broken_edge
+from bweyl.suites import SWEEP_POINTS
 from bweyl.supplement import build_supplement
+from bweyl.tits import GeneratedSubgroup
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +42,12 @@ def test_character_counts(data_t1, data_t3):
     assert len(irr_of_hprime(data_t1)) == 2
     assert len(irr_of_hprime(data_t3)) == 8
     trivial = irr_of_hprime(data_t1)[0]
-    assert all(v == 0 for _, v in trivial.table)
+    assert all(trivial.value(h) == 0 for h in data_t1.h_prime.elements)
 
 
 def test_character_values_are_signs(data_t2):
     for lam in irr_of_hprime(data_t2):
-        assert all(v in (0, 1) for _, v in lam.table)
+        assert all(lam.value(h) in (0, 1) for h in data_t2.h_prime.elements)
 
 
 def test_inertia_trivial_character(data_t2):
@@ -122,6 +125,109 @@ def test_restriction_and_multiplicativity(l, d, m):
         # restriction to the head is rechecked inside extend_character;
         # verify multiplicativity across the inertia subgroup as well
         assert check_multiplicative(data, ext) > 0
+
+
+def _nontrivial_extension(data):
+    lam = next(c for c in irr_of_hprime(data) if c.signs[0] == 1)
+    ext = extend_character(data, lam)
+    assert ext.theta_exp == 1
+    return ext
+
+
+def test_multiplicativity_rejects_corrupted_mu(data_t2):
+    ext = _nontrivial_extension(data_t2)
+    g = data_t2.ctx.group
+    p = next(p for p in ext.p_stab if p != g.identity)
+    corrupt = dataclasses.replace(
+        ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
+    with pytest.raises(VerificationError, match="not multiplicative"):
+        check_multiplicative(data_t2, corrupt)
+
+
+def test_multiplicativity_rejects_corrupted_theta(data_t2):
+    # theta_exp changed after the value table was built: the table is no
+    # longer theta on C'
+    ext = _nontrivial_extension(data_t2)
+    ext.value(data_t2.ctx.group.identity)
+    ext.theta_exp = 3
+    with pytest.raises(VerificationError, match="not multiplicative"):
+        check_multiplicative(data_t2, ext)
+
+
+def test_multiplicativity_rejects_corrupted_conjugation(data_t2, monkeypatch):
+    ext = _nontrivial_extension(data_t2)
+    check_multiplicative(data_t2, ext)
+    g = data_t2.ctx.group
+    p = next(p for p in ext.p_stab if p != g.identity)
+    c = data_t2.c_primes[-1]
+    conj = g.conj
+
+    def corrupt(x, y):
+        # p c_i' p^{-1} sent to the identity, which has theta-value 0
+        return g.identity if (x, y) == (p, c) else conj(x, y)
+
+    monkeypatch.setattr(g, "conj", corrupt)
+    with pytest.raises(VerificationError, match="not multiplicative"):
+        check_multiplicative(data_t2, ext)
+
+
+def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(data_t2):
+    ext = _nontrivial_extension(data_t2)
+    g = data_t2.ctx.group
+    h0 = data_t2.ctx.h0
+    # P'_lam x <h_0> with mu extended by the value of h_0 in C': a closed
+    # symmetric part with a homomorphic mu and a consistent value table, but
+    # h_0 lies in both factors, so c * p does not decompose uniquely
+    extra = {g.mul(p, h0): (ext.mu[p] + ext.value(h0)) % ext.modulus
+             for p in ext.p_stab}
+    assert not set(extra) & set(ext.p_stab)
+    corrupt = dataclasses.replace(
+        ext, p_stab=list(ext.p_stab) + list(extra), mu={**ext.mu, **extra})
+    with pytest.raises(VerificationError, match="not multiplicative") as err:
+        check_multiplicative(data_t2, corrupt)
+    found = err.value.counterexample
+    assert found["table"] < found["c_part"] * found["p_part"]
+
+
+def _cayley_edge_verdict(data, ext):
+    """Reference: the value table is a homomorphism when every Cayley edge
+    over c_primes plus a generating sequence of P'_lam adds the value of
+    its generator, and 1 has value 0."""
+    g = data.ctx.group
+    gens, span = [], {g.identity}
+    for p in ext.p_stab:
+        if p not in span:
+            gens.append(p)
+            span = set(GeneratedSubgroup.generate(g, gens).elements)
+    moves = list(data.c_primes) + gens
+    table = ext._table
+    if table.get(g.identity) != 0:
+        return False
+    return broken_edge(table, moves, g.mul,
+                       lambda v, s: (v + table[s]) % ext.modulus) is None
+
+
+def _exact_verdict(data, ext):
+    try:
+        check_multiplicative(data, ext)
+    except VerificationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("point", [p for p in SWEEP_POINTS if p[0] == 1])
+def test_exact_multiplicativity_matches_cayley_edges(point):
+    d0, t_l, m, d = point
+    data = build_supplement(2 * d0 * t_l, d, m)
+    g = data.ctx.group
+    for lam in irr_of_hprime(data):
+        ext = extend_character(data, lam)
+        assert _exact_verdict(data, ext) is _cayley_edge_verdict(data, ext) is True
+        # one mu value off: both verdicts reject it
+        p = ext.p_stab[-1]
+        corrupt = dataclasses.replace(
+            ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
+        assert _exact_verdict(data, corrupt) is _cayley_edge_verdict(data, corrupt) is False
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (4, 1, 1), (6, 1, 0), (6, 3, 0)])

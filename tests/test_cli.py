@@ -184,6 +184,52 @@ def test_reports_identical_across_jobs(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--suite", "wreath", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    maps in this process, starting no workers."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize("jobs,cpus,m,size", [
+    ("8", 4, "0", 2),        # two point tasks
+    ("8", 3, "0,1,2", 3),    # six point tasks, three CPUs
+    ("2", 16, "0,1,2", 2),   # the requested count
+    ("4", 1, "0,1", None),   # one CPU: serial, no pool
+    ("4", None, "0,1", None),
+])
+def test_verify_pool_size_is_clamped(capsys, monkeypatch, jobs, cpus, m, size):
+    import multiprocessing
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # one charext task per (m, d) with d in {1, 2}
+    code, _, _ = run_cli(capsys, "verify", "--suite", "charext", "--d0", "1",
+                         "--tl", "1", "--m", m, "--jobs", jobs)
+    assert code == 0
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
 def _canonical_checks(out):
     return sorted((r["suite"], json.dumps(r["params"], sort_keys=True),
                    json.dumps(c, sort_keys=True))

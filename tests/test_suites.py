@@ -86,3 +86,27 @@ def test_report_serialization():
     assert '"suite": "wreath"' in blob
     md = report.to_markdown()
     assert md.startswith("### wreath")
+
+
+def test_supplement_frobenius_budget_error_is_a_failed_check(monkeypatch):
+    from bweyl import BudgetExceededError, supplement
+
+    def refuse(ctx):
+        raise BudgetExceededError("2^30 order-2 torus vectors exceed the budget")
+
+    monkeypatch.setattr(supplement, "check_frobenius_conventions", refuse)
+    report = run_suite("supplement", point=(1, 1, 0, 1))
+    by_id = {c.check_id: c for c in report.checks}
+    conv = by_id["frobenius-convention"]
+    assert not report.passed and not conv.passed
+    assert conv.counterexample["error"].startswith("budget exceeded")
+    assert by_id["supplement-identities"].passed
+
+
+def test_supplement_frobenius_pass_keeps_its_details():
+    report = run_suite("supplement", point=(1, 1, 0, 1))
+    conv = next(c for c in report.checks if c.check_id == "frobenius-convention")
+    assert conv.passed
+    assert conv.counterexample["conjugate_by_twist"] == conv.counterexample["expected_rank"]
+    assert set(conv.counterexample) == {"expected_rank", "conjugate_by_twist",
+                                        "conjugate_by_inverse_twist", "both_pass"}
