@@ -153,9 +153,15 @@ class LeviDatum:
     center_order: GenericOrder  # |Z(L)^F| as a generic order
 
     def __post_init__(self):
-        moved = {self.twist.act_on_root(a) for a in self.root_subset.roots}
-        if moved != set(self.root_subset.roots):
+        if not _twist_stable(self.root_subset, self.twist):
             raise ValueError("root subset is not twist-stable")
+
+
+@lru_cache(maxsize=None)
+def _twist_stable(subset: RootSubset, twist: SignedPermutation) -> bool:
+    """Whether the twist permutes the roots of the subset; every row of an
+    atlas re-realizes one of a few data, so the verdict is kept per pair."""
+    return {twist.act_on_root(a) for a in subset.roots} == subset.roots
 
 
 def _torus_order(d0: int, eps: int, mult: int) -> GenericOrder:
@@ -309,9 +315,13 @@ def defect_order(datum: LeviDatum, ctx: EllContext) -> int:
 def center_disconnection_torsion(datum: LeviDatum) -> list[int]:
     """Elementary divisors of the weight lattice modulo the Levi root
     lattice; an even entry witnesses a disconnected Levi center."""
-    x = weight_lattice_doubled(datum.root_subset.ambient_rank)
-    sub = root_lattice_doubled(datum.root_subset)
-    return quotient_torsion(x, sub)
+    return list(_root_subset_torsion(datum.root_subset))
+
+
+@lru_cache(maxsize=None)
+def _root_subset_torsion(subset: RootSubset) -> tuple:
+    x = weight_lattice_doubled(subset.ambient_rank)
+    return tuple(quotient_torsion(x, root_lattice_doubled(subset)))
 
 
 def realize_row(row: IsolatedBlockRow) -> LeviDatum:

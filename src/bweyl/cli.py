@@ -1,6 +1,11 @@
 """Command-line driver: verification sweeps, the isolated-block atlas, and
 supplement structure summaries.
 
+`verify` runs one task list, the global suites in the given order and then
+each point suite at each parameter point, serially or in a pool of
+`min(--jobs, tasks, CPUs)` workers; the reports are merged in one canonical
+order, so stdout does not depend on the worker count.
+
 Reports go to stdout (JSON or markdown), diagnostics to stderr.  Exit codes:
 0 all checks passed, 1 a verified identity failed, 2 bad usage/parameters.
 """
@@ -79,12 +84,14 @@ def _verify_points(args) -> list:
 
 
 def _run_point_suite(task):
-    from .suites import POINT_SUITES, suite_supplement
+    """Run one suite task: a global suite when the point is None, else a
+    point suite at its (d0, t_l, m, d).  The one function the pool maps."""
+    from .suites import run_suite
 
-    name, point, budget = task
-    if name == "supplement":
-        return suite_supplement(*point, budget=budget)
-    return POINT_SUITES[name](*point)
+    name, point, kwargs = task
+    print(f"running {name}{'' if point is None else f' at {point}'} ...",
+          file=sys.stderr)
+    return run_suite(name, point, **kwargs)
 
 
 def cmd_verify(args) -> int:
@@ -114,41 +121,36 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
     if args.mutate is not None:
         return _run_mutation(args)
-    reports = []
-    global_kwargs = {
+    suite_kwargs = {
         "cyclo-lemma": {"ells": args.ell, "q_max": max(args.q), "k_max": 12},
         "hl-structure": {"d0_values": args.d0,
                          "l_cap": 2 * max(args.d0) * max(args.tl)},
         "atlas-ellparts": {"n_max": args.n, "ells": args.ell,
                            "q_values": args.q},
         "tits-core": {"random_triples": 2000},
-        "wreath": {},
-        "mutation": {},
+        "supplement": {"budget": args.budget},
     }
-    for name in suites:
-        if name in GLOBAL_SUITES:
-            print(f"running {name} ...", file=sys.stderr)
-            reports.append(GLOBAL_SUITES[name](**global_kwargs.get(name, {})))
-    point_tasks = [
-        (name, point, args.budget)
-        for name in suites if name in POINT_SUITES
-        for point in _verify_points(args)
-    ]
-    workers = min(args.jobs, len(point_tasks), os.cpu_count() or 1)
+    # the global suites, the longest tasks, go first so that a free worker
+    # takes the next one (list scheduling); chunks of one keep them apart
+    tasks = [(name, None, suite_kwargs.get(name, {}))
+             for name in suites if name in GLOBAL_SUITES]
+    n_global = len(tasks)
+    tasks += [(name, point, suite_kwargs.get(name, {}))
+              for name in suites if name in POINT_SUITES
+              for point in _verify_points(args)]
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            point_reports = pool.map(_run_point_suite, point_tasks)
+            reports = pool.map(_run_point_suite, tasks, chunksize=1)
     else:
-        point_reports = []
-        for task in point_tasks:
-            print(f"running {task[0]} at {task[1]} ...", file=sys.stderr)
-            point_reports.append(_run_point_suite(task))
-    # canonical merge order regardless of worker scheduling
-    reports.extend(sorted(
-        point_reports, key=lambda r: (r.suite, sorted(r.params.items()))
-    ))
+        reports = [_run_point_suite(task) for task in tasks]
+    # canonical merge order regardless of worker scheduling: the global
+    # reports in suite order, then the point reports by suite and point
+    reports[n_global:] = sorted(
+        reports[n_global:], key=lambda r: (r.suite, sorted(r.params.items()))
+    )
     for r in reports:
         print(f"{r.suite} {r.params}: "
               f"{'ok' if r.passed else 'FAILED'} in {r.seconds:.1f}s",

@@ -548,10 +548,12 @@ GLOBAL_SUITES = {
 
 
 def run_suite(name: str, point=None, **kwargs) -> SuiteReport:
+    """Run a named suite: a point suite at its (d0, t_l, m, d) point, a
+    global suite without one; the keyword arguments go to either."""
     if name in POINT_SUITES:
         if point is None:
             raise ValueError(f"suite {name} needs a (d0, t_l, m, d) point")
-        return POINT_SUITES[name](*point)
+        return POINT_SUITES[name](*point, **kwargs)
     if name in GLOBAL_SUITES:
         return GLOBAL_SUITES[name](**kwargs)
     raise ValueError(f"unknown suite {name!r}")

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from bweyl.atlas import (
     IsolatedBlockRow,
+    LeviDatum,
     build_case2_levi,
     case13_levi,
     center_disconnection_torsion,
@@ -19,6 +21,7 @@ from bweyl.atlas import (
     rows_to_markdown,
 )
 from bweyl.cyclo import EllContext, ell_valuation
+from bweyl.sperm import SignedPermutation
 
 
 def test_enumerate_rows_case_gate():
@@ -86,6 +89,15 @@ def test_twist_stability():
         assert moved == set(datum.root_subset.roots)
 
 
+def test_unstable_twist_rejected_after_stable_datum_on_same_subset():
+    stable = case13_levi(3, 1, 2)  # roots +-e_3
+    dataclasses.replace(stable, row=stable.row)  # re-checked, and stable
+    swap = SignedPermutation((3, 2, 1))  # moves e_3 to e_1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="twist-stable"):
+            LeviDatum(stable.row, stable.root_subset, swap, stable.center_order)
+
+
 @pytest.mark.parametrize("q,ell", [(4, 5), (2, 5), (3, 7), (4, 3)])
 def test_ell_part_identity_small(q, ell):
     if ell < 5:
@@ -145,6 +157,16 @@ def test_case2_center_torsion_even():
     for (n, m, d) in [(2, 0, 1), (4, 2, 2), (6, 0, 3), (8, 2, 3)]:
         torsion = center_disconnection_torsion(build_case2_levi(n, m, d))
         assert any(t > 1 and t % 2 == 0 for t in torsion), (n, m, d)
+
+
+def test_center_torsion_returns_a_fresh_list():
+    datum = build_case2_levi(4, 2, 2)
+    torsion = center_disconnection_torsion(datum)
+    expected = list(torsion)
+    torsion[0] += 1
+    torsion.append(3)
+    assert center_disconnection_torsion(datum) == expected
+    assert center_disconnection_torsion(realize_row(datum.row)) == expected
 
 
 def test_json_roundtrip_and_markdown():

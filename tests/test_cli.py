@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from bweyl.cli import main
+from bweyl.suites import GLOBAL_SUITES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -193,9 +194,10 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
 
 class _RecordingPool:
     """Stands in for multiprocessing.Pool: records the requested size and
-    maps in this process, starting no workers."""
+    chunk size and maps in this process, starting no workers."""
 
     sizes: list = []
+    chunksizes: list = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -206,8 +208,19 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=None):
+        self.chunksizes.append(chunksize)
         return [fn(t) for t in tasks]
+
+
+def _verify_with_recording_pool(capsys, monkeypatch, cpus, *argv):
+    import multiprocessing
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return run_cli(capsys, "verify", *argv)[0]
 
 
 @pytest.mark.parametrize("jobs,cpus,m,size", [
@@ -218,16 +231,48 @@ class _RecordingPool:
     ("4", None, "0,1", None),
 ])
 def test_verify_pool_size_is_clamped(capsys, monkeypatch, jobs, cpus, m, size):
-    import multiprocessing
-
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     # one charext task per (m, d) with d in {1, 2}
-    code, _, _ = run_cli(capsys, "verify", "--suite", "charext", "--d0", "1",
-                         "--tl", "1", "--m", m, "--jobs", jobs)
+    code = _verify_with_recording_pool(
+        capsys, monkeypatch, cpus, "--suite", "charext", "--d0", "1",
+        "--tl", "1", "--m", m, "--jobs", jobs)
     assert code == 0
     assert _RecordingPool.sizes == ([] if size is None else [size])
+    # chunks of one: no worker is handed a run of tasks at once
+    assert _RecordingPool.chunksizes == ([] if size is None else [1])
+
+
+@pytest.mark.parametrize("suites,size", [
+    (["wreath", "cyclo-lemma"], 2),  # two global tasks
+    (["wreath"], None),              # one task: serial
+])
+def test_global_suites_run_in_the_pool(capsys, monkeypatch, suites, size):
+    code = _verify_with_recording_pool(
+        capsys, monkeypatch, 2, *(f"--suite={s}" for s in suites),
+        "--ell", "5", "--q", "2", "--jobs", "2")
+    assert code == 0
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+    assert _RecordingPool.chunksizes == ([] if size is None else [1])
+
+
+@pytest.mark.parametrize("suites", [
+    ["wreath", "supplement", "hl-structure", "charext", "cyclo-lemma"],
+    ["charext", "cyclo-lemma", "supplement", "wreath", "hl-structure"],
+])
+def test_mixed_suites_identical_across_jobs(capsys, suites):
+    argv = ["verify", *(f"--suite={s}" for s in suites), "--d0", "1",
+            "--tl", "1", "--m", "0,1", "--ell", "5", "--q", "2,3",
+            "--format", "json"]
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    reports = json.loads(out1)
+    global_suites = [s for s in suites if s in GLOBAL_SUITES]
+    assert [r["suite"] for r in reports[:len(global_suites)]] == global_suites
+    points = [(r["suite"], sorted(r["params"].items()))
+              for r in reports[len(global_suites):]]
+    assert points == sorted(points)
+    assert len(points) == 2 * 2 * 2  # two point suites at (m, d) in {0,1} x {1,2}
 
 
 def _canonical_checks(out):

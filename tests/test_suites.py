@@ -74,6 +74,9 @@ def test_mutation_suite():
 def test_point_suite_dispatch():
     report = run_suite("supplement", point=(1, 1, 0, 1))
     assert report.passed
+    # keyword arguments reach point suites: a 48-element centralizer > 10
+    starved = run_suite("supplement", point=(1, 3, 2, 1), budget=10)
+    assert "budget exceeded" in starved.checks[0].counterexample["error"]
     with pytest.raises(ValueError):
         run_suite("supplement")
     with pytest.raises(ValueError):
