@@ -3,17 +3,18 @@
 Conjugating a root-subgroup element by a monomial element moves the root by
 the Weyl image and multiplies the argument by an exact sign.  The signs come
 from an explicit faithful realization: the odd orthogonal matrix group of
-size 2n+1, with the standard one-parameter subgroups written down as integer
-matrices.  A formal term (root, sign, frob_exponent) stands for the element
-with argument sign * u^(q^frob_exponent); nothing is ever evaluated in a
-finite field, every verified statement is linear in the argument.
+size 2n+1, with the standard one-parameter subgroups x_a(u) written down as
+sparse integer matrices {(row, col): entry}.  The lift n_b(1) is checked to
+be an orthogonal signed permutation, so conjugating x_a(u) = I + N by it
+relabels the at most three entries of N.  A formal term (root, sign,
+frob_exponent) stands for the element with argument sign * u^(q^frob_exponent);
+nothing is ever evaluated in a finite field, every verified statement is
+linear in the argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import VerificationError
 from .roots import (
@@ -52,7 +53,7 @@ class FormalRootTerm:
             raise ValueError("sign must be +-1")
 
 
-# -- matrix model of the odd orthogonal group --------------------------------
+# -- sparse matrix model of the odd orthogonal group ---------------------------
 
 
 def _matrix_index(n: int, i: int) -> int:
@@ -60,52 +61,62 @@ def _matrix_index(n: int, i: int) -> int:
     return i if i > 0 else n - i
 
 
-def _root_matrix(n: int, a: tuple, u: int) -> np.ndarray:
+def _mat_mul(x: dict, y: dict) -> dict:
+    """The product of two sparse integer matrices {(row, col): nonzero}."""
+    rows = {}
+    for (k, j), v in y.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), u in x.items():
+        for j, v in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _root_matrix(n: int, a: tuple, u: int) -> dict:
     """The one-parameter element for the root a at integer argument u.
 
-    The sign-label formula of _root_matrix_raw pairs e_r with minus the
-    standard partner of the positive root r; negating the argument on
-    negative roots restores [e_r, e_{-r}] = h_r, which is what makes
-    x_r(1) x_{-r}(-1) x_r(1) a monomial matrix.
+    The sign-label formula below pairs e_r with minus the standard partner
+    of the positive root r; negating the argument on negative roots restores
+    [e_r, e_{-r}] = h_r, which is what makes x_r(1) x_{-r}(-1) x_r(1) a
+    monomial matrix.
     """
-    return _root_matrix_raw(n, a, u if is_positive(a) else -u)
-
-
-def _root_matrix_raw(n: int, a: tuple, u: int) -> np.ndarray:
-    m = np.eye(2 * n + 1, dtype=np.int64)
-    nz = [(i + 1, v) for i, v in enumerate(a) if v]
-    if len(nz) == 1:
-        (j, s) = nz[0]
-        i_pos = _matrix_index(n, j if s > 0 else -j)
-        i_neg = _matrix_index(n, -j if s > 0 else j)
-        m[i_pos, 0] += 2 * u
-        m[0, i_neg] += -u
-        m[i_pos, i_neg] += -u * u
-    elif len(nz) == 2:
-        (i, si), (j, sj) = nz
-        a_idx = _matrix_index(n, i if si > 0 else -i)
-        b_idx = _matrix_index(n, j if sj > 0 else -j)
-        # weight e_a + e_b realized as E_{a,-b} - E_{b,-a} on the split form
-        m[b_idx, _matrix_index(n, -(i if si > 0 else -i))] += u
-        m[a_idx, _matrix_index(n, -(j if sj > 0 else -j))] += -u
-    else:
+    if not is_positive(a):
+        u = -u
+    m = {(i, i): 1 for i in range(2 * n + 1)}
+    # the basis indices of e_j and e_{-j} for each signed label j of a
+    idx = [(_matrix_index(n, j), _matrix_index(n, -j))
+           for j in ((i + 1) * v for i, v in enumerate(a) if v)]
+    if len(idx) not in (1, 2) or not set(a) <= {-1, 0, 1}:
         raise ValueError(f"{a} is not a root of type B")
-    return m
+    if len(idx) == 1:
+        [(p, p_bar)] = idx
+        m[p, 0], m[0, p_bar], m[p, p_bar] = 2 * u, -u, -u * u
+    else:
+        # weight e_p + e_q realized as E_{q,-p} - E_{p,-q} on the split form
+        (p, p_bar), (q, q_bar) = idx
+        m[q, p_bar], m[p, q_bar] = u, -u
+    return {key: v for key, v in m.items() if v}
 
 
-def _gram(n: int) -> np.ndarray:
-    g = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.int64)
-    g[0, 0] = 2
-    for i in range(1, n + 1):
-        g[_matrix_index(n, i), _matrix_index(n, -i)] = 1
-        g[_matrix_index(n, -i), _matrix_index(n, i)] = 1
-    return g
+def _gram(n: int) -> dict:
+    return {(0, 0): 2} | {(_matrix_index(n, j), _matrix_index(n, -j)): 1
+                          for i in range(1, n + 1) for j in (i, -i)}
 
 
-def _weyl_rep(n: int, a: tuple) -> np.ndarray:
-    """The monomial matrix n_a(1) = x_a(1) x_{-a}(-1) x_a(1)."""
-    neg = tuple(-x for x in a)
-    return _root_matrix(n, a, 1) @ _root_matrix(n, neg, -1) @ _root_matrix(n, a, 1)
+def _weyl_rep(n: int, a: tuple, u: int) -> dict:
+    """x_a(u) x_{-a}(-u) x_a(u): the monomial matrix n_a(1) at u = 1, its
+    inverse n_a(1)^{-1} = x_a(-1) x_{-a}(1) x_a(-1) at u = -1."""
+    x_a = _root_matrix(n, a, u)
+    return _mat_mul(_mat_mul(x_a, _root_matrix(n, tuple(-x for x in a), -u)), x_a)
+
+
+def _nilpotent_part(n: int, a: tuple, u: int) -> frozenset:
+    """The entries of x_a(u) - I, which key the conjugate lookup."""
+    x = _root_matrix(n, a, u)
+    for i in range(2 * n + 1):
+        x[i, i] = x.get((i, i), 0) - 1
+    return frozenset((key, v) for key, v in x.items() if v)
 
 
 @dataclass(frozen=True)
@@ -147,22 +158,27 @@ def build_sign_table(n: int, full: bool = False) -> SignTable:
     roots = sorted(build_root_system("B", n).roots)
     simples = tuple((b, reflection(n, b)) for b in simple_roots("B", n))
     rows = [(b, reflection(n, b)) for b in roots] if full else simples
-    by_matrix = {}
-    for a in roots:
-        for u in (1, -1):
-            by_matrix[_root_matrix(n, a, u).tobytes()] = (a, u)
-    gram = _gram(n)
+    by_entries = {_nilpotent_part(n, a, u): (a, u) for a in roots for u in (1, -1)}
+    units = {a: _nilpotent_part(n, a, 1) for a in roots}
+    gram, eye = _gram(n), {(i, i): 1 for i in range(2 * n + 1)}
     eta = {}
     for b, refl in rows:
-        w = _weyl_rep(n, b)
-        w_inv = _weyl_rep_inverse(n, b)
-        if not np.array_equal(w @ w_inv, np.eye(2 * n + 1, dtype=np.int64)):
+        w = _weyl_rep(n, b, 1)
+        if _mat_mul(w, _weyl_rep(n, b, -1)) != eye:
             raise VerificationError("monomial matrix inverse failed", {"b": b})
-        if not np.array_equal(w.T @ gram @ w, gram):
+        w_t = {(c, r): v for (r, c), v in w.items()}
+        if _mat_mul(_mat_mul(w_t, gram), w) != gram:
             raise VerificationError("monomial matrix is not orthogonal", {"b": b})
+        if not (sorted(r for r, _ in w) == sorted(c for _, c in w) == list(range(2 * n + 1))
+                and set(w.values()) <= {1, -1}):
+            raise VerificationError("monomial matrix is not a signed permutation", {"b": b})
+        # w e_c = s e_r, so w (I + N) w^{-1} = I + N relabelled c -> r with the
+        # signs s s' of both ends: O(1) per root, exact once w is verified
+        image = {c: (r, s) for (r, c), s in w.items()}
         for a in roots:
-            conj = w @ _root_matrix(n, a, 1) @ w_inv
-            hit = by_matrix.get(conj.tobytes())
+            conj = frozenset(((image[i][0], image[j][0]), image[i][1] * image[j][1] * v)
+                             for (i, j), v in units[a])
+            hit = by_entries.get(conj)
             if hit is None:
                 raise VerificationError(
                     "conjugate is not a root one-parameter element",
@@ -178,11 +194,6 @@ def build_sign_table(n: int, full: bool = False) -> SignTable:
     table = SignTable(n, eta, simples, full)
     _sign_table_cache[key] = table
     return table
-
-
-def _weyl_rep_inverse(n: int, a: tuple) -> np.ndarray:
-    neg = tuple(-x for x in a)
-    return _root_matrix(n, a, -1) @ _root_matrix(n, neg, 1) @ _root_matrix(n, a, -1)
 
 
 # -- conjugation of formal terms ----------------------------------------------

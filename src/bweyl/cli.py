@@ -7,7 +7,8 @@ each point suite at each parameter point, serially or in a pool of
 order, so stdout does not depend on the worker count.
 
 Reports go to stdout (JSON or markdown), diagnostics to stderr.  Exit codes:
-0 all checks passed, 1 a verified identity failed, 2 bad usage/parameters.
+0 all checks passed, 1 a verified identity failed, 2 bad usage/parameters,
+3 an internal error (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from . import BudgetExceededError, VerificationError
 from .cyclo import EllContext, is_prime
 
-USAGE_ERROR, CHECK_FAILURE = 2, 1
+USAGE_ERROR, CHECK_FAILURE, INTERNAL_ERROR = 2, 1, 3
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -295,7 +296,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     handlers = {"verify": cmd_verify, "atlas": cmd_atlas, "group": cmd_group}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (VerificationError, BudgetExceededError):
+        raise
+    except Exception as err:  # a fault of the program, not a verdict
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

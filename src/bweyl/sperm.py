@@ -121,9 +121,6 @@ class SignedPermutation:
     def unsigned(self) -> tuple:
         return tuple(abs(x) for x in self.images)
 
-    def sign_change_count(self) -> int:
-        return sum(1 for x in self.images if x < 0)
-
     def __lt__(self, other: "SignedPermutation") -> bool:
         # deterministic ordering for canonical representatives and reports
         return self.images < other.images

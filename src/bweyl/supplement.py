@@ -214,13 +214,6 @@ class SupplementContext:
             x = self.pconj(x, gelt)
         return x
 
-    def c_elements(self) -> list[MonomialElement]:
-        """c_1, ..., c_{a_l} with c_k the (p_1 ... p_{k-1})-conjugate of c_1."""
-        out = [self.c1]
-        for k in range(2, self.a_l + 1):
-            out.append(self.word_conj(self.c1, [self.p[j] for j in range(1, k)]))
-        return out
-
     def g1_g2(self) -> tuple[MonomialElement, MonomialElement]:
         """The two interleaving elements.  The i-th factor of g_1 carries the
         conjugator word p_{i+1} ... p_{2i-2}, which for i = 1 has negative
@@ -409,10 +402,6 @@ class SupplementData:
     relative_weyl_order: int
     # tables that charext derives from this supplement, built once each
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def v_prime_generators(self) -> list:
-        return [self.c_primes[0]] + list(self.p_primes)
 
 
 _supplement_cache: dict = {}

@@ -205,11 +205,6 @@ class ExtendedWeylGroup:
         """g x g^{-1}."""
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def commutator(self, x: MonomialElement, y: MonomialElement) -> MonomialElement:
-        return self.mul(
-            self.mul(self.inv(x), self.inv(y)), self.mul(x, y)
-        )
-
     def prod(self, factors: Iterable[MonomialElement]) -> MonomialElement:
         out = self.identity
         for f in factors:

@@ -1,12 +1,12 @@
 import random
 
-import numpy as np
 import pytest
 
 from bweyl import VerificationError, chevsign
 from bweyl.chevsign import (
     FormalRootTerm,
     _gram,
+    _mat_mul,
     _root_matrix,
     _weyl_rep,
     build_sign_table,
@@ -18,6 +18,7 @@ from bweyl.chevsign import (
     verify_twist_power_sign,
 )
 from bweyl.roots import build_root_system, coroot, dot, simple_roots
+from bweyl.sperm import reflection
 from bweyl.supplement import SupplementContext
 from bweyl.tits import ExtendedWeylGroup
 
@@ -27,29 +28,37 @@ def t3():
     return build_sign_table(3, full=True)
 
 
+def _transpose(m):
+    return {(j, i): v for (i, j), v in m.items()}
+
+
 def test_matrices_preserve_form():
     for n in (2, 3):
         gram = _gram(n)
         for a in sorted(build_root_system("B", n).roots):
             for u in (1, -1, 2):
                 x = _root_matrix(n, a, u)
-                assert np.array_equal(x.T @ gram @ x, gram), (a, u)
+                assert _mat_mul(_mat_mul(_transpose(x), gram), x) == gram, (a, u)
 
 
 def test_one_parameter_law():
     for a in sorted(build_root_system("B", 2).roots):
         for u in (1, -1, 2):
             for v in (1, 3):
-                lhs = _root_matrix(2, a, u) @ _root_matrix(2, a, v)
-                assert np.array_equal(lhs, _root_matrix(2, a, u + v))
+                lhs = _mat_mul(_root_matrix(2, a, u), _root_matrix(2, a, v))
+                assert lhs == _root_matrix(2, a, u + v)
+
+
+@pytest.mark.parametrize("a", [(0, 0), (2, 0), (1, -2), (1, 1, 1)])
+def test_root_matrix_rejects_non_roots(a):
+    with pytest.raises(ValueError):
+        _root_matrix(len(a), a, 1)
 
 
 def test_weyl_rep_squares():
     # n_a(1)^2 acts on x_b(u) by the root character of the order-2 element
     for n in (2, 3):
         table = build_sign_table(n, full=True)
-        from bweyl.sperm import reflection
-
         for a in sorted(build_root_system("B", n).roots):
             refl = reflection(n, a)
             cr = coroot(a)
@@ -193,6 +202,67 @@ def test_commutator_detects_corruption(monkeypatch):
 
 
 def test_weyl_rep_is_monomial():
+    eye = {(i, i): 1 for i in range(5)}
     for a in sorted(build_root_system("B", 2).roots):
-        w = _weyl_rep(2, a)
-        assert all(np.count_nonzero(w[r]) == 1 for r in range(5))
+        w = _weyl_rep(2, a, 1)
+        assert sorted(r for r, _ in w) == sorted(c for _, c in w) == list(range(5))
+        assert set(w.values()) <= {1, -1}
+        assert _mat_mul(w, _weyl_rep(2, a, -1)) == eye
+
+
+def _dense(n, m):
+    size = 2 * n + 1
+    return tuple(tuple(m.get((i, j), 0) for j in range(size)) for i in range(size))
+
+
+def _dense_mul(x, y):
+    cols = list(zip(*y))
+    return tuple(tuple(sum(p * q for p, q in zip(row, col)) for col in cols)
+                 for row in x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_table_matches_dense_reference(n):
+    # w x_a(1) w^{-1} by plain dense integer products, looked up among the
+    # dense x_a(+-1); the sparse relabelling must give the same signs
+    roots = sorted(build_root_system("B", n).roots)
+    dense = {(a, u): _dense(n, _root_matrix(n, a, u)) for a in roots for u in (1, -1)}
+    by_matrix = {m: key for key, m in dense.items()}
+    eta = {}
+    for b in roots:
+        neg = tuple(-x for x in b)
+        w = _dense_mul(_dense_mul(dense[b, 1], dense[neg, -1]), dense[b, 1])
+        w_inv = _dense_mul(_dense_mul(dense[b, -1], dense[neg, 1]), dense[b, -1])
+        for a in roots:
+            target, sign = by_matrix[_dense_mul(_dense_mul(w, dense[a, 1]), w_inv)]
+            assert target == reflection(n, b).act_on_root(a)
+            eta[b, a] = sign
+    assert build_sign_table(n, full=True).eta == eta
+
+
+# the fakes call the real functions through this module's imported names,
+# which monkeypatching bweyl.chevsign leaves alone
+@pytest.mark.parametrize("target,fake,message", [
+    # n_b(1)^{-1} replaced by -n_b(1)^{-1}
+    ("_weyl_rep", lambda n, a, u: {k: v * u for k, v in _weyl_rep(n, a, u).items()},
+     "monomial matrix inverse failed"),
+    # a form with distinct diagonal entries, which no transposition preserves
+    ("_gram", lambda n: {(i, i): i + 1 for i in range(2 * n + 1)},
+     "monomial matrix is not orthogonal"),
+    # x_b(1) in place of n_b(1): orthogonal and invertible, not monomial
+    ("_weyl_rep", _root_matrix, "monomial matrix is not a signed permutation"),
+    # x_{e_1+e_2}(1) replaced by x_{e_1+e_2}(2), whose conjugates have no
+    # argument +-1
+    ("_root_matrix", lambda n, a, u: _root_matrix(
+        n, a, 2 if (a, u) == ((1, 1), 1) else u),
+     "conjugate is not a root one-parameter element"),
+    # n_{e_2}(1) in place of every n_b(1): its conjugates land on s_{e_2}(a)
+    ("_weyl_rep", lambda n, a, u: _weyl_rep(n, (0, 1), u),
+     "conjugate landed on the wrong root"),
+], ids=["inverse", "orthogonal", "monomial", "root-element", "target-root"])
+def test_sign_table_checks_fire(monkeypatch, target, fake, message):
+    monkeypatch.setattr(chevsign, "_sign_table_cache", {})
+    monkeypatch.setattr(chevsign, target, fake)
+    with pytest.raises(VerificationError, match=message) as err:
+        build_sign_table(2)
+    assert "b" in err.value.counterexample

@@ -306,3 +306,39 @@ def test_reports_identical_under_optimize():
     )
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
+
+
+def test_verify_runs_on_the_standard_library_alone():
+    # a meta-path finder that refuses every module outside the standard
+    # library and bweyl, so importing any third-party package raises
+    script = (
+        "import contextlib, io, sys\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        top = name.partition('.')[0]\n"
+        "        if top != 'bweyl' and top not in sys.stdlib_module_names:\n"
+        "            raise ImportError(f'{name} is outside the standard library')\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
+        "from bweyl.cli import main\n"
+        "argv = ['verify', '--suite', 'commutators', '--suite', 'graph-action',\n"
+        "        '--suite', 'mutation', '--d0', '1', '--tl', '1', '--m', '0']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = (main(argv), main(['verify', '--mutate', 'sign:3']))\n"
+        "print(codes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(0, 1)\n"
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setitem(GLOBAL_SUITES, "wreath", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "wreath", "--jobs", "1")
+    assert code == 3 and out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "internal error: RuntimeError: broken suite"]
