@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as iproduct
 
 from . import BudgetExceededError, VerificationError
@@ -102,7 +102,8 @@ def _head_action(data: SupplementData, x: MonomialElement) -> tuple:
     if rows is None:
         g = data.ctx.group
         coords = _hprime_coordinates(data)
-        images = [g.conj(x, b) for b in _hprime_basis(data)]
+        x_inv = g.inv(x)
+        images = [g.mul(g.mul(x, b), x_inv) for b in _hprime_basis(data)]
         if any(hb not in coords for hb in images):
             raise VerificationError(
                 "conjugation left the head subgroup", {"element": x}
@@ -125,13 +126,37 @@ def _conj_action_on_characters(data: SupplementData, x: MonomialElement,
 # -- inertia -------------------------------------------------------------------
 
 
-def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
-                          brute_cap: int = 3000):
+# |V'| up to which the inertia groups are also counted by brute force
+BRUTE_CAP = 3000
+
+
+def _decomposition(data: SupplementData) -> dict:
+    """The factors (c, p) of every x = c * p in V' = C' x| P', from all
+    |C'|·|P'| products, built once per supplement; two equal products
+    would make the decomposition ambiguous."""
+    decomp = data.memo.get("decomposition")
+    if decomp is not None:
+        return decomp
+    g = data.ctx.group
+    decomp = {}
+    for c in data.c_closure.elements:
+        for p in data.p_closure.elements:
+            x = g.mul(c, p)
+            if decomp.setdefault(x, (c, p)) != (c, p):
+                raise VerificationError(
+                    "supplement element has two decompositions as c * p",
+                    {"element": x, "decompositions": (decomp[x], (c, p))},
+                )
+    data.memo["decomposition"] = decomp
+    return decomp
+
+
+def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter):
     """(C', P'_lam).  P'_lam filters the symmetric part by the action on
-    sign vectors, and every c_i' must fix lam.  Whenever |C'|·|P'| is
-    within the cap, the stabilizer of lam among all products c * p is also
+    sign vectors, and every c_i' must fix lam.  Whenever |V'| is within
+    BRUTE_CAP, the stabilizer of lam among all elements of V' is also
     counted by brute force and must have |C'|·|P'_lam| elements; the
-    conjugation action of each product is computed once per supplement and
+    conjugation action of each element is computed once per supplement and
     shared by all head characters.  Above the cap the cyclic part's
     triviality on characters (a generator check, which the conjugation
     action being a homomorphism extends to the closure) plus the symmetric
@@ -140,7 +165,6 @@ def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
     cached = data.memo.get(key)
     if cached is not None:
         return cached
-    g = data.ctx.group
     p_stab = [
         p for p in data.p_closure.elements
         if _conj_action_on_characters(data, p, lam) == lam
@@ -151,14 +175,11 @@ def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter,
                 "the cyclic part does not fix a head character",
                 {"signs": lam.signs},
             )
-    if len(data.c_closure.elements) * len(data.p_closure.elements) <= brute_cap:
+    if data.v_prime_order <= BRUTE_CAP:
         actions = data.memo.get("product_actions")
         if actions is None:
             actions = data.memo["product_actions"] = Counter(
-                _head_action(data, g.mul(c, p))
-                for c in data.c_closure.elements
-                for p in data.p_closure.elements
-            )
+                _head_action(data, x) for x in _decomposition(data))
         stab_size = sum(n for rows, n in actions.items()
                         if _act_on_signs(rows, lam.signs) == lam.signs)
         if stab_size != len(data.c_closure.elements) * len(p_stab):
@@ -260,8 +281,8 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
 
 @dataclass
 class ExtensionCharacter:
-    """A linear character of V'_lam = C' x| P'_lam, evaluated through the
-    unique decomposition x = c * p."""
+    """A linear character of V'_lam = C' x| P'_lam, evaluated as
+    theta(c) + mu(p) through the unique decomposition x = c * p."""
 
     data: SupplementData
     lam: HPrimeCharacter
@@ -271,31 +292,17 @@ class ExtensionCharacter:
     csum: dict
     p_stab: list
 
-    @cached_property
-    def _table(self) -> dict:
-        """Value of every element c * p of V'_lam, built once; an element
-        reached by two decompositions must get one value."""
-        g = self.data.ctx.group
+    def theta(self, c: MonomialElement) -> int:
+        """theta(c) for c in C': theta_exp times the cyclic sum of c, as an
+        exponent modulo `modulus`."""
         scale = self.modulus // (4 * self.data.ctx.d0)
-        table: dict = {}
-        for c in self.data.c_closure.elements:
-            c_exp = self.theta_exp * self.csum[c] * scale
-            for p in self.p_stab:
-                x = g.mul(c, p)
-                val = (c_exp + self.mu[p]) % self.modulus
-                if table.setdefault(x, val) != val:
-                    raise VerificationError(
-                        "inertia element has two values as c * p",
-                        {"signs": self.lam.signs, "element": x,
-                         "values": (table[x], val)},
-                    )
-        return table
+        return self.theta_exp * self.csum[c] * scale % self.modulus
 
     def value(self, x: MonomialElement) -> int:
-        val = self._table.get(x)
-        if val is None:
+        c, p = _decomposition(self.data).get(x, (None, None))
+        if p not in self.mu:
             raise ValueError("element is not in the inertia subgroup")
-        return val
+        return (self.theta(c) + self.mu[p]) % self.modulus
 
     def conjugate(self, x: MonomialElement) -> "ExtensionCharacter":
         """The transported character g -> value(x g x^{-1})."""
@@ -330,12 +337,7 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
         p_exponent = math.lcm(p_exponent, g.order(p))
     modulus = math.lcm(4 * d0, p_exponent)
 
-    def mul(a, b):
-        return g.mul(a, b)
-
-    chars = _linear_characters(
-        p_stab, mul, g.identity, g.inv, modulus
-    )
+    chars = _linear_characters(p_stab, g.mul, g.identity, g.inv, modulus)
     # restriction constraints on the symmetric part: the head elements inside
     # P' must get their lam-values
     p_set = set(p_stab)
@@ -375,9 +377,9 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
     f(c * p) = theta(c) + mu(p) is a homomorphism exactly when theta is one
     on C', mu is one on P'_lam and theta(p c p^{-1}) = theta(c).  Checked:
 
-    - the decomposition x = c * p is unique (the value table has
-      |C'|·|P'_lam| elements, so C' meets P'_lam trivially), and the table
-      is theta on C' and mu on P'_lam;
+    - mu is defined on P'_lam exactly, and P'_lam lies in P': each p
+      decomposes as 1 * p, so `value` reads theta(c) + mu(p) off the
+      unique decomposition of V';
     - mu on all pairs of P'_lam: p q lies in P'_lam and mu(pq) = mu(p) + mu(q);
     - for each c_i' and each p in P'_lam: p c_i' p^{-1} lies in C' and has
       the theta-value of c_i'; conjugation by p is then an automorphism of
@@ -388,39 +390,31 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
     c_i' consistent; it is not checked again here.  Returns the number of
     relations checked."""
     g = data.ctx.group
-    mod = ext.modulus
-    scale = mod // (4 * data.ctx.d0)
     csum = _cyclic_sum_coordinates(data)
-
-    def theta(c):
-        return ext.theta_exp * csum[c] * scale % mod
 
     def fail(**pair):
         raise VerificationError(
             "extension is not multiplicative", {"signs": ext.lam.signs, **pair}
         )
 
-    c_elems = data.c_closure.elements
-    if len(ext._table) != len(c_elems) * len(ext.p_stab):
-        fail(table=len(ext._table), c_part=len(c_elems), p_part=len(ext.p_stab))
-    for c in c_elems:
-        if ext.value(c) != theta(c):
-            fail(c=c, p=g.identity)
+    if set(ext.mu) != set(ext.p_stab):
+        fail(mu_domain=len(ext.mu), p_part=len(ext.p_stab))
+    decomp = _decomposition(data)
     for p in ext.p_stab:
-        if ext.value(p) != ext.mu[p] % mod:
-            fail(c=g.identity, p=p)
+        if decomp.get(p) != (g.identity, p):
+            fail(p=p, decomposition=decomp.get(p))
     for p in ext.p_stab:
         for q in ext.p_stab:
             pq = g.mul(p, q)
-            if pq not in ext.mu or (ext.mu[pq] - ext.mu[p] - ext.mu[q]) % mod:
+            if pq not in ext.mu or (ext.mu[pq] - ext.mu[p] - ext.mu[q]) % ext.modulus:
                 fail(p=p, q=q)
     for p in ext.p_stab:
         for c in data.c_primes:
             image = g.conj(p, c)
-            if image not in csum or theta(image) != theta(c):
+            if image not in csum or ext.theta(image) != ext.theta(c):
                 fail(p=p, c=c)
     n_p = len(ext.p_stab)
-    return 1 + len(c_elems) + n_p + n_p * n_p + n_p * len(data.c_primes)
+    return 1 + n_p + n_p * n_p + n_p * len(data.c_primes)
 
 
 # -- equivariant assembly --------------------------------------------------------

@@ -65,7 +65,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        # a suite that checked nothing has verified nothing
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
         # timing is deliberately excluded: emitted reports are byte-identical

@@ -4,7 +4,12 @@ import math
 import pytest
 
 from bweyl import BudgetExceededError, VerificationError
+from bweyl import charext
 from bweyl.charext import (
+    _check_restriction,
+    _conj_action_on_characters,
+    _decomposition,
+    _head_action,
     _linear_characters,
     check_multiplicative,
     extend_character,
@@ -103,18 +108,19 @@ def test_value_table_matches_decomposition(data_t3):
 
 
 def test_value_table_rejects_two_values(data_t1):
-    g = data_t1.ctx.group
     lam = [c for c in irr_of_hprime(data_t1) if c.signs == (1,)][0]
     ext = extend_character(data_t1, lam)
-    # listing c_1' in the symmetric part too decomposes c_1' as c_1' * 1
-    # and as 1 * c_1'; give the second a different value
+    # c_1' listed in the symmetric part, with a value of its own; V'
+    # decomposes c_1' as c_1' * 1, so it is not in P'
     c1p = data_t1.c_primes[0]
     corrupt = dataclasses.replace(
         ext, p_stab=list(ext.p_stab) + [c1p],
         mu={**ext.mu, c1p: (ext.value(c1p) + 1) % ext.modulus},
     )
-    with pytest.raises(VerificationError):
-        corrupt.value(g.identity)
+    with pytest.raises(VerificationError, match="not multiplicative") as err:
+        check_multiplicative(data_t1, corrupt)
+    assert err.value.counterexample["decomposition"] == (
+        c1p, data_t1.ctx.group.identity)
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (2, 2, 1), (4, 1, 0), (4, 2, 1), (6, 3, 0)])
@@ -144,14 +150,26 @@ def test_multiplicativity_rejects_corrupted_mu(data_t2):
         check_multiplicative(data_t2, corrupt)
 
 
-def test_multiplicativity_rejects_corrupted_theta(data_t2):
-    # theta_exp changed after the value table was built: the table is no
-    # longer theta on C'
-    ext = _nontrivial_extension(data_t2)
-    ext.value(data_t2.ctx.group.identity)
-    ext.theta_exp = 3
+def test_multiplicativity_rejects_mu_outside_the_inertia_group(data_t3):
+    # value answers wherever mu is defined, so mu must not reach past P'_lam
+    lam = max(irr_of_hprime(data_t3), key=lambda c: c.signs)
+    ext = extend_character(data_t3, lam)
+    outside = next(p for p in data_t3.p_closure.elements if p not in ext.p_stab)
+    corrupt = dataclasses.replace(ext, mu={**ext.mu, outside: 0})
+    assert corrupt.value(outside) == 0
     with pytest.raises(VerificationError, match="not multiplicative"):
-        check_multiplicative(data_t2, ext)
+        check_multiplicative(data_t3, corrupt)
+
+
+def test_multiplicativity_rejects_corrupted_theta(data_t2):
+    # any theta_exp gives a homomorphism theta_exp * csum on C', so a wrong
+    # one is multiplicative; theta_exp = 2 sends h_0 to +1 while lam(h_0) is
+    # -1, so the extension no longer restricts to lam
+    ext = _nontrivial_extension(data_t2)
+    corrupt = dataclasses.replace(ext, theta_exp=2)
+    assert check_multiplicative(data_t2, corrupt) > 0
+    with pytest.raises(VerificationError, match="does not restrict"):
+        _check_restriction(data_t2, ext.lam, corrupt)
 
 
 def test_multiplicativity_rejects_corrupted_conjugation(data_t2, monkeypatch):
@@ -176,8 +194,8 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(data_t2):
     g = data_t2.ctx.group
     h0 = data_t2.ctx.h0
     # P'_lam x <h_0> with mu extended by the value of h_0 in C': a closed
-    # symmetric part with a homomorphic mu and a consistent value table, but
-    # h_0 lies in both factors, so c * p does not decompose uniquely
+    # symmetric part with a homomorphic mu, but h_0 lies in C', so the new
+    # elements decompose as h_0 * p and are not in P'
     extra = {g.mul(p, h0): (ext.mu[p] + ext.value(h0)) % ext.modulus
              for p in ext.p_stab}
     assert not set(extra) & set(ext.p_stab)
@@ -185,8 +203,93 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(data_t2):
         ext, p_stab=list(ext.p_stab) + list(extra), mu={**ext.mu, **extra})
     with pytest.raises(VerificationError, match="not multiplicative") as err:
         check_multiplicative(data_t2, corrupt)
-    found = err.value.counterexample
-    assert found["table"] < found["c_part"] * found["p_part"]
+    assert err.value.counterexample["decomposition"][0] == h0
+
+
+def test_cyclic_part_moving_a_head_character_is_rejected(data_t3):
+    # p_1' listed among the c_i' moves some head character
+    p1 = data_t3.p_primes[0]
+    data = dataclasses.replace(data_t3, c_primes=list(data_t3.c_primes) + [p1])
+    lam = next(lam for lam in irr_of_hprime(data)
+               if _conj_action_on_characters(data, p1, lam) != lam)
+    with pytest.raises(VerificationError, match="cyclic part does not fix"):
+        inertia_decomposition(data, lam)
+
+
+def test_inertia_disagreeing_with_brute_force_is_rejected(data_t3, monkeypatch):
+    data = dataclasses.replace(data_t3)
+    assert data.v_prime_order <= charext.BRUTE_CAP
+    g = data.ctx.group
+    moved = set(data.p_closure.elements) - {g.identity}
+    conj = charext._conj_action_on_characters
+
+    def corrupt(d, x, lam):
+        # every non-identity element of P' claims to move every character
+        if x in moved:
+            return charext.HPrimeCharacter(tuple(1 - s for s in lam.signs), d)
+        return conj(d, x, lam)
+
+    monkeypatch.setattr(charext, "_conj_action_on_characters", corrupt)
+    with pytest.raises(VerificationError,
+                       match="not the expected semidirect product"):
+        inertia_decomposition(data, irr_of_hprime(data)[0])
+
+
+def test_conjugation_leaving_the_head_is_rejected(data_t3):
+    data = dataclasses.replace(data_t3)
+    with pytest.raises(VerificationError, match="left the head subgroup"):
+        _head_action(data, data.ctx.group.simple_lift(3))
+
+
+def test_ambiguous_decomposition_is_rejected(data_t3):
+    # P' together with its h_0-translates: h_0 * p and 1 * (p h_0) are one
+    # element, h_0 being central
+    g = data_t3.ctx.group
+    h0 = data_t3.ctx.h0
+    closure = data_t3.p_closure
+    translates = tuple(g.mul(p, h0) for p in closure.elements)
+    data = dataclasses.replace(data_t3, p_closure=dataclasses.replace(
+        closure, elements=closure.elements + translates))
+    with pytest.raises(VerificationError, match="two decompositions"):
+        _decomposition(data)
+
+
+def test_decomposition_built_once_and_values_are_lookups(data_t3, monkeypatch):
+    data = dataclasses.replace(data_t3)
+    g = data.ctx.group
+    builds = []
+    decomposition = charext._decomposition
+
+    def recording(d):
+        if "decomposition" not in d.memo:
+            builds.append(d)
+        return decomposition(d)
+
+    monkeypatch.setattr(charext, "_decomposition", recording)
+    exts = [extend_character(data, lam) for lam in irr_of_hprime(data)]
+    for ext in exts:
+        check_multiplicative(data, ext)
+    assert len(builds) == 1
+    v_prime = list(data.memo["decomposition"])
+    assert len(v_prime) == data.v_prime_order
+    muls = []
+    mul = g.mul
+    monkeypatch.setattr(g, "mul", lambda x, y: muls.append((x, y)) or mul(x, y))
+    for ext in exts:
+        inside = 0
+        for x in v_prime:
+            try:
+                ext.value(x)
+                inside += 1
+            except ValueError:
+                pass
+        assert inside == len(data.c_closure.elements) * len(ext.p_stab)
+    assert muls == []
+    outside = g.simple_lift(3)
+    assert outside not in data.memo["decomposition"]
+    for ext in exts:
+        with pytest.raises(ValueError):
+            ext.value(outside)
 
 
 def _cayley_edge_verdict(data, ext):
@@ -200,7 +303,8 @@ def _cayley_edge_verdict(data, ext):
             gens.append(p)
             span = set(GeneratedSubgroup.generate(g, gens).elements)
     moves = list(data.c_primes) + gens
-    table = ext._table
+    products = [g.mul(c, p) for c in data.c_closure.elements for p in ext.p_stab]
+    table = {x: ext.value(x) for x in products}
     if table.get(g.identity) != 0:
         return False
     return broken_edge(table, moves, g.mul,
@@ -240,8 +344,6 @@ def test_equivariance(l, d, m):
 
 
 def test_head_basis_with_hidden_relation_is_rejected(monkeypatch):
-    from bweyl import charext
-
     # a copy of the cached supplement starts with an empty memo
     data = dataclasses.replace(build_supplement(4, 1, 0))
     basis = charext._hprime_basis

@@ -50,6 +50,13 @@ def test_hl_suite_small():
     assert len(report.checks) == 6  # l in {2,4,6} x two parities
 
 
+def test_suite_that_checked_nothing_does_not_pass():
+    report = suite_hl_structure(d0_values=())
+    assert report.checks == []
+    assert not report.passed
+    assert report.as_dict()["passed"] is False
+
+
 def test_hl_suite_refuses_large_torus_enumeration():
     # l = 28 would enumerate 2^28 order-2 torus vectors: refused, not built
     report = suite_hl_structure(d0_values=(7,), l_cap=28, q_values=(3,))
