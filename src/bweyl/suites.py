@@ -294,9 +294,8 @@ def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteR
                 for q in q_values:
                     def one(l=l, d=d, q=q, t_l=t_l):
                         ctx = SupplementContext(l, d, 0, q)
-                        rank, count = torsion_two_subgroup_fixed_rank(
-                            ctx.group, l, q, ctx.v_l)
-                        if rank != 2 * t_l or count != 2**rank:
+                        rank = torsion_two_subgroup_fixed_rank(ctx.group, l, q, ctx.v_l)
+                        if rank != 2 * t_l:
                             raise VerificationError(
                                 "fixed-point rank mismatch",
                                 {"l": l, "d": d, "q": q,

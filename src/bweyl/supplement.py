@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import xor
 
 from . import VerificationError
@@ -33,6 +33,7 @@ from .tits import (
     MonomialElement,
     _f2_masks,
     _f2_rank,
+    fixed_coset,
     least_reduced_word,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
@@ -80,9 +81,8 @@ class SupplementContext:
             raise ValueError("q must be odd")
         self.group = ExtendedWeylGroup(max(self.n, 2))
         g = self.group
-        self.v_l0 = g.prod([g.simple_lift(i) for i in range(1, self.l + 1)])
-        self.v_l = g.power(self.v_l0, 2 * self.l // self.d)
-        self.v_l_prime = g.power(self.v_l0, self.a_l)
+        self.v_l = build_twist(g, self.l, self.d)
+        self.v_l_prime = build_twist(g, self.l, 2 * self.d0)  # (m_1 ... m_l)^{a_l}
         self.w_l = self.v_l.weyl
         self.orbits = orbits_on_support(self.w_l, self.l)
         if len(self.orbits) != self.a_l or any(len(o) != self.d0 for o in self.orbits):
@@ -96,7 +96,6 @@ class SupplementContext:
         ]
         self.p = [None] + [self._build_p(k) for k in range(1, self.a_l)]
         self.cbar1 = self._build_cbar1()
-        self.c1 = self._find_c1()
 
     # -- twisted Frobenius ----------------------------------------------------
 
@@ -168,45 +167,46 @@ class SupplementContext:
             )
         return roots
 
-    def subsystem_torsion(self, orbit) -> GeneratedSubgroup:
-        """The order-2 torus subgroup generated by the orbit's roots."""
+    def fixed_translates(self, x: MonomialElement) -> list[MonomialElement]:
+        """The twisted-Frobenius-fixed h x, h in the order-2 torus of the
+        orbit-1 subsystem (its simple coroots at -1): one certified coset."""
         g = self.group
-        idx = sorted(orbit)
-        gens = [g.torus_of_root(tuple(1 if j == i - 1 else 0 for j in range(self.n)))
-                for i in idx]
-        gens += [g.torus_of_root(tuple(
-            1 if j == b - 1 else -1 if j == a - 1 else 0 for j in range(self.n)))
-            for a, b in zip(idx, idx[1:])]
-        return GeneratedSubgroup.generate(g, gens, budget=2 ** (len(idx) + 2))
+        torus = [g.torus_of_root(a) for a in self._subsystem_simple_roots(self.orbits[0])]
+        h_x, kernel = fixed_coset(g, torus, self.frob, x) or (None, [])
+        fixed = [] if h_x is None else [g.mul(h_x, x)]
+        for k in kernel:
+            fixed += [g.mul(k, y) for y in fixed]
+        return fixed
 
-    def _find_c1(self) -> MonomialElement:
+    @cached_property
+    def orbit_fixed(self) -> list[MonomialElement]:
+        """Twisted-Frobenius-fixed elements of the subsystem group over orbit 1.
+
+        The subsystem Weyl group is W(B_{d0}) on the orbit's coordinates, in
+        increasing order, with the subsystem's simple roots as its simple
+        reflections.  The twist acts there as one signed d0-cycle; each of
+        the 2 d0 elements of its centralizer is lifted along its reduced word
+        in the simple-root lifts, with its fixed torus translates."""
+        g, idx = self.group, sorted(self.orbits[0])
+        pos = {i: k for k, i in enumerate(idx, start=1)}
+        twist = SignedPermutation(tuple(
+            pos[self.w_l(i)] if self.w_l(i) > 0 else -pos[-self.w_l(i)] for i in idx))
+        lifts = [g.root_lift(a) for a in self._subsystem_simple_roots(self.orbits[0])]
+        fixed = []
+        for u in centralizer(twist, budget=2 * self.d0):
+            fixed += self.fixed_translates(
+                g.prod([lifts[i - 1] for i in least_reduced_word(u.images)]))
+        return fixed
+
+    @cached_property
+    def c1(self) -> MonomialElement:
         """The lift of cbar_1 in the orbit-1 subsystem fixed by the twisted
-        Frobenius, with lexicographically least torus part.
-
-        cbar_1 is the Coxeter element r_1 r_2 ... r_{d0} of the subsystem's
-        simple reflections, so the product x0 of their lifts lies over it.
-        Two lifts of cbar_1 in the subsystem group differ by an element of
-        its order-2 torus, so the candidates h x0 do not depend on the word.
-        """
-        g = self.group
-        x0 = g.prod([g.root_lift(a)
-                     for a in self._subsystem_simple_roots(self.orbits[0])])
-        if x0.weyl != self.cbar1:
-            raise VerificationError(
-                "target is not in the subsystem Weyl group",
-                {"orbit": self.orbits[0], "target": self.cbar1.images},
-            )
-        candidates = []
-        for h in self.subsystem_torsion(self.orbits[0]).elements:
-            y = self.group.mul(h, x0)
-            if self.is_frob_fixed(y):
-                candidates.append(y)
-        if not candidates:
-            raise VerificationError(
-                "no twisted-Frobenius-fixed lift of cbar_1 exists",
-                {"l": self.l, "d": self.d, "cbar1": self.cbar1.images},
-            )
-        return min(candidates, key=lambda c: c.torus)
+        Frobenius, with lexicographically least torus part."""
+        over = [y for y in self.orbit_fixed if y.weyl == self.cbar1]
+        if not over:
+            raise VerificationError("no twisted-Frobenius-fixed lift of cbar_1 exists",
+                                    {"l": self.l, "d": self.d, "cbar1": self.cbar1.images})
+        return min(over, key=lambda c: c.torus)
 
     def word_conj(self, x: MonomialElement, word) -> MonomialElement:
         """Iterated conjugation x^{w_1 w_2 ...}, applying w_1 first."""
@@ -255,9 +255,8 @@ def check_frobenius_conventions(ctx: SupplementContext) -> dict:
     """Fixed-point rank of the order-2 torus under both possible twisted
     Frobenius conventions; a correct convention must produce rank a_l."""
     g = ctx.group
-    rank_left, _ = torsion_two_subgroup_fixed_rank(g, ctx.l, ctx.q, ctx.v_l)
-    inv_twist = g.inv(ctx.v_l)
-    rank_right, _ = torsion_two_subgroup_fixed_rank(g, ctx.l, ctx.q, inv_twist)
+    rank_left = torsion_two_subgroup_fixed_rank(g, ctx.l, ctx.q, ctx.v_l)
+    rank_right = torsion_two_subgroup_fixed_rank(g, ctx.l, ctx.q, g.inv(ctx.v_l))
     return {
         "expected_rank": ctx.a_l,
         "conjugate_by_twist": rank_left,
@@ -347,12 +346,8 @@ def verify_c1(ctx: SupplementContext) -> None:
         GeneratedSubgroup.generate(g, [ctx.h[1], ctx.h0, ctx.c1], budget=64 * ctx.d0).elements
     )
     lhs = {x for x in lhs_full if all(c % 2 == 0 for c in x.torus)}
-    fixed_sub = _orbit_subsystem_fixed(ctx)
-    torus_cent = [
-        h for h in ctx.subsystem_torsion(ctx.orbits[0]).elements
-        if g.conj_pow(h, ctx.v_l) == h
-    ]
-    rhs = {g.mul(a, b) for a in fixed_sub for b in torus_cent}
+    torus_cent = ctx.fixed_translates(g.identity)
+    rhs = {g.mul(a, b) for a in ctx.orbit_fixed for b in torus_cent}
     _expect(
         lhs == rhs,
         "even part of <h_1, h_0, c_1> == (orbit fixed points) * (centralized torus)",
@@ -363,31 +358,6 @@ def verify_c1(ctx: SupplementContext) -> None:
         "<h_1, h_0, c_1> extends the fixed-point product with index 2",
         {"lhs_order": len(lhs_full), "rhs_order": len(rhs)},
     )
-
-
-def _orbit_subsystem_fixed(ctx: SupplementContext) -> list[MonomialElement]:
-    """Twisted-Frobenius-fixed elements of the subsystem group over orbit 1.
-
-    The subsystem Weyl group is W(B_{d0}) on the orbit's coordinates, taken
-    in increasing order, with the subsystem's simple roots as its simple
-    reflections.  The twist acts there as one signed d0-cycle; each of the
-    2 d0 elements of its centralizer is lifted along its reduced word in the
-    simple-root lifts, and every torus translate of that lift is tested."""
-    g = ctx.group
-    idx = sorted(ctx.orbits[0])
-    pos = {i: k for k, i in enumerate(idx, start=1)}
-    twist = SignedPermutation(tuple(
-        pos[ctx.w_l(i)] if ctx.w_l(i) > 0 else -pos[-ctx.w_l(i)] for i in idx))
-    lifts = [g.root_lift(a) for a in ctx._subsystem_simple_roots(ctx.orbits[0])]
-    torsion = ctx.subsystem_torsion(ctx.orbits[0]).elements
-    fixed = []
-    for u in centralizer(twist, budget=2 * ctx.d0):
-        xu = g.prod([lifts[i - 1] for i in least_reduced_word(u.images)])
-        for h in torsion:
-            y = g.mul(h, xu)
-            if ctx.is_frob_fixed(y):
-                fixed.append(y)
-    return fixed
 
 
 @dataclass

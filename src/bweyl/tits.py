@@ -16,7 +16,7 @@ over the choice of reduced word is exercised by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import sub
 from typing import Iterable, NamedTuple
@@ -30,7 +30,7 @@ __all__ = [
     "GeneratedSubgroup",
     "MonomialElement",
     "TorusTorsionElement",
-    "fixed_subgroup",
+    "fixed_coset",
     "least_reduced_word",
     "root_character_eval",
 ]
@@ -196,10 +196,6 @@ class ExtendedWeylGroup:
             if k > 16 * self.modulus * 4**self.n:
                 raise BudgetExceededError("runaway order computation")
         return k
-
-    def conj_pow(self, x: MonomialElement, g: MonomialElement) -> MonomialElement:
-        """x conjugated by g from the right: g^{-1} x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
 
     def conj(self, g: MonomialElement, x: MonomialElement) -> MonomialElement:
         """g x g^{-1}."""
@@ -418,47 +414,71 @@ class GeneratedSubgroup:
         return x in self._members
 
 
-def fixed_subgroup(
-    sub: GeneratedSubgroup, q: int, twist: MonomialElement, budget: int = 1_000_000
-) -> GeneratedSubgroup:
-    """Elements of a finite subgroup fixed by the twisted Frobenius."""
-    g = sub.group
-    if len(sub.elements) > budget:
-        raise BudgetExceededError("subgroup too large for the fixed-point filter")
-    fixed = [x for x in sub.elements if g.frobenius(x, q, twist) == x]
-    return GeneratedSubgroup(g, tuple(fixed), tuple(fixed))
-
-
-def torsion_two_subgroup_fixed_rank(
-    group: ExtendedWeylGroup, l: int, q: int, twist: MonomialElement
-) -> tuple[int, int]:
-    """(rank, count) of the fixed points of the twisted Frobenius on the
-    order-2 torus subgroup supported on the first l coroot coordinates.
-
-    The twisted Frobenius is linear there, so the fixed subgroup is the
-    kernel of (M - 1) mod 2 for M the Weyl action matrix; the element count
-    is cross-checked by direct enumeration, which is refused past 2^20
-    vectors.
+def fixed_coset(group: ExtendedWeylGroup, gens: Iterable[MonomialElement], frob,
+                x: MonomialElement):
+    """The h in the order-2 torus group <gens> with frob(h x) = h x, as
+    (h_x, kernel): h_x times the span of the kernel; None if there is none.
+    For an endomorphism frob, h -> h frob(h) is F_2-linear on <gens> and
+    h x is fixed exactly when h frob(h) = x frob(x)^{-1}.  The elimination
+    is certified through mul and frob (McConnell et al., Certifying
+    algorithms, 2011): a fixed independent kernel and pivots with
+    independent images that fill the rank of <gens> leave no other solution.
     """
-    if l > 20:
-        raise BudgetExceededError(
-            f"2^{l} order-2 torus vectors exceed the 2^20 enumeration budget")
-    cols = group.weyl_torus_matrix(twist.weyl)[:l]
-    # columns of (M - 1) mod 2 on the first l coordinates, as bitmasks
-    moved = [m ^ (1 << j) for j, m in enumerate(_f2_masks(c[:l] for c in cols))]
-    kernel_rank = l - _f2_rank(moved)
-    # direct enumeration of all 2^l vectors in Gray-code order: each step
-    # flips one coordinate, so the image changes by one column
-    image, count = 0, 1
-    for step in range(1, 2**l):
-        image ^= moved[(step & -step).bit_length() - 1]
-        count += not image
-    if count != 2**kernel_rank:
-        raise VerificationError(
-            "kernel rank disagrees with enumerated fixed-point count",
-            {"l": l, "rank": kernel_rank, "count": count},
-        )
-    return kernel_rank, count
+    mask = partial(_order_two_mask, group)
+    rows = [(mask(group.mul(h, frob(h))), mask(h)) for h in gens]
+    if any(None in row for row in rows):
+        raise ValueError("frob and the generators must keep to the order-2 torus")
+    target = mask(group.mul(x, group.inv(frob(x))))
+    h_x, pivots, kernel = _solve_fixed_coset(group, rows, target)
+    y = None if h_x is None else group.mul(h_x, x)
+    masks = [m for _, m in rows]
+    images = [mask(group.mul(p, frob(p))) for p in pivots]
+    own = [mask(h) for h in kernel + pivots + [h_x] if h is not None]
+    for ok, failure in (
+        (y is None or frob(y) == y, "h_x x is not frob-fixed"),
+        (all(frob(k) == k for k in kernel), "a kernel vector is not frob-fixed"),
+        (_f2_rank(own[:len(kernel)]) == len(kernel), "the kernel vectors are dependent"),
+        (_f2_rank(images) == len(pivots), "the pivot images are dependent"),
+        (_f2_rank(masks) == len(kernel) + len(pivots) == _f2_rank(masks + own),
+         "pivots and kernel do not form a basis of <gens>"),
+        (y is not None or target is None or _f2_rank(images + [target]) > len(pivots),
+         "the target lies in the image"),
+    ):
+        if not ok:
+            raise VerificationError(f"fixed-coset certificate: {failure}",
+                                    {"pivots": len(pivots), "kernel": len(kernel)})
+    return None if h_x is None else (h_x, kernel)
+
+
+def _solve_fixed_coset(group, rows, target):
+    """Eliminate on (image << n) | element: rows with a nonzero image are
+    the pivots, the others span the kernel; h_x is what the target leaves."""
+    n, element = group.n, partial(_order_two_element, group)
+    basis = _f2_basis((image << n) | mask for image, mask in rows)
+    pivots = [element(v % (1 << n)) for v in basis.values() if v >> n]
+    kernel = [element(v) for v in basis.values() if not v >> n]
+    residue = None if target is None else _f2_reduce(basis, target << n)
+    return None if residue is None or residue >> n else element(residue), pivots, kernel
+
+
+def torsion_two_subgroup_fixed_rank(group: ExtendedWeylGroup, l: int, q: int,
+                                    twist: MonomialElement) -> int:
+    """Rank of the fixed points of the twisted Frobenius on the order-2
+    torus subgroup supported on the first l coroot coordinates."""
+    units = [_order_two_element(group, 1 << i) for i in range(l)]
+    frob = partial(group.frobenius, q=q, twist=twist)
+    return len(fixed_coset(group, units, frob, group.identity)[1])
+
+
+def _order_two_mask(group: ExtendedWeylGroup, x: MonomialElement):
+    """x as a bitmask, bit i for coordinate i at 2^(k-1); None off the order-2 torus."""
+    if x.weyl.is_identity() and not any(c % (group.modulus // 2) for c in x.torus):
+        return sum(1 << i for i, c in enumerate(x.torus) if c)
+    return None
+
+
+def _order_two_element(group: ExtendedWeylGroup, mask: int) -> MonomialElement:
+    return group.torus(group.modulus // 2 * (mask >> i & 1) for i in range(group.n))
 
 
 def _f2_masks(vectors) -> list:
@@ -467,11 +487,21 @@ def _f2_masks(vectors) -> list:
 
 
 def _f2_rank(vectors) -> int:
-    """Rank over F_2 of integer bitmasks: an XOR basis by leading bit."""
+    """Rank over F_2 of integer bitmasks."""
+    return len(_f2_basis(vectors))
+
+
+def _f2_basis(vectors) -> dict:
+    """An XOR basis of integer bitmasks, keyed by leading bit."""
     basis = {}
     for v in vectors:
-        while v and v.bit_length() in basis:
-            v ^= basis[v.bit_length()]
+        v = _f2_reduce(basis, v)
         if v:
             basis[v.bit_length()] = v
-    return len(basis)
+    return basis
+
+
+def _f2_reduce(basis: dict, v: int) -> int:
+    while v and v.bit_length() in basis:
+        v ^= basis[v.bit_length()]
+    return v

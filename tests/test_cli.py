@@ -77,17 +77,27 @@ def test_group_builds_the_d0_7_supplement(capsys):
     assert code == 0 and "|relative_weyl| = 14" in out
 
 
-@pytest.mark.parametrize("m,d", [(0, 7), (1, 14)])
-def test_point_suites_pass_at_d0_7(capsys, m, d):
+def _assert_point_suites_pass(capsys, d0, tl, m, d):
     suites = ["charext", "commutators", "extmap-hypotheses", "graph-action",
               "supplement"]
     code, out, _ = run_cli(capsys, "verify", *(f"--suite={s}" for s in suites),
-                           "--d0", "7", "--tl", "1", "--m", str(m), "--d", str(d),
-                           "--format", "json")
+                           "--d0", str(d0), "--tl", str(tl), "--m", str(m),
+                           "--d", str(d), "--format", "json")
     assert code == 0
     reports = json.loads(out)
     assert [r["suite"] for r in reports] == suites
     assert all(r["passed"] and r["checks"] for r in reports)
+
+
+@pytest.mark.parametrize("m,d", [(0, 7), (1, 14)])
+def test_point_suites_pass_at_d0_7(capsys, m, d):
+    _assert_point_suites_pass(capsys, 7, 1, m, d)
+
+
+@pytest.mark.parametrize("d0,tl,m,d", [(7, 2, 0, 7), (11, 1, 0, 11)])
+def test_point_suites_pass_past_l20(capsys, d0, tl, m, d):
+    # l = 28 and 22: the Frobenius-convention rank needs no 2^l walk
+    _assert_point_suites_pass(capsys, d0, tl, m, d)
 
 
 def test_hl_structure_at_d0_7(capsys):

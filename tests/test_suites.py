@@ -57,16 +57,13 @@ def test_suite_that_checked_nothing_does_not_pass():
     assert report.as_dict()["passed"] is False
 
 
-def test_hl_suite_refuses_large_torus_enumeration():
-    # l = 28 would enumerate 2^28 order-2 torus vectors: refused, not built
+def test_hl_suite_passes_at_l28():
+    # 2^28 order-2 torus vectors: the rank is solved for, not enumerated
     report = suite_hl_structure(d0_values=(7,), l_cap=28, q_values=(3,))
-    by_l = {}
-    for c in report.checks:
-        by_l.setdefault(c.check_id.split("-")[2], []).append(c)
-    assert sorted(by_l) == ["l14", "l28"]
-    assert all(c.passed for c in by_l["l14"])
-    assert all(not c.passed and "budget exceeded" in c.counterexample["error"]
-               for c in by_l["l28"])
+    assert [c.check_id for c in report.checks] == [
+        "hl-rank-l14-d7-q3", "hl-rank-l14-d14-q3",
+        "hl-rank-l28-d7-q3", "hl-rank-l28-d14-q3"]
+    assert report.passed
 
 
 def test_wreath_suite():

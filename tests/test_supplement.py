@@ -5,7 +5,6 @@ from bweyl.roots import levi_root_subset
 from bweyl.sperm import SignedPermutation, closure as perm_closure, orbit
 from bweyl.supplement import (
     SupplementContext,
-    _orbit_subsystem_fixed,
     _verify_relative_weyl,
     build_supplement,
     build_twist,
@@ -15,6 +14,7 @@ from bweyl.supplement import (
 from bweyl.tits import (
     ExtendedWeylGroup,
     GeneratedSubgroup,
+    _f2_masks,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
@@ -62,9 +62,7 @@ def test_fixed_torsion_is_h0_times_h1h2():
     g = ctx.group
     gens = [g.torus((2, 0)), g.torus((0, 2))]
     sub = GeneratedSubgroup.generate(g, gens)
-    from bweyl.tits import fixed_subgroup
-
-    fixed = set(fixed_subgroup(sub, 3, ctx.v_l).elements)
+    fixed = {x for x in sub.elements if g.frobenius(x, 3, ctx.v_l) == x}
     h1h2 = g.mul(ctx.h[1], ctx.h[2])
     expected = set(
         GeneratedSubgroup.generate(g, [ctx.h0, h1h2]).elements
@@ -79,9 +77,34 @@ def test_hl_rank_is_a_l(d0, t_l, parity):
     if l > 10:
         pytest.skip("covered by the acceptance sweep")
     ctx = SupplementContext(l, parity * d0, 0)
-    rank, count = torsion_two_subgroup_fixed_rank(ctx.group, l, ctx.q, ctx.v_l)
-    assert rank == ctx.a_l
-    assert count == 2**ctx.a_l
+    assert torsion_two_subgroup_fixed_rank(ctx.group, l, ctx.q, ctx.v_l) == ctx.a_l
+
+
+def _gray_code_fixed_count(group, l, twist):
+    """Reference: walk all 2^l order-2 torus vectors on the first l
+    coordinates in Gray-code order, counting those the twist's Weyl action
+    fixes mod 2; each step flips one coordinate, so the image of (M - 1)
+    changes by one column."""
+    cols = group.weyl_torus_matrix(twist.weyl)[:l]
+    moved = [m ^ (1 << j) for j, m in enumerate(_f2_masks(c[:l] for c in cols))]
+    image, count = 0, 1
+    for step in range(1, 2**l):
+        image ^= moved[(step & -step).bit_length() - 1]
+        count += not image
+    return count
+
+
+@pytest.mark.parametrize("d0", [1, 3, 5])
+def test_fixed_rank_matches_gray_code_enumeration(d0):
+    # every hl-structure point with l <= 16
+    for t_l in range(1, 16 // (2 * d0) + 1):
+        l = 2 * d0 * t_l
+        for d in (d0, 2 * d0):
+            for q in (3, 5):
+                ctx = SupplementContext(l, d, 0, q)
+                rank = torsion_two_subgroup_fixed_rank(ctx.group, l, q, ctx.v_l)
+                count = _gray_code_fixed_count(ctx.group, l, ctx.v_l)
+                assert rank == ctx.a_l and count == 2**rank, (l, d, q)
 
 
 def test_p_square_small():
@@ -176,7 +199,7 @@ def test_no_fixed_lift_error_payload():
     bad = SignedPermutation.from_mapping(ctx.n, {1: 2, 2: 1})
     ctx.cbar1 = bad
     with pytest.raises(VerificationError):
-        ctx._find_c1()
+        ctx.c1
 
 
 def test_subsystem_lifts_cover_the_subsystem_weyl_group():
@@ -191,11 +214,33 @@ def test_subsystem_lifts_cover_the_subsystem_weyl_group():
                   lambda w, lift: w * lift.weyl, 2**5 * 120, step=g.mul)
     assert set(lifts) == perm_closure([g.root_lift(a).weyl for a in roots])
     assert len(lifts) == 2**5 * 120 and all(x.weyl == u for u, x in lifts.items())
-    torsion = ctx.subsystem_torsion(ctx.orbits[0]).elements
+    torsion = GeneratedSubgroup.generate(g, [g.torus_of_root(a) for a in roots]).elements
     reference = {y for u, xu in lifts.items() if u * ctx.w_l == ctx.w_l * u
                  for y in (g.mul(h, xu) for h in torsion) if ctx.is_frob_fixed(y)}
-    fixed = _orbit_subsystem_fixed(ctx)
+    fixed = ctx.orbit_fixed
     assert len(fixed) == len(set(fixed)) and set(fixed) == reference
+
+
+@pytest.mark.parametrize("d0,t_l", [(1, 1), (1, 2), (3, 1), (3, 2), (5, 1), (7, 1), (9, 1)])
+@pytest.mark.parametrize("parity", [1, 2])
+def test_fixed_translates_match_the_torus_enumeration(monkeypatch, d0, t_l, parity):
+    # the reference filters all 2^{d0} translates h x by the orbit-1 torus;
+    # in place of the solver it must give the same c_1, fixed set and
+    # twist-centralized torus
+    ctx, ref = (SupplementContext(2 * d0 * t_l, parity * d0, 0) for _ in range(2))
+    g = ref.group
+    roots = ref._subsystem_simple_roots(ref.orbits[0])
+    torsion = GeneratedSubgroup.generate(g, [g.torus_of_root(a) for a in roots]).elements
+    assert len(torsion) == 2**d0
+    monkeypatch.setattr(ref, "fixed_translates", lambda x: [
+        y for y in (g.mul(h, x) for h in torsion) if ref.is_frob_fixed(y)])
+    solved, enumerated = ((c.c1, sorted(c.orbit_fixed), sorted(c.fixed_translates(c.group.identity)))
+                          for c in (ctx, ref))
+    assert solved == enumerated and len(solved[1]) == 4 * d0
+    # c_1 is also the least fixed translate of the Coxeter lift of cbar_1
+    x0 = g.prod([g.root_lift(a) for a in roots])
+    assert x0.weyl == ref.cbar1
+    assert ctx.c1 == min(ref.fixed_translates(x0), key=lambda y: y.torus)
 
 
 def test_c1_does_not_enumerate_the_subsystem():
@@ -249,6 +294,9 @@ def test_frobenius_conventions_report():
     conv = check_frobenius_conventions(SupplementContext(6, 3, 0))
     assert conv["both_pass"]
     assert conv["conjugate_by_twist"] == conv["expected_rank"]
+    # l = 24: past the 2^20 vectors an enumeration could walk
+    conv = check_frobenius_conventions(SupplementContext(24, 3, 0))
+    assert conv["conjugate_by_twist"] == conv["conjugate_by_inverse_twist"] == 8
 
 
 def test_rejects_even_d0():

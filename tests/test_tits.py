@@ -15,7 +15,7 @@ from bweyl.tits import (
     _f2_rank,
     _from_e,
     _to_e,
-    fixed_subgroup,
+    fixed_coset,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
@@ -162,13 +162,11 @@ def test_associativity_exhaustive_generators(g3):
 
 
 def test_fixed_subgroup_trivial_twist():
-    from bweyl.tits import GeneratedSubgroup, fixed_subgroup
-
     g = ExtendedWeylGroup(2)
     gens = [g.torus((2, 0)), g.torus((0, 2))]
     sub = GeneratedSubgroup.generate(g, gens)
-    fixed = fixed_subgroup(sub, 3, g.identity)
-    assert set(fixed.elements) == set(sub.elements)
+    fixed = [x for x in sub.elements if g.frobenius(x, 3, g.identity) == x]
+    assert set(fixed) == set(sub.elements)
 
 
 def test_frobenius_basics(g3):
@@ -326,20 +324,19 @@ def test_fixed_subgroup_small():
     assert len(sub) == 4
     v = g.prod([g.simple_lift(1), g.simple_lift(2)])
     v = g.mul(v, v)  # twist of order d = 2 on l = 2
-    fixed = fixed_subgroup(sub, 3, v)
+    fixed = [x for x in sub.elements if g.frobenius(x, 3, v) == x]
     assert len(fixed) == 4  # all of it, rank a_l = 2
 
 
 def test_torsion_fixed_rank_matches_enumeration():
     g = ExtendedWeylGroup(4)
     v = g.prod([g.simple_lift(i) for i in (1, 2, 3, 4)])  # order-8 twist image
-    rank, count = torsion_two_subgroup_fixed_rank(g, 4, 3, v)
-    assert count == 2**rank
+    rank = torsion_two_subgroup_fixed_rank(g, 4, 3, v)
     # independent slow filter
     gens = [g.torus(tuple(2 if j == i else 0 for j in range(4))) for i in range(4)]
     sub = GeneratedSubgroup.generate(g, gens)
-    fixed = fixed_subgroup(sub, 3, v)
-    assert len(fixed) == count
+    fixed = [x for x in sub.elements if g.frobenius(x, 3, v) == x]
+    assert len(fixed) == 2**rank
 
 
 def _twist_at(l, d):
@@ -349,22 +346,79 @@ def _twist_at(l, d):
     return ctx.group, ctx.v_l
 
 
+def _corrupt_solution(monkeypatch, corrupt):
+    """Hand the certificate a solution corrupted by corrupt(h_x, pivots,
+    kernel)."""
+    solve = tits._solve_fixed_coset
+    monkeypatch.setattr(tits, "_solve_fixed_coset",
+                        lambda *args: corrupt(*solve(*args)))
+
+
 def test_torsion_fixed_rank_cross_check_fires(monkeypatch):
+    # a dropped kernel vector: pivots and kernel no longer fill rank 6
     g, v = _twist_at(6, 3)
-    assert torsion_two_subgroup_fixed_rank(g, 6, 3, v) == (2, 4)
-    real = tits._f2_rank
-    monkeypatch.setattr(tits, "_f2_rank", lambda vectors: real(vectors) + 1)
-    with pytest.raises(VerificationError):
+    assert torsion_two_subgroup_fixed_rank(g, 6, 3, v) == 2
+    _corrupt_solution(monkeypatch, lambda h_x, pivots, kernel: (h_x, pivots, kernel[1:]))
+    with pytest.raises(VerificationError, match="do not form a basis of <gens>"):
         torsion_two_subgroup_fixed_rank(g, 6, 3, v)
+
+
+def _unit_coset_case():
+    """The rank-6 order-2 torus under the l = 6, d = 3 twist: four pivots
+    and a kernel of rank 2."""
+    g, v = _twist_at(6, 3)
+    units = [g.torus(2 * (j == i) for j in range(6)) for i in range(6)]
+    return g, units, lambda y: g.frobenius(y, 3, v)
+
+
+@pytest.mark.parametrize("failure,corrupt", [
+    ("h_x x is not frob-fixed",
+     lambda g, h_x, pivots, kernel: (g.mul(h_x, pivots[0]), pivots, kernel)),
+    ("the kernel vectors are dependent",
+     lambda g, h_x, pivots, kernel: (h_x, pivots, kernel + kernel[:1])),
+    ("the pivot images are dependent",
+     lambda g, h_x, pivots, kernel: (h_x, pivots[:-1] + pivots[:1], kernel)),
+    ("the target lies in the image",
+     lambda g, h_x, pivots, kernel: (None, pivots, kernel)),
+], ids=["perturbed-h_x", "repeated-kernel-vector", "dependent-pivot", "missed-solution"])
+def test_fixed_coset_certificate_fires(monkeypatch, failure, corrupt):
+    g, units, frob = _unit_coset_case()
+    h_x, kernel = fixed_coset(g, units, frob, g.identity)
+    assert h_x == g.identity and len(kernel) == 2
+    _corrupt_solution(monkeypatch, lambda *solution: corrupt(g, *solution))
+    with pytest.raises(VerificationError, match=failure):
+        fixed_coset(g, units, frob, g.identity)
+
+
+def test_fixed_coset_certificate_needs_an_endomorphism():
+    # agrees with the twisted Frobenius on the units, not on their products
+    g, units, frob = _unit_coset_case()
+
+    def bent(y):
+        return frob(y) if sum(map(bool, y.torus)) < 2 else g.mul(frob(y), units[0])
+
+    with pytest.raises(VerificationError, match="a kernel vector is not frob-fixed"):
+        fixed_coset(g, units, bent, g.identity)
+    with pytest.raises(ValueError):
+        fixed_coset(g, units, lambda y: g.simple_lift(1), g.identity)
+    with pytest.raises(ValueError):
+        fixed_coset(g, [g.simple_lift(1)], frob, g.identity)
+
+
+def test_fixed_coset_is_none_without_a_fixed_translate():
+    g, units, frob = _unit_coset_case()
+    assert frob(units[1]) != units[1]
+    assert fixed_coset(g, [], frob, units[1]) is None  # target outside the image
+    assert fixed_coset(g, units, frob, g.simple_lift(2)) is None  # off the torus
 
 
 def test_torsion_fixed_rank_memory_at_l18():
     g, v = _twist_at(18, 3)
     tracemalloc.start()
     try:
-        rank, count = torsion_two_subgroup_fixed_rank(g, 18, 3, v)
+        rank = torsion_two_subgroup_fixed_rank(g, 18, 3, v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (rank, count) == (6, 64)
+    assert rank == 6
     assert peak < 4 * 2**20
