@@ -28,7 +28,6 @@ __all__ = [
     "HPrimeCharacter",
     "check_multiplicative",
     "extend_character",
-    "extension_report",
     "inertia_decomposition",
     "irr_of_hprime",
     "multipartitions",
@@ -473,40 +472,6 @@ def verify_equivariance(data: SupplementData) -> dict:
         "characters": len(chars),
         "equivariance_probes": checked,
         "outer_action": "trivial (nontrivial hooks not exercised)",
-    }
-
-
-def extension_report(data: SupplementData) -> dict:
-    """Machine-readable summary per head character: sign vector, inertia
-    order, extension value table on the supplement generators, and the
-    equivariance verdict."""
-    g = data.ctx.group
-    per_character = []
-    for lam in irr_of_hprime(data):
-        ext = extend_character(data, lam)
-        _, p_stab = inertia_decomposition(data, lam)
-        p_set = set(p_stab)
-        gens = list(data.c_primes) + [p for p in data.p_primes if p in p_set]
-        per_character.append({
-            "signs": list(lam.signs),
-            "inertia_order": len(data.c_closure.elements) * len(p_stab),
-            "value_modulus": ext.modulus,
-            "values_on_generators": [
-                {"torus": list(x.torus), "weyl": list(x.weyl.images),
-                 "exponent": ext.value(x)}
-                for x in gens
-            ],
-        })
-    equi = verify_equivariance(data)
-    return {
-        "d0": data.ctx.d0,
-        "t_l": data.ctx.t_l,
-        "m": data.ctx.m,
-        "d": data.ctx.d,
-        "characters": per_character,
-        "orbits": equi["orbits"],
-        "equivariant": True,
-        "outer_action": equi["outer_action"],
     }
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "build_supplement",
     "build_twist",
     "check_frobenius_conventions",
+    "twist_d0",
     "verify_extmap_hypotheses",
 ]
 
@@ -54,6 +55,17 @@ def build_twist(group: ExtendedWeylGroup, l: int, d: int) -> MonomialElement:
         raise ValueError(f"need d | 2l and l <= rank, got l={l} d={d}")
     v_l0 = group.prod([group.simple_lift(i) for i in range(1, l + 1)])
     return group.power(v_l0, 2 * l // d)
+
+
+def twist_d0(l: int, d: int, q: int) -> int:
+    """d0 of the twist parity d, after checking that 2*d0 divides l >= 2 and
+    that q is odd."""
+    d0 = d if d % 2 else d // 2
+    if l % (2 * d0) or l < 2:
+        raise ValueError(f"l = {l} is not a multiple of 2*d0 = {2 * d0}")
+    if q % 2 == 0:
+        raise ValueError("q must be odd")
+    return d0
 
 
 @dataclass
@@ -71,14 +83,10 @@ class SupplementContext:
     n: int = field(init=False)
 
     def __post_init__(self):
-        self.d0 = self.d if self.d % 2 else self.d // 2
-        if self.l % (2 * self.d0) or self.l < 2:
-            raise ValueError(f"l = {self.l} is not a multiple of 2*d0 = {2 * self.d0}")
+        self.d0 = twist_d0(self.l, self.d, self.q)
         self.t_l = self.l // (2 * self.d0)
         self.a_l = 2 * self.t_l
         self.n = self.l + self.m
-        if self.q % 2 == 0:
-            raise ValueError("q must be odd")
         self.group = ExtendedWeylGroup(max(self.n, 2))
         g = self.group
         self.v_l = build_twist(g, self.l, self.d)
@@ -116,12 +124,18 @@ class SupplementContext:
 
     # -- element constructions --------------------------------------------------
 
-    def iota1(self, x: MonomialElement) -> MonomialElement:
-        """x |-> prod over k of x^(v_l^k); factors commute pairwise."""
+    @cached_property
+    def _twist_powers(self) -> list[tuple[MonomialElement, MonomialElement]]:
+        """The pairs (v_l^k, v_l^{-k}) for k < d0."""
         g = self.group
-        return g.prod(
-            [self.pconj(x, g.power(self.v_l, k)) for k in range(self.d0)]
-        )
+        powers = [g.power(self.v_l, k) for k in range(self.d0)]
+        return [(vk, g.inv(vk)) for vk in powers]
+
+    def iota1(self, x: MonomialElement) -> MonomialElement:
+        """x |-> prod over k of x^(v_l^k) = v_l^k x v_l^{-k}; factors commute
+        pairwise."""
+        mul = self.group.mul
+        return reduce(mul, [mul(mul(vk, x), vk_inv) for vk, vk_inv in self._twist_powers])
 
     def _build_p(self, k: int) -> MonomialElement:
         return self.iota1(self.group.simple_lift(k + 1))
@@ -445,11 +459,10 @@ def _verify_iota1(ctx: SupplementContext) -> None:
                 {"x": x.weyl.images, "y": y.weyl.images},
             )
     # block subgroups commute and have disjoint Weyl supports
-    for k in range(1, ctx.d0):
-        vk = g.power(ctx.v_l, k)
+    for k, (vk, _) in enumerate(ctx._twist_powers[1:], start=1):
         for x in gens:
+            xc = ctx.pconj(x, vk)
             for y in gens:
-                xc = ctx.pconj(x, vk)
                 _expect(
                     g.mul(y, xc) == g.mul(xc, y),
                     "translated blocks commute",

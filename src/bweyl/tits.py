@@ -11,6 +11,16 @@ a reduced word of the left factor through the right factor with the rule
 
 which encodes m_i^2 = "coroot of alpha_i evaluated at -1".  Well-definedness
 over the choice of reduced word is exercised by the test suite.
+
+The fold result is affine in the right torus, so each group caches the
+cocycle and product of every Weyl pair it has multiplied.  A cache fill is
+one pass over the reversed least reduced word of the left factor: descent
+test, s_i on a torus list padded with a trailing 0, s_i on the inverse
+table, and the correction.  A cache hit is the fused action: one pass moves
+the e-coordinates of t2 by w1, and one suffix-sum pass takes them back to
+coroot coordinates while adding t1 and the cocycle mod 2^k.  Least reduced
+words strip the least left descent repeatedly; stripping s_i leaves no
+descent below i - 1, so each scan resumes there instead of at 1.
 """
 
 from __future__ import annotations
@@ -65,6 +75,8 @@ class ExtendedWeylGroup:
         # the fold result is affine in the right torus: caching the cocycle
         # of each Weyl pair makes repeated products (closures, sweeps) cheap
         self._cocycles: dict[tuple, tuple] = {}
+        # conjugators recur (twists, their powers, supplement generators)
+        self._conjugator_inverses: dict[MonomialElement, MonomialElement] = {}
         self.identity = MonomialElement(
             (0,) * n, SignedPermutation.identity(n)
         )
@@ -129,45 +141,39 @@ class ExtendedWeylGroup:
 
     def mul(self, x: MonomialElement, y: MonomialElement) -> MonomialElement:
         """(t1, w1)(t2, w2) = (t1 + w1.t2 + cocycle(w1, w2), w1 w2)."""
-        mod = self.modulus
-        key = (x.weyl.images, y.weyl.images)
+        images = x.weyl.images
+        key = (images, y.weyl.images)
         hit = self._cocycles.get(key)
         if hit is None:
-            hit = self._fold(x.weyl, y.weyl)
-            self._cocycles[key] = hit
+            hit = self._cocycles[key] = self._fold(x.weyl, y.weyl)
         cocycle, product = hit
-        acted = _act_on_coroot_coords(x.weyl.images, y.torus)
-        torus = tuple(
-            (a + b + c) % mod for a, b, c in zip(x.torus, acted, cocycle)
-        )
-        return MonomialElement(torus, product)
+        return MonomialElement(
+            _act_and_add(images, y.torus, x.torus, cocycle, self.modulus), product)
 
     def _fold(self, w1: SignedPermutation, w2: SignedPermutation):
         """Fold the reduced word of w1 through (0, w2): returns the cocycle
-        torus correction and the product Weyl part."""
+        torus correction and the product Weyl part.  Each letter s_i, right
+        to left, tests whether i is a left descent of the current Weyl part
+        (see `_inverse_table`), applies s_i to the torus (padded with a
+        trailing 0, so s_n reads no boundary) and to the inverse table, and
+        adds 2 alpha_i^vee on a descent ("ascent" moves it onto the ascents)."""
         n = self.n
-        word = self.reduced_word(w1)
-        t = [0] * n
-        images = list(w2.images)
-        inv = [0] * (n + 1)
-        for pos, val in enumerate(images, start=1):
-            if val > 0:
-                inv[val] = pos
-            else:
-                inv[-val] = -pos
-        flip = self.cocycle_rule == "ascent"
-        for i in reversed(word):
-            # descent test: w^{-1}(alpha_i) < 0
+        t = [0] * (n + 1)
+        inv = _inverse_table(w2.images)
+        on_descent, on_ascent = (0, 2) if self.cocycle_rule == "ascent" else (2, 0)
+        for i in reversed(self.reduced_word(w1)):
+            a, b = inv[i], inv[i - 1]
+            correction = on_descent if b > a else on_ascent
             if i == 1:
-                descent = inv[1] < 0
+                t[0] = t[1] - t[0] + correction
+                inv[1] = -a
             else:
-                a, b = inv[i], inv[i - 1]
-                descent = (a < 0) if abs(a) > abs(b) else (b > 0)
-            _apply_simple_torus(t, i, n)
-            if descent != flip:
-                t[i - 1] += 2
-            _apply_simple_left(images, inv, i)
-        return tuple(c % self.modulus for c in t), SignedPermutation(tuple(images))
+                # alpha_1^vee = 2 e_1 doubles the coupling of alpha_2 to it
+                t[i - 1] = ((2 * t[0] if i == 2 else t[i - 2]) - t[i - 1] + t[i]
+                            + correction)
+                inv[i - 1], inv[i] = a, b
+        mod = self.modulus
+        return tuple([c % mod for c in t[:n]]), w1 * w2
 
     def inv(self, x: MonomialElement) -> MonomialElement:
         winv = x.weyl.inverse()
@@ -198,8 +204,11 @@ class ExtendedWeylGroup:
         return k
 
     def conj(self, g: MonomialElement, x: MonomialElement) -> MonomialElement:
-        """g x g^{-1}."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        """g x g^{-1}; the inverse of each conjugator is kept."""
+        g_inv = self._conjugator_inverses.get(g)
+        if g_inv is None:
+            g_inv = self._conjugator_inverses[g] = self.inv(g)
+        return self.mul(self.mul(g, x), g_inv)
 
     def prod(self, factors: Iterable[MonomialElement]) -> MonomialElement:
         out = self.identity
@@ -224,19 +233,13 @@ class ExtendedWeylGroup:
         """Twisted Frobenius v * F_q(x) * v^{-1}."""
         return self.conj(twist, self.frobenius_q(x, q))
 
-    def weyl_act_torus(self, w: SignedPermutation, coords: Iterable[int]) -> tuple:
-        """Action of w on torus coordinates, via the reduced word."""
-        t = list(coords)
-        for i in reversed(self.reduced_word(w)):
-            _apply_simple_torus(t, i, self.n)
-        return tuple(c % self.modulus for c in t)
-
     def weyl_torus_matrix(self, w: SignedPermutation) -> tuple:
         """Columns of w on the coroot basis: column i is w.unit_i mod 2^k."""
-        n, mod = self.n, self.modulus
+        n = self.n
+        zero = (0,) * n
         return tuple(
-            tuple(c % mod for c in _act_on_coroot_coords(
-                w.images, [int(j == i) for j in range(n)]))
+            _act_and_add(w.images, tuple(int(j == i) for j in range(n)), zero, zero,
+                         self.modulus)
             for i in range(n)
         )
 
@@ -293,46 +296,65 @@ def _mapping_perm(n: int, target1: int, target2: int) -> SignedPermutation:
 def least_reduced_word(images: tuple) -> tuple:
     """Lexicographically least reduced word, in s_1 (the sign change of 1)
     and s_i (the swap of i-1 and i), of the signed permutation with these
-    one-line images; any rank >= 1."""
-    word = []
-    images = list(images)
+    one-line images; any rank >= 1.
+
+    The least left descent i is stripped repeatedly, w <- s_i w, on the
+    inverse table of w alone.  A descent j <= i - 2 of s_i w commutes with
+    s_i and so would have been a smaller descent of w, so each scan resumes
+    at max(1, i - 1) (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.1)."""
     n = len(images)
-    # repeatedly strip the least left descent: w <- s_i w
-    while True:
-        inv = [0] * (n + 1)
-        for pos, val in enumerate(images, start=1):
-            if val > 0:
-                inv[val] = pos
+    inv = _inverse_table(images)
+    word = []
+    i = 1
+    while i <= n:
+        if inv[i - 1] > inv[i]:
+            word.append(i)
+            if i == 1:
+                inv[1] = -inv[1]
             else:
-                inv[-val] = -pos
-        i = _least_descent(inv, n)
-        if i == 0:
-            return tuple(word)
-        word.append(i)
-        _apply_simple_left(images, inv, i)
+                inv[i - 1], inv[i] = inv[i], inv[i - 1]
+                i -= 1
+        else:
+            i += 1
+    return tuple(word)
 
 
-def _least_descent(inv: list, n: int) -> int:
-    if inv[1] < 0:
-        return 1
-    for i in range(2, n + 1):
-        a, b = inv[i], inv[i - 1]
-        if (a < 0) if abs(a) > abs(b) else (b > 0):
-            return i
-    return 0
+def _inverse_table(images: tuple) -> list:
+    """inv[v] = +-pos with images[pos - 1] = +-v, for v = 1..n, and inv[0] = 0.
+
+    i is a left descent of w, w^{-1}(alpha_i) < 0 with alpha_1 = e_1 and
+    alpha_i = e_i - e_{i-1}, exactly when inv[i - 1] > inv[i]; s_i on the
+    left negates inv[1] (i = 1) or swaps inv[i - 1] and inv[i]."""
+    inv = [0] * (len(images) + 1)
+    for pos, val in enumerate(images, start=1):
+        if val > 0:
+            inv[val] = pos
+        else:
+            inv[-val] = -pos
+    return inv
 
 
-def _apply_simple_left(images: list, inv: list, i: int) -> None:
-    """In place: w <- s_i w, maintaining the inverse table."""
-    if i == 1:
-        p = inv[1]
-        images[abs(p) - 1] = -images[abs(p) - 1]
-        inv[1] = -p
-    else:
-        p, r = inv[i - 1], inv[i]
-        images[abs(p) - 1] = i if p > 0 else -i
-        images[abs(r) - 1] = (i - 1) if r > 0 else -(i - 1)
-        inv[i - 1], inv[i] = r, p
+def _act_and_add(images: tuple, t2: tuple, t1: tuple, cocycle: tuple, mod: int) -> tuple:
+    """t1 + w.t2 + cocycle mod 2^k for the signed permutation w with these
+    images.  One pass takes t2 to e-coordinates (alpha_1^vee = 2 e_1,
+    alpha_i^vee = e_i - e_{i-1}) and moves them by w; one suffix-sum pass,
+    the first sum halved, takes them back to coroot coordinates and adds."""
+    n = len(t2)
+    moved = [0] * n
+    prev = 2 * t2[0]
+    for image, c in zip(images, (*t2[1:], 0)):
+        if image > 0:
+            moved[image - 1] = prev - c
+        else:
+            moved[-image - 1] = c - prev
+        prev = c
+    out = [0] * n
+    acc = 0
+    for j in range(n - 1, 0, -1):
+        acc += moved[j]
+        out[j] = (t1[j] + acc + cocycle[j]) % mod
+    out[0] = (t1[0] + (acc + moved[0]) // 2 + cocycle[0]) % mod
+    return tuple(out)
 
 
 def _to_e(c) -> list:
@@ -351,27 +373,6 @@ def _from_e(v) -> list:
     c.reverse()
     c[0] //= 2
     return c
-
-
-def _act_on_coroot_coords(images: tuple, c) -> list:
-    """w.c over Z: the signed permutation w acting on e-coordinates."""
-    moved = [0] * len(c)
-    for image, v in zip(images, _to_e(c)):
-        if image > 0:
-            moved[image - 1] = v
-        else:
-            moved[-image - 1] = -v
-    return _from_e(moved)
-
-
-def _apply_simple_torus(t: list, i: int, n: int) -> None:
-    """In place: t <- s_i . t on coroot coordinates."""
-    if i == 1:
-        t[0] = (t[1] if n > 1 else 0) - t[0]
-    elif i == 2:
-        t[1] = 2 * t[0] - t[1] + (t[2] if n > 2 else 0)
-    else:
-        t[i - 1] = t[i - 2] - t[i - 1] + (t[i] if i < n else 0)
 
 
 # -- characters and fixed points ---------------------------------------------

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from bweyl import BudgetExceededError, VerificationError
-from bweyl import charext
+from bweyl import charext, supplement
 from bweyl.charext import (
     _check_restriction,
     _conj_action_on_characters,
@@ -13,7 +13,6 @@ from bweyl.charext import (
     _linear_characters,
     check_multiplicative,
     extend_character,
-    extension_report,
     inertia_decomposition,
     irr_of_hprime,
     multipartitions,
@@ -23,9 +22,9 @@ from bweyl.charext import (
     wreath_character_degrees,
 )
 from bweyl.sperm import broken_edge
-from bweyl.suites import SWEEP_POINTS
+from bweyl.suites import SWEEP_POINTS, suite_charext
 from bweyl.supplement import build_supplement
-from bweyl.tits import GeneratedSubgroup
+from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +377,39 @@ def test_wreath_sum_of_squares(m, t):
     assert sum(d * d for d in degrees) == m**t * math.factorial(t)
 
 
+def extension_report(data):
+    """Machine-readable summary per head character: sign vector, inertia
+    order, extension value table on the supplement generators, and the
+    equivariance verdict."""
+    per_character = []
+    for lam in irr_of_hprime(data):
+        ext = extend_character(data, lam)
+        _, p_stab = inertia_decomposition(data, lam)
+        p_set = set(p_stab)
+        gens = list(data.c_primes) + [p for p in data.p_primes if p in p_set]
+        per_character.append({
+            "signs": list(lam.signs),
+            "inertia_order": len(data.c_closure.elements) * len(p_stab),
+            "value_modulus": ext.modulus,
+            "values_on_generators": [
+                {"torus": list(x.torus), "weyl": list(x.weyl.images),
+                 "exponent": ext.value(x)}
+                for x in gens
+            ],
+        })
+    equi = verify_equivariance(data)
+    return {
+        "d0": data.ctx.d0,
+        "t_l": data.ctx.t_l,
+        "m": data.ctx.m,
+        "d": data.ctx.d,
+        "characters": per_character,
+        "orbits": equi["orbits"],
+        "equivariant": True,
+        "outer_action": equi["outer_action"],
+    }
+
+
 def test_extension_report_schema(data_t2):
     import json
 
@@ -401,3 +433,20 @@ def test_linear_characters_runaway_order_is_a_budget_error():
     # 1 generates the abelianization, but its powers never reach 0
     with pytest.raises(BudgetExceededError):
         _linear_characters([0, 1], lambda a, b: a, 0, lambda x: 0, 2)
+
+
+# cold-cache products of suite_charext(3, 2, 0, 3), counted after the fused
+# kernel, the conjugator-inverse memo and the cached twist powers of iota_1
+CHAREXT_3203_MUL_CEILING = 7455
+
+
+def test_charext_mul_calls_do_not_grow(monkeypatch):
+    # a fresh supplement, hence a fresh group with empty caches; the count
+    # repeats exactly, so redundant products fail here without any timing
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    calls = []
+    mul = ExtendedWeylGroup.mul
+    monkeypatch.setattr(ExtendedWeylGroup, "mul",
+                        lambda self, x, y: calls.append(None) or mul(self, x, y))
+    assert suite_charext(3, 2, 0, 3).passed
+    assert len(calls) <= CHAREXT_3203_MUL_CEILING

@@ -19,6 +19,7 @@ from bweyl.chevsign import (
 )
 from bweyl.roots import build_root_system, coroot, dot, simple_roots
 from bweyl.sperm import reflection
+from bweyl.suites import suite_commutators, suite_supplement
 from bweyl.supplement import SupplementContext
 from bweyl.tits import ExtendedWeylGroup
 
@@ -171,6 +172,26 @@ def test_odd_torus_rejected():
 def test_twist_power_sign(l, d):
     report = verify_twist_power_sign(l, d)
     assert report["eps"] == (1 if d % 2 else -1)
+
+
+def test_twist_power_sign_builds_no_second_context(monkeypatch):
+    assert suite_supplement(3, 1, 0, 3).passed
+    builds = []
+    post_init = SupplementContext.__post_init__
+    monkeypatch.setattr(SupplementContext, "__post_init__",
+                        lambda self: builds.append(None) or post_init(self))
+    assert suite_commutators(3, 1, 0, 3).passed
+    assert builds == []
+
+
+@pytest.mark.parametrize("l,d,q", [(6, 4, 3), (1, 1, 3), (4, 3, 3), (6, 3, 4)])
+def test_twist_power_sign_validates_like_the_context(l, d, q):
+    # the same parameter errors as SupplementContext, which it no longer builds
+    with pytest.raises(ValueError) as want:
+        SupplementContext(l, d, 0, q)
+    with pytest.raises(ValueError) as got:
+        verify_twist_power_sign(l, d, 0, q)
+    assert str(got.value) == str(want.value)
 
 
 def test_frobenius_power_zero_is_identity():

@@ -121,6 +121,23 @@ def test_iota1_sends_simple_to_p():
     assert ctx.iota1(ctx.group.simple_lift(2)) == ctx.p[1]
 
 
+def test_twisted_frobenius_costs_two_products(monkeypatch):
+    ctx = SupplementContext(6, 3, 0)
+    g = ctx.group
+    v_inv = g.inv(ctx.v_l)
+    xs = [ctx.p[1], ctx.h[1], g.mul(ctx.p[1], ctx.h[2]), g.simple_lift(4)]
+    want = [g.mul(g.mul(ctx.v_l, g.frobenius_q(x, ctx.q)), v_inv) for x in xs]
+    calls = []
+    mul = g.mul
+    monkeypatch.setattr(g, "mul", lambda x, y: calls.append(None) or mul(x, y))
+    assert [ctx.frob(x) for x in xs] == want
+    # the first call also inverts the twist, once
+    assert len(calls) == 2 * len(xs) + 1
+    calls.clear()
+    assert [ctx.frob(x) for x in xs] == want
+    assert len(calls) == 2 * len(xs)
+
+
 def test_g_factors_small():
     # t_l = 1: the first interleaver is empty, the second is p_1
     ctx = SupplementContext(2, 1, 0)

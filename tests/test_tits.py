@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from bweyl import BudgetExceededError, VerificationError
 from bweyl import tits
 from bweyl.sperm import SignedPermutation, closure as perm_closure
+from bweyl.suites import suite_tits_core
 from bweyl.tits import (
     ExtendedWeylGroup,
     GeneratedSubgroup,
+    MonomialElement,
     _f2_rank,
     _from_e,
     _to_e,
     fixed_coset,
+    least_reduced_word,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
@@ -29,6 +32,125 @@ def g2():
 @pytest.fixture(scope="module")
 def g3():
     return ExtendedWeylGroup(3)
+
+
+# -- reference kernel ------------------------------------------------------------
+# The kernel as it was before the fused action, the one-pass fold and the
+# resumed descent scan: each step goes through its own helper, the torus
+# action round-trips through e-coordinates, and every least left descent is
+# searched for from 1.
+
+
+def _ref_inverse_table(images):
+    n = len(images)
+    inv = [0] * (n + 1)
+    for pos, val in enumerate(images, start=1):
+        if val > 0:
+            inv[val] = pos
+        else:
+            inv[-val] = -pos
+    return inv
+
+
+def _ref_least_descent(inv, n):
+    if inv[1] < 0:
+        return 1
+    for i in range(2, n + 1):
+        a, b = inv[i], inv[i - 1]
+        if (a < 0) if abs(a) > abs(b) else (b > 0):
+            return i
+    return 0
+
+
+def _ref_apply_simple_left(images, inv, i):
+    """In place: w <- s_i w, maintaining the inverse table."""
+    if i == 1:
+        p = inv[1]
+        images[abs(p) - 1] = -images[abs(p) - 1]
+        inv[1] = -p
+    else:
+        p, r = inv[i - 1], inv[i]
+        images[abs(p) - 1] = i if p > 0 else -i
+        images[abs(r) - 1] = (i - 1) if r > 0 else -(i - 1)
+        inv[i - 1], inv[i] = r, p
+
+
+def _ref_apply_simple_torus(t, i, n):
+    """In place: t <- s_i . t on coroot coordinates."""
+    if i == 1:
+        t[0] = (t[1] if n > 1 else 0) - t[0]
+    elif i == 2:
+        t[1] = 2 * t[0] - t[1] + (t[2] if n > 2 else 0)
+    else:
+        t[i - 1] = t[i - 2] - t[i - 1] + (t[i] if i < n else 0)
+
+
+def reference_least_reduced_word(images):
+    """Strip the least left descent, rescanning from 1 each time."""
+    word = []
+    images = list(images)
+    n = len(images)
+    while True:
+        inv = _ref_inverse_table(images)
+        i = _ref_least_descent(inv, n)
+        if i == 0:
+            return tuple(word)
+        word.append(i)
+        _ref_apply_simple_left(images, inv, i)
+
+
+def _ref_act_on_coroot_coords(images, c):
+    """w.c over Z: the signed permutation w acting on e-coordinates."""
+    moved = [0] * len(c)
+    for image, v in zip(images, _to_e(c)):
+        if image > 0:
+            moved[image - 1] = v
+        else:
+            moved[-image - 1] = -v
+    return _from_e(moved)
+
+
+def _ref_fold(g, w1, w2):
+    n = g.n
+    t = [0] * n
+    images = list(w2.images)
+    inv = _ref_inverse_table(images)
+    flip = g.cocycle_rule == "ascent"
+    for i in reversed(reference_least_reduced_word(w1.images)):
+        if i == 1:
+            descent = inv[1] < 0
+        else:
+            a, b = inv[i], inv[i - 1]
+            descent = (a < 0) if abs(a) > abs(b) else (b > 0)
+        _ref_apply_simple_torus(t, i, n)
+        if descent != flip:
+            t[i - 1] += 2
+        _ref_apply_simple_left(images, inv, i)
+    return tuple(c % g.modulus for c in t), SignedPermutation(tuple(images))
+
+
+def reference_mul(g, x, y):
+    """(t1, w1)(t2, w2) = (t1 + w1.t2 + cocycle(w1, w2), w1 w2), uncached."""
+    cocycle, product = _ref_fold(g, x.weyl, y.weyl)
+    acted = _ref_act_on_coroot_coords(x.weyl.images, y.torus)
+    return MonomialElement(
+        tuple((a + b + c) % g.modulus for a, b, c in zip(x.torus, acted, cocycle)),
+        product)
+
+
+def weyl_act_torus(g, w, coords):
+    """Action of w on torus coordinates, one simple reflection at a time
+    along the reference reduced word: independent of mul."""
+    t = list(coords)
+    for i in reversed(reference_least_reduced_word(w.images)):
+        _ref_apply_simple_torus(t, i, g.n)
+    return tuple(c % g.modulus for c in t)
+
+
+def random_signed_permutation(n, rng):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return SignedPermutation(tuple(v if rng.random() < 0.5 else -v for v in images))
 
 
 def random_element(g, rng):
@@ -253,7 +375,7 @@ def test_weyl_act_torus_matches_fold(g3):
         t = tuple(rng.randrange(4) for _ in range(3))
         via_mul = g3.mul(g3.mul(x, g3.torus(t)), g3.inv(x))
         assert via_mul.weyl.is_identity()
-        assert via_mul.torus == g3.weyl_act_torus(x.weyl, t)
+        assert via_mul.torus == weyl_act_torus(g3, x.weyl, t)
 
 
 @st.composite
@@ -273,7 +395,7 @@ def test_mul_torus_action_matches_reduced_word(case):
     g = ExtendedWeylGroup(n, k)
     acted = g.mul(g.lift(w), g.torus(t))
     assert acted.weyl == w
-    assert acted.torus == g.weyl_act_torus(w, t)
+    assert acted.torus == weyl_act_torus(g, w, t)
 
 
 @given(weyl_and_torus())
@@ -284,7 +406,56 @@ def test_weyl_torus_matrix_columns_match_reduced_word(case):
     cols = g.weyl_torus_matrix(w)
     assert len(cols) == n
     for i, col in enumerate(cols):
-        assert col == g.weyl_act_torus(w, tuple(int(j == i) for j in range(n)))
+        assert col == weyl_act_torus(g, w, tuple(int(j == i) for j in range(n)))
+
+
+def _random_torus(g, rng):
+    return tuple(rng.randrange(g.modulus) for _ in range(g.n))
+
+
+@pytest.mark.parametrize("cocycle_rule", ["descent", "ascent"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_mul_matches_reference_kernel(cocycle_rule, k):
+    rng = random.Random(41 * k + len(cocycle_rule))
+    for n in range(2, 14):
+        g = ExtendedWeylGroup(n, k, cocycle_rule)
+        weyls = [random_signed_permutation(n, rng) for _ in range(12)]
+        weyls += [g.identity.weyl, g.simple_lift(rng.randrange(1, n + 1)).weyl]
+        for _ in range(40):
+            w1, w2 = rng.choice(weyls), rng.choice(weyls)
+            # the first product of a Weyl pair fills its cocycle, the
+            # second, on other tori, is a cache hit
+            for _ in range(2):
+                x = MonomialElement(_random_torus(g, rng), w1)
+                y = MonomialElement(_random_torus(g, rng), w2)
+                assert g.mul(x, y) == reference_mul(g, x, y)
+
+
+def test_least_reduced_word_matches_reference():
+    for n in (1, 2, 3, 4):
+        for w in perm_closure([SignedPermutation.simple_reflection(n, i)
+                               for i in range(1, n + 1)]):
+            assert least_reduced_word(w.images) == reference_least_reduced_word(w.images)
+    rng = random.Random(43)
+    for n in range(5, 14):
+        for _ in range(60):
+            w = random_signed_permutation(n, rng)
+            assert least_reduced_word(w.images) == reference_least_reduced_word(w.images)
+
+
+def test_ascent_rule_fails_the_same_named_checks():
+    report = suite_tits_core(random_triples=400, cocycle_rule="ascent")
+    failed = {c.check_id: c.counterexample for c in report.checks if not c.passed}
+    identity, flip = SignedPermutation((1, 2)), SignedPermutation((-1, 2))
+    assert failed == {
+        "lift-squares-braids": {"n": 2, "i": 1, "error": "lift square mismatch"},
+        "closure-order": {"n": 2, "got": 16, "expected": 32,
+                          "error": "extended Weyl group order mismatch"},
+        "group-axioms": {"x": MonomialElement((0, 0), flip),
+                         "y": MonomialElement((0, 0), identity),
+                         "z": MonomialElement((0, 0), identity),
+                         "error": "associativity failed"},
+    }
 
 
 def test_f2_rank_matches_span_size():
