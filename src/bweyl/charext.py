@@ -220,9 +220,8 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
     modulo `modulus` (which the abelianization exponent must divide)."""
     elems = sorted(elements)
     # derived subgroup
-    comms = {
-        mul(mul(inverse(x), inverse(y)), mul(x, y)) for x in elems for y in elems
-    }
+    inv = {x: inverse(x) for x in elems}
+    comms = {mul(mul(inv[x], inv[y]), mul(x, y)) for x in elems for y in elems}
     derived = orbit({identity: None}, comms, mul, len(elems))
     # coset representatives of the abelianization
     rep_of = {}
@@ -452,15 +451,16 @@ def verify_equivariance(data: SupplementData) -> dict:
     # equivariance on generators: Lambda(lam^x) == Lambda(lam)^x on the
     # inertia subgroup of lam^x
     checked = 0
+    gens_with_inverses = [(x, g.inv(x)) for x in gens]
     for lam in chars:
-        for x in gens:
+        for x, x_inv in gens_with_inverses:
             nu = _conj_action_on_characters(data, x, lam)
             lhs = extension_of[nu.signs]
             rhs_base = extension_of[lam.signs]
             _, p_stab_nu = inertia_decomposition(data, nu)
             probes = list(data.c_primes) + list(p_stab_nu)
             for y in probes:
-                want = rhs_base.value(g.conj(g.inv(x), y))
+                want = rhs_base.value(g.mul(g.mul(x_inv, y), x))
                 if lhs.value(y) % lhs.modulus != want % lhs.modulus:
                     raise VerificationError(
                         "extension map is not equivariant",

@@ -15,6 +15,7 @@ linear in the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import VerificationError
 from .roots import (
@@ -397,6 +398,23 @@ def verify_graph_action(l: int, d: int, m: int, q: int = 3) -> dict:
     return {"l": l, "d": d, "m": m, "terms_checked": len(terms)}
 
 
+@lru_cache(maxsize=None)
+def _consistency_laws(n: int) -> tuple:
+    """One law per root pair (b, a), rows b in sorted order: the roots
+    s_b(a) and -a whose entries it compares, the sign (-1)^<a, b^vee> the
+    square law expects, and whether the pair is orthogonal long.  They
+    depend on the rank alone, not on the table."""
+    roots = sorted(build_root_system("B", n).roots)
+    laws = []
+    for b in roots:
+        refl = reflection(n, b)
+        cr = coroot(b)
+        for a in roots:
+            laws.append((b, a, refl.act_on_root(a), tuple(-x for x in a),
+                         -1 if dot(a, cr) % 2 else 1, are_orthogonal_long(a, b)))
+    return tuple(laws)
+
+
 def check_sign_table_consistency(table: SignTable) -> list:
     """The three exact consistency laws of a conjugation sign table:
     the square law (conjugating twice equals the root-character sign of the
@@ -405,18 +423,14 @@ def check_sign_table_consistency(table: SignTable) -> list:
     of violations (empty for a true table)."""
     if not table.full:
         raise ValueError("consistency laws need a full table")
-    n = table.rank
+    eta = table.eta
     bad = []
-    roots = sorted(build_root_system("B", n).roots)
-    for b in roots:
-        refl = reflection(n, b)
-        cr = coroot(b)
-        for a in roots:
-            square = table(b, a) * table(b, refl.act_on_root(a))
-            if square != (-1) ** dot(a, cr):
-                bad.append(("square-law", b, a))
-            if table(b, a) != table(b, tuple(-x for x in a)):
-                bad.append(("negation-symmetry", b, a))
-            if are_orthogonal_long(a, b) and table(b, a) != 1:
-                bad.append(("orthogonal-long", b, a))
+    for b, a, s_b_a, neg_a, sign, orthogonal_long in _consistency_laws(table.rank):
+        e = eta[b, a]
+        if e * eta[b, s_b_a] != sign:
+            bad.append(("square-law", b, a))
+        if e != eta[b, neg_a]:
+            bad.append(("negation-symmetry", b, a))
+        if orthogonal_long and e != 1:
+            bad.append(("orthogonal-long", b, a))
     return bad

@@ -247,13 +247,31 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
     def axioms():
         g2 = ExtendedWeylGroup(2, cocycle_rule=cocycle_rule)
         grp = GeneratedSubgroup.generate(g2, [g2.simple_lift(1), g2.simple_lift(2)])
-        elems = grp.elements
-        for x in elems:
-            for y in elems:
-                for z in elems:
-                    if g2.mul(g2.mul(x, y), z) != g2.mul(x, g2.mul(y, z)):
+        # the Cayley table of the closure on element indices, filled once per
+        # pair; under a broken rule a product can leave the closure, and it
+        # gets the next index
+        elems = list(grp.elements)
+        index = {x: i for i, x in enumerate(elems)}
+        table = {}
+
+        def product(i, j):
+            k = table.get((i, j))
+            if k is None:
+                xy = g2.mul(elems[i], elems[j])
+                k = table[i, j] = index.setdefault(xy, len(elems))
+                if k == len(elems):
+                    elems.append(xy)
+            return k
+
+        closure = range(len(elems))
+        for x in closure:
+            for y in closure:
+                xy = product(x, y)
+                for z in closure:
+                    if product(xy, z) != product(x, product(y, z)):
                         raise VerificationError(
-                            "associativity failed", {"x": x, "y": y, "z": z})
+                            "associativity failed",
+                            {"x": elems[x], "y": elems[y], "z": elems[z]})
         rng = _random.Random(2024)
         for n in (3, 4, 5, 6):
             g = ExtendedWeylGroup(n, cocycle_rule=cocycle_rule)

@@ -126,16 +126,16 @@ class SupplementContext:
 
     @cached_property
     def _twist_powers(self) -> list[tuple[MonomialElement, MonomialElement]]:
-        """The pairs (v_l^k, v_l^{-k}) for k < d0."""
+        """The pairs (v_l^k, v_l^{-k}) for 0 < k < d0."""
         g = self.group
-        powers = [g.power(self.v_l, k) for k in range(self.d0)]
+        powers = [g.power(self.v_l, k) for k in range(1, self.d0)]
         return [(vk, g.inv(vk)) for vk in powers]
 
     def iota1(self, x: MonomialElement) -> MonomialElement:
         """x |-> prod over k of x^(v_l^k) = v_l^k x v_l^{-k}; factors commute
-        pairwise."""
+        pairwise.  The k = 0 factor is x itself."""
         mul = self.group.mul
-        return reduce(mul, [mul(mul(vk, x), vk_inv) for vk, vk_inv in self._twist_powers])
+        return reduce(mul, [mul(mul(vk, x), vk_inv) for vk, vk_inv in self._twist_powers], x)
 
     def _build_p(self, k: int) -> MonomialElement:
         return self.iota1(self.group.simple_lift(k + 1))
@@ -459,7 +459,7 @@ def _verify_iota1(ctx: SupplementContext) -> None:
                 {"x": x.weyl.images, "y": y.weyl.images},
             )
     # block subgroups commute and have disjoint Weyl supports
-    for k, (vk, _) in enumerate(ctx._twist_powers[1:], start=1):
+    for k, (vk, _) in enumerate(ctx._twist_powers, start=1):
         for x in gens:
             xc = ctx.pconj(x, vk)
             for y in gens:

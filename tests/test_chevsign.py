@@ -17,7 +17,7 @@ from bweyl.chevsign import (
     verify_graph_action,
     verify_twist_power_sign,
 )
-from bweyl.roots import build_root_system, coroot, dot, simple_roots
+from bweyl.roots import are_orthogonal_long, build_root_system, coroot, dot, simple_roots
 from bweyl.sperm import reflection
 from bweyl.suites import suite_commutators, suite_supplement
 from bweyl.supplement import SupplementContext
@@ -104,6 +104,44 @@ def test_every_flip_breaks_a_law(t3):
     for key in rng.sample(keys, 60):
         flipped = t3.flipped(*key)
         assert check_sign_table_consistency(flipped) != []
+
+
+def reference_consistency(table):
+    """The consistency laws recomputed from the root system for every pair,
+    as check_sign_table_consistency did before its laws were cached per
+    rank."""
+    n = table.rank
+    bad = []
+    roots = sorted(build_root_system("B", n).roots)
+    for b in roots:
+        refl = reflection(n, b)
+        cr = coroot(b)
+        for a in roots:
+            square = table(b, a) * table(b, refl.act_on_root(a))
+            if square != (-1) ** dot(a, cr):
+                bad.append(("square-law", b, a))
+            if table(b, a) != table(b, tuple(-x for x in a)):
+                bad.append(("negation-symmetry", b, a))
+            if are_orthogonal_long(a, b) and table(b, a) != 1:
+                bad.append(("orthogonal-long", b, a))
+    return bad
+
+
+def test_consistency_matches_reference():
+    for n in (2, 3):
+        table = build_sign_table(n, full=True)
+        assert check_sign_table_consistency(table) == reference_consistency(table) == []
+        for key in sorted(table.eta):
+            flipped = table.flipped(*key)
+            assert check_sign_table_consistency(flipped) == reference_consistency(flipped)
+    t4 = build_sign_table(4, full=True)
+    keys = sorted(t4.eta)
+    rng = random.Random(41)
+    for _ in range(12):
+        single = t4.flipped(*rng.choice(keys))
+        double = single.flipped(*rng.choice(keys))
+        for table in (single, double):
+            assert check_sign_table_consistency(table) == reference_consistency(table)
 
 
 def test_conjugate_roundtrip():

@@ -10,6 +10,7 @@ from bweyl.suites import (
     suite_tits_core,
     suite_wreath,
 )
+from bweyl.tits import ExtendedWeylGroup
 
 
 def test_sweep_points_admissible():
@@ -35,6 +36,20 @@ def test_cyclotomic_suite_small():
 def test_tits_core_suite_small():
     report = suite_tits_core(random_triples=200)
     assert report.passed
+
+
+# products made by suite_tits_core(random_triples=2000), counted once the
+# exhaustive rank-2 axioms read the closure's Cayley table
+TITS_CORE_2000_MUL_CEILING = 51988
+
+
+def test_tits_core_mul_calls_do_not_grow(monkeypatch):
+    calls = []
+    mul = ExtendedWeylGroup.mul
+    monkeypatch.setattr(ExtendedWeylGroup, "mul",
+                        lambda self, x, y: calls.append(None) or mul(self, x, y))
+    assert suite_tits_core(random_triples=2000).passed
+    assert len(calls) <= TITS_CORE_2000_MUL_CEILING
 
 
 def test_tits_core_detects_broken_cocycle():
