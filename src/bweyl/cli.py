@@ -1,10 +1,11 @@
 """Command-line driver: verification sweeps, the isolated-block atlas, and
 supplement structure summaries.
 
-`verify` runs one task list, the global suites in the given order and then
-each point suite at each parameter point, serially or in a pool of
-`min(--jobs, tasks, CPUs)` workers; the reports are merged in one canonical
-order, so stdout does not depend on the worker count.
+`verify` runs one task list, serially or in a pool of `min(--jobs, tasks,
+CPUs)` workers: each global suite is one task, in the given order, and each
+parameter point is one task that runs every requested point suite there, so
+a point's supplement is built in one worker only.  The reports are merged in
+one canonical order, so stdout does not depend on the worker count.
 
 Reports go to stdout (JSON or markdown), diagnostics to stderr.  Exit codes:
 0 all checks passed, 1 a verified identity failed, 2 bad usage/parameters,
@@ -84,15 +85,19 @@ def _verify_points(args) -> list:
     return points
 
 
-def _run_point_suite(task):
-    """Run one suite task: a global suite when the point is None, else a
-    point suite at its (d0, t_l, m, d).  The one function the pool maps."""
+def _run_point_suite(task) -> list:
+    """Run one task, a point (None for a global suite) and its suites as
+    (name, keyword arguments) pairs, in order; returns their reports.  The
+    one function the pool maps."""
     from .suites import run_suite
 
-    name, point, kwargs = task
-    print(f"running {name}{'' if point is None else f' at {point}'} ...",
-          file=sys.stderr)
-    return run_suite(name, point, **kwargs)
+    point, suites = task
+    reports = []
+    for name, kwargs in suites:
+        print(f"running {name}{'' if point is None else f' at {point}'} ...",
+              file=sys.stderr)
+        reports.append(run_suite(name, point, **kwargs))
+    return reports
 
 
 def cmd_verify(args) -> int:
@@ -131,22 +136,26 @@ def cmd_verify(args) -> int:
         "tits-core": {"random_triples": 2000},
         "supplement": {"budget": args.budget},
     }
-    # the global suites, the longest tasks, go first so that a free worker
-    # takes the next one (list scheduling); chunks of one keep them apart
-    tasks = [(name, None, suite_kwargs.get(name, {}))
+    # one task per global suite, the longest tasks, first so that a free
+    # worker takes the next one (list scheduling); then one task per point
+    # with all its point suites, which share the point's supplement and
+    # caches in one worker; chunks of one keep the tasks apart
+    tasks = [(None, [(name, suite_kwargs.get(name, {}))])
              for name in suites if name in GLOBAL_SUITES]
     n_global = len(tasks)
-    tasks += [(name, point, suite_kwargs.get(name, {}))
-              for name in suites if name in POINT_SUITES
-              for point in _verify_points(args)]
+    point_suites = [(name, suite_kwargs.get(name, {}))
+                    for name in suites if name in POINT_SUITES]
+    if point_suites:
+        tasks += [(point, point_suites) for point in _verify_points(args)]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(_run_point_suite, tasks, chunksize=1)
+            results = pool.map(_run_point_suite, tasks, chunksize=1)
     else:
-        reports = [_run_point_suite(task) for task in tasks]
+        results = [_run_point_suite(task) for task in tasks]
+    reports = [r for result in results for r in result]
     # canonical merge order regardless of worker scheduling: the global
     # reports in suite order, then the point reports by suite and point
     reports[n_global:] = sorted(

@@ -3,13 +3,15 @@ coroots, and integer-lattice torsion via Smith normal form.
 
 Roots are integer tuples in the standard e-basis.  Lattices are stored in
 doubled coordinates (every vector multiplied by 2) so that half-integral
-weights stay integral.
+weights stay integral.  Ranks, greedy bases and coordinates in a basis come
+from one fraction-free row echelon over the integers (Bareiss, Math. Comp.
+22, 1968), each row divided by its content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Lattice",
@@ -209,19 +211,29 @@ def component_types(subset: RootSubset) -> list[tuple[str, int]]:
 
 
 def _rank_of(vectors) -> int:
-    rows = [list(map(Fraction, v)) for v in vectors]
-    rank, ncols = 0, len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(_echelon(vectors)[0])
+
+
+def _echelon(vectors) -> tuple[list, list]:
+    """Fraction-free row echelon of integer vectors, one vector at a time:
+    the pivot rows as (pivot column, row divided by its content), and the
+    indices of the vectors that raised the rank.  Each pivot row is zero at
+    the pivot columns of the rows before it."""
+    pivots: list = []
+    independent = []
+    for index, v in enumerate(vectors):
+        v = list(v)
+        for col, row in pivots:
+            if v[col]:
+                g = gcd(row[col], v[col])
+                a, b = row[col] // g, v[col] // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+        content = gcd(*v)
+        if content:  # not in the span of the rows before it
+            lead = next(col for col, x in enumerate(v) if x)
+            pivots.append((lead, [x // content for x in v]))
+            independent.append(index)
+    return pivots, independent
 
 
 # -- lattices ----------------------------------------------------------------
@@ -252,12 +264,8 @@ def weight_lattice_doubled(n: int) -> Lattice:
 
 def root_lattice_doubled(subset: RootSubset) -> Lattice:
     """Doubled lattice spanned by a root subset (basis extracted greedily)."""
-    rows: list[tuple] = []
-    for a in subset.positive():
-        cand = rows + [tuple(2 * x for x in a)]
-        if _rank_of(cand) == len(cand):
-            rows.append(tuple(2 * x for x in a))
-    return Lattice(tuple(rows))
+    doubled = [tuple(2 * x for x in a) for a in subset.positive()]
+    return Lattice(tuple(doubled[i] for i in _echelon(doubled)[1]))
 
 
 def smith_normal_form(mat: list[list[int]]) -> list[int]:
@@ -313,34 +321,23 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
 
 
 def _express_in_basis(basis: tuple, v: tuple) -> list[int] | None:
-    """Integer coefficients of v in the given independent rows, or None."""
-    rows = [list(map(Fraction, b)) for b in basis]
-    target = list(map(Fraction, v))
-    coeffs = [Fraction(0)] * len(rows)
-    # Gaussian elimination on the transposed system.
-    ncols = len(target)
-    aug = [[rows[r][c] for r in range(len(rows))] + [target[c]] for c in range(ncols)]
-    pivots = []
-    rr = 0
-    for col in range(len(rows)):
-        piv = next((i for i in range(rr, ncols) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        for i in range(ncols):
-            if i != rr and aug[i][col]:
-                f = aug[i][col] / aug[rr][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rr])]
-        pivots.append((rr, col))
-        rr += 1
-    for i in range(rr, ncols):
-        if aug[i][-1]:
+    """Integer coefficients of v in the given independent rows, or None.
+
+    The echelon of the transposed system, one equation per coordinate with
+    v as the last column, leaves a pivot in every basis column; the
+    coefficients follow by back substitution, pivot rows last to first,
+    each one an exact division or no integer solution."""
+    r = len(basis)
+    pivots, _ = _echelon([*(b[c] for b in basis), v[c]] for c in range(len(v)))
+    if any(col == r for col, _ in pivots):
+        return None  # v is outside the span of the basis
+    coeffs = [0] * r
+    for col, row in reversed(pivots):
+        rest = row[r] - sum(row[j] * coeffs[j] for j in range(col + 1, r))
+        if rest % row[col]:
             return None
-    for row_i, col in pivots:
-        coeffs[col] = aug[row_i][-1] / aug[row_i][col]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs]
+        coeffs[col] = rest // row[col]
+    return coeffs
 
 
 def quotient_torsion(x: Lattice, sub: Lattice) -> list[int]:

@@ -464,19 +464,32 @@ def suite_atlas_ellparts(n_max: int = 12, ells=(5, 7, 11, 13),
             if q % ell == 0:
                 continue
             ctx = EllContext(q=q, ell=ell)
+            # the l-part and torsion checks read the row's case, n, d, d0, m,
+            # a and eps and the datum built from (n, m, d), nothing else:
+            # d0 is the context's and a, eps follow from the footnote
+            # identities, so one verdict per (case, n, d, m) serves its rows
+            verdicts: dict = {}
             for n in range(2, n_max + 1):
                 for row in enumerate_rows(n, ctx):
                     rows_checked += 1
                     if row.a * row.d0 + row.m != row.n or row.eps != (-1) ** row.d:
                         bad_rows.append((ell, q, n, row))
                         continue
-                    datum = realize_row(row)
-                    if not check_isolated_center_ell_part(datum, ctx):
+                    key = (row.case_no, row.n, row.d, row.m)
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        datum = realize_row(row)
+                        verdict = verdicts[key] = (
+                            check_isolated_center_ell_part(datum, ctx),
+                            row.case_no != 2 or any(
+                                t > 1 and t % 2 == 0
+                                for t in center_disconnection_torsion(datum)),
+                        )
+                    ell_part_ok, torsion_ok = verdict
+                    if not ell_part_ok:
                         bad_rows.append((ell, q, n, row))
-                    if row.case_no == 2:
-                        torsion = center_disconnection_torsion(datum)
-                        if not any(t > 1 and t % 2 == 0 for t in torsion):
-                            bad_torsion.append((ell, q, n, row))
+                    if not torsion_ok:
+                        bad_torsion.append((ell, q, n, row))
     checks.append(CheckResult(
         "footnote-and-ellpart",
         "a d0 + m = n, eps = (-1)^d, and the two center columns have equal "

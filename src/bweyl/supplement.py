@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import xor
 
-from . import VerificationError
+from . import BudgetExceededError, VerificationError
 from .roots import levi_root_subset
 from .sperm import (
     SignedPermutation,
@@ -400,11 +400,17 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
     generators, the conjugation table, the central product structure of C',
     the semidirect decomposition V' = C' x| P' with V' cap H = H', and the
     relative Weyl group comparison against the centralizer of the twist
-    coset, at every rank.
+    coset, at every rank.  A supplement is built once per (l, d, m, q); a
+    later call whose budget is below its relative Weyl order raises as the
+    build would have.
     """
-    key = (l, d, m, q, relative_weyl_budget)
-    if key in _supplement_cache:
-        return _supplement_cache[key]
+    key = (l, d, m, q)
+    data = _supplement_cache.get(key)
+    if data is not None:
+        if relative_weyl_budget < data.relative_weyl_order:
+            raise BudgetExceededError(f"centralizer of {data.relative_weyl_order} "
+                                      f"elements exceeds {relative_weyl_budget}")
+        return data
     ctx = SupplementContext(l, d, m, q)
     if ctx.d0 % 2 == 0:
         raise ValueError("the supplement construction needs odd d0")

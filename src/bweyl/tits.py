@@ -18,9 +18,12 @@ one pass over the reversed least reduced word of the left factor: descent
 test, s_i on a torus list padded with a trailing 0, s_i on the inverse
 table, and the correction.  A cache hit is the fused action: one pass moves
 the e-coordinates of t2 by w1, and one suffix-sum pass takes them back to
-coroot coordinates while adding t1 and the cocycle mod 2^k.  Least reduced
-words strip the least left descent repeatedly; stripping s_i leaves no
-descent below i - 1, so each scan resumes there instead of at 1.
+coroot coordinates while adding t1 and the cocycle mod 2^k.  A canonical
+lift on the right (t2 = 0, as in products with simple lifts) skips the
+action: the product torus is t1 + cocycle mod 2^k, or the cached cocycle
+itself when t1 = 0 too.  Least reduced words strip the least left descent
+repeatedly; stripping s_i leaves no descent below i - 1, so each scan
+resumes there instead of at 1.
 """
 
 from __future__ import annotations
@@ -147,6 +150,14 @@ class ExtendedWeylGroup:
         if hit is None:
             hit = self._cocycles[key] = self._fold(x.weyl, y.weyl)
         cocycle, product = hit
+        zero = self.identity.torus
+        if y.torus == zero:
+            # a canonical lift on the right: w1.0 = 0 leaves t1 + cocycle
+            if x.torus == zero:
+                return MonomialElement(cocycle, product)
+            mod = self.modulus
+            return MonomialElement(
+                tuple([(a + b) % mod for a, b in zip(x.torus, cocycle)]), product)
         return MonomialElement(
             _act_and_add(images, y.torus, x.torus, cocycle, self.modulus), product)
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from bweyl import atlas
 from bweyl.atlas import (
     IsolatedBlockRow,
     LeviDatum,
@@ -20,8 +21,9 @@ from bweyl.atlas import (
     rows_to_json,
     rows_to_markdown,
 )
-from bweyl.cyclo import EllContext, ell_valuation
+from bweyl.cyclo import EllContext, GenericOrder, ell_valuation
 from bweyl.sperm import SignedPermutation
+from bweyl.suites import suite_atlas_ellparts
 
 
 def test_enumerate_rows_case_gate():
@@ -189,3 +191,79 @@ def test_row_report_case2_contains_torsion():
     row = [r for r in enumerate_rows(2, ctx) if r.case_no == 2][0]
     rep = row_report(row, ctx)
     assert any(t % 2 == 0 and t > 1 for t in rep["center_torsion"])
+
+
+# -- the atlas suite against a per-row reference ---------------------------------
+
+
+def reference_atlas_payloads(n_max, ells, q_values):
+    """The counterexample payloads of suite_atlas_ellparts as they were
+    computed before the verdicts were shared per Levi datum: every row is
+    realized and checked on its own."""
+    bad_rows, bad_torsion, rows_checked = [], [], 0
+    for ell in ells:
+        for q in q_values:
+            if q % ell == 0:
+                continue
+            ctx = EllContext(q=q, ell=ell)
+            for n in range(2, n_max + 1):
+                for row in atlas.enumerate_rows(n, ctx):
+                    rows_checked += 1
+                    if row.a * row.d0 + row.m != row.n or row.eps != (-1) ** row.d:
+                        bad_rows.append((ell, q, n, row))
+                        continue
+                    datum = atlas.realize_row(row)
+                    if not atlas.check_isolated_center_ell_part(datum, ctx):
+                        bad_rows.append((ell, q, n, row))
+                    if row.case_no == 2:
+                        torsion = atlas.center_disconnection_torsion(datum)
+                        if not any(t > 1 and t % 2 == 0 for t in torsion):
+                            bad_torsion.append((ell, q, n, row))
+    return [{"failures": bad_rows[:3], "rows": rows_checked},
+            {"failures": bad_torsion[:3]}]
+
+
+# d in {1, 2, 3, 4, 6, 12}: both parities of d and of d0, so all three cases
+ATLAS_SWEEP = {"n_max": 8, "ells": (5, 7, 13), "q_values": (2, 3, 4, 5, 6)}
+
+
+def _faulty(row) -> bool:
+    return (row.n + row.m) % 3 == 1
+
+
+def _assert_suite_matches_reference():
+    report = suite_atlas_ellparts(**ATLAS_SWEEP)
+    expected = reference_atlas_payloads(**ATLAS_SWEEP)
+    assert [c.counterexample for c in report.checks] == expected
+    assert report.passed == (not expected[0]["failures"] and not expected[1]["failures"])
+    return expected
+
+
+def test_atlas_suite_matches_per_row_reference():
+    expected = _assert_suite_matches_reference()
+    assert expected[0]["failures"] == expected[1]["failures"] == []
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_atlas_suite_matches_reference_under_wrong_center_order(monkeypatch, case):
+    true_order = atlas.center_generic_order
+
+    def wrong(datum):
+        order = true_order(datum)
+        if datum.row.case_no == case and _faulty(datum.row):
+            # q^{2 d0} - 1 has a positive l-part, since d divides 2 d0
+            return order.times(GenericOrder.q_power_minus_one(2 * datum.row.d0))
+        return order
+
+    monkeypatch.setattr(atlas, "center_generic_order", wrong)
+    expected = _assert_suite_matches_reference()
+    assert expected[0]["failures"]
+    assert all(row.case_no == case for *_, row in expected[0]["failures"])
+
+
+def test_atlas_suite_matches_reference_under_odd_torsion(monkeypatch):
+    true_torsion = atlas.center_disconnection_torsion
+    monkeypatch.setattr(atlas, "center_disconnection_torsion",
+                        lambda datum: [1, 3] if _faulty(datum.row) else true_torsion(datum))
+    expected = _assert_suite_matches_reference()
+    assert expected[1]["failures"] and not expected[0]["failures"]

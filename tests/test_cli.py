@@ -203,11 +203,12 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
 
 
 class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records the requested size and
-    chunk size and maps in this process, starting no workers."""
+    """Stands in for multiprocessing.Pool: records the requested size, the
+    chunk size and the tasks, and maps in this process, starting no workers."""
 
     sizes: list = []
     chunksizes: list = []
+    tasks: list = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -220,7 +221,8 @@ class _RecordingPool:
 
     def map(self, fn, tasks, chunksize=None):
         self.chunksizes.append(chunksize)
-        return [fn(t) for t in tasks]
+        self.tasks.append(list(tasks))
+        return [fn(t) for t in self.tasks[-1]]
 
 
 def _verify_with_recording_pool(capsys, monkeypatch, cpus, *argv):
@@ -228,6 +230,7 @@ def _verify_with_recording_pool(capsys, monkeypatch, cpus, *argv):
 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(_RecordingPool, "tasks", [])
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return run_cli(capsys, "verify", *argv)[0]
@@ -264,6 +267,21 @@ def test_global_suites_run_in_the_pool(capsys, monkeypatch, suites, size):
     assert _RecordingPool.chunksizes == ([] if size is None else [1])
 
 
+def test_verify_hands_out_one_task_per_point(capsys, monkeypatch):
+    # the global suites one task each, first and in the given order; then
+    # one task per point with every requested point suite, in the given order
+    code = _verify_with_recording_pool(
+        capsys, monkeypatch, 2, "--suite", "charext", "--suite", "wreath",
+        "--suite", "supplement", "--suite", "cyclo-lemma", "--d0", "1",
+        "--tl", "1", "--m", "0,1", "--ell", "5", "--q", "2", "--jobs", "2")
+    assert code == 0
+    [tasks] = _RecordingPool.tasks
+    assert [(point, [name for name, _ in suites]) for point, suites in tasks] == [
+        (None, ["wreath"]), (None, ["cyclo-lemma"]),
+        *(((1, 1, m, d), ["charext", "supplement"]) for m in (0, 1) for d in (1, 2)),
+    ]
+
+
 @pytest.mark.parametrize("suites", [
     ["wreath", "supplement", "hl-structure", "charext", "cyclo-lemma"],
     ["charext", "cyclo-lemma", "supplement", "wreath", "hl-structure"],
@@ -289,6 +307,19 @@ def _canonical_checks(out):
     return sorted((r["suite"], json.dumps(r["params"], sort_keys=True),
                    json.dumps(c, sort_keys=True))
                   for r in json.loads(out) for c in r["checks"])
+
+
+def test_non_default_budget_builds_each_supplement_once(capsys, monkeypatch):
+    from bweyl import supplement
+
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    code, out, _ = run_cli(capsys, "verify", "--suite", "supplement",
+                           "--suite", "extmap-hypotheses", "--suite", "charext",
+                           "--d0", "1", "--tl", "1,2", "--budget", "3999999",
+                           "--jobs", "1")
+    assert code == 0
+    # (t_l, m, d) in {1, 2} x {0, 1} x {1, 2}: eight points, eight builds
+    assert len(supplement._supplement_cache) == 8
 
 
 def test_budget_result_independent_of_suite_order(capsys):

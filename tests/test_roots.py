@@ -1,9 +1,17 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bweyl.atlas import enumerate_rows, realize_row
+from bweyl.cyclo import EllContext
 from bweyl.roots import (
     Lattice,
+    _echelon,
+    _express_in_basis,
+    _rank_of,
     RootSubset,
     are_orthogonal_long,
     build_root_system,
@@ -162,8 +170,6 @@ def test_center_disconnectedness_witness():
             witness[2 * pair - 2] -= 1
             witness[2 * pair - 1] += 1
         # doubled coordinates: `witness` IS half the doubled vector
-        from bweyl.roots import _express_in_basis
-
         assert _express_in_basis(x.basis, tuple(witness)) is not None
         in_sub = _express_in_basis(sub.basis, tuple(2 * w for w in witness))
         assert in_sub is not None
@@ -173,3 +179,120 @@ def test_center_disconnectedness_witness():
 def test_rootsubset_rejects_unbalanced():
     with pytest.raises(ValueError):
         RootSubset(2, frozenset({(1, 0)}))
+
+
+# -- Fraction references -------------------------------------------------------
+# The lattice routines as they were before the integer echelon: Gaussian
+# elimination over the rationals, and the greedy basis re-running the rank
+# on every growing candidate list.
+
+
+def reference_rank_of(vectors) -> int:
+    rows = [list(map(Fraction, v)) for v in vectors]
+    rank, ncols = 0, len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_greedy_basis(vectors) -> tuple:
+    rows: list = []
+    for v in vectors:
+        if reference_rank_of(rows + [v]) == len(rows) + 1:
+            rows.append(v)
+    return tuple(rows)
+
+
+def reference_express_in_basis(basis: tuple, v: tuple):
+    rows = [list(map(Fraction, b)) for b in basis]
+    target = list(map(Fraction, v))
+    coeffs = [Fraction(0)] * len(rows)
+    ncols = len(target)
+    aug = [[rows[r][c] for r in range(len(rows))] + [target[c]] for c in range(ncols)]
+    pivots = []
+    rr = 0
+    for col in range(len(rows)):
+        piv = next((i for i in range(rr, ncols) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rr], aug[piv] = aug[piv], aug[rr]
+        for i in range(ncols):
+            if i != rr and aug[i][col]:
+                f = aug[i][col] / aug[rr][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rr])]
+        pivots.append((rr, col))
+        rr += 1
+    for i in range(rr, ncols):
+        if aug[i][-1]:
+            return None
+    for row_i, col in pivots:
+        coeffs[col] = aug[row_i][-1] / aug[row_i][col]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return [int(c) for c in coeffs]
+
+
+def _combinations(basis, rng, ncols, count=4):
+    return [tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(ncols))
+            for coeffs in ([rng.randint(-3, 3) for _ in basis] for _ in range(count))]
+
+
+def _assert_lattice_routines_match(vectors, rng):
+    """Rank, greedy basis and coordinates against the Fraction references;
+    the coordinates are probed inside the lattice, inside its span but not
+    the lattice (the basis doubled), and at random vectors.  Returns the
+    reference basis."""
+    ncols = len(vectors[0])
+    assert _rank_of(vectors) == reference_rank_of(vectors)
+    basis = reference_greedy_basis(vectors)
+    assert tuple(vectors[i] for i in _echelon(vectors)[1]) == basis
+    doubled = tuple(tuple(2 * x for x in b) for b in basis)
+    probes = _combinations(basis, rng, ncols)
+    probes += [tuple(rng.randint(-4, 4) for _ in range(ncols)) for _ in range(2)]
+    for lattice in (basis, doubled):
+        for v in probes:
+            assert _express_in_basis(lattice, v) == reference_express_in_basis(lattice, v)
+    return basis
+
+
+def test_integer_echelon_matches_fraction_reference_on_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        span = rng.choice((1, 3, 9))
+        vectors = [tuple(rng.randint(-span, span) for _ in range(ncols))
+                   for _ in range(nrows)]
+        # a dependent row: an integer combination of the others
+        vectors.insert(rng.randint(0, nrows), _combinations(vectors, rng, ncols, 1)[0])
+        _assert_lattice_routines_match(vectors, rng)
+
+
+def test_integer_echelon_matches_fraction_reference_on_atlas_levis():
+    rng = random.Random(2025)
+    # the rows, and so the Levi data, depend on (ell, q) through d alone
+    contexts = {}
+    for ell in (5, 7, 11, 13):
+        for q in range(2, 14):
+            if q % ell:
+                ctx = EllContext(q=q, ell=ell)
+                contexts.setdefault(ctx.d, ctx)
+    subsets = {realize_row(row).root_subset for ctx in contexts.values()
+               for n in range(2, 12) for row in enumerate_rows(n, ctx)}
+    assert len(subsets) > 50
+    for subset in sorted(subsets, key=lambda s: (s.ambient_rank, sorted(s.roots))):
+        doubled = [tuple(2 * x for x in a) for a in subset.positive()]
+        if not doubled:
+            continue
+        basis = _assert_lattice_routines_match(doubled, rng)
+        assert root_lattice_doubled(subset).basis == basis
+        x = weight_lattice_doubled(subset.ambient_rank)
+        for row in root_lattice_doubled(subset).basis:
+            assert _express_in_basis(x.basis, row) == reference_express_in_basis(x.basis, row)

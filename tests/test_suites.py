@@ -4,9 +4,11 @@ from bweyl.suites import (
     SWEEP_POINTS,
     default_sweep_points,
     run_suite,
+    suite_atlas_ellparts,
     suite_cyclotomic_lemma,
     suite_hl_structure,
     suite_mutation,
+    suite_supplement,
     suite_tits_core,
     suite_wreath,
 )
@@ -50,6 +52,25 @@ def test_tits_core_mul_calls_do_not_grow(monkeypatch):
                         lambda self, x, y: calls.append(None) or mul(self, x, y))
     assert suite_tits_core(random_triples=2000).passed
     assert len(calls) <= TITS_CORE_2000_MUL_CEILING
+
+
+# l-part evaluations of suite_atlas_ellparts at the atlas arguments of the
+# verify-cli benchmark workload: two per Levi datum (case, n, d, m) and
+# (ell, q), 1,026 data over the 10,152 rows
+ATLAS_VERIFY_CLI_ELL_PART_CEILING = 2052
+
+
+def test_atlas_ell_part_evaluations_do_not_grow(monkeypatch):
+    from bweyl import atlas
+
+    calls = []
+    evaluate = atlas.generic_order_eval_ell_part
+    monkeypatch.setattr(atlas, "generic_order_eval_ell_part",
+                        lambda g, ctx: calls.append(None) or evaluate(g, ctx))
+    report = suite_atlas_ellparts(n_max=11, ells=(5, 7, 11, 13),
+                                  q_values=(2, 3, 4, 5, 7, 8, 9))
+    assert report.passed and report.params["rows"] == 10152
+    assert len(calls) <= ATLAS_VERIFY_CLI_ELL_PART_CEILING
 
 
 def test_tits_core_detects_broken_cocycle():
@@ -132,3 +153,20 @@ def test_supplement_frobenius_pass_keeps_its_details():
     assert conv.counterexample["conjugate_by_twist"] == conv.counterexample["expected_rank"]
     assert set(conv.counterexample) == {"expected_rank", "conjugate_by_twist",
                                         "conjugate_by_inverse_twist", "both_pass"}
+
+
+def test_supplement_budget_below_the_order_fails_alike_cold_and_cached(monkeypatch):
+    from bweyl import supplement
+
+    # d0 = 1, t_l = 3: the relative Weyl centralizer has 2^3 3! = 48 elements
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    cold = suite_supplement(1, 3, 2, 1, budget=47)
+    assert supplement._supplement_cache == {}
+    supplement.build_supplement(6, 1, 2)  # cached under the default budget
+    cached = suite_supplement(1, 3, 2, 1, budget=47)
+    assert [c.as_dict() for c in cached.checks] == [c.as_dict() for c in cold.checks]
+    [check] = cold.checks
+    assert check.check_id == "supplement-identities" and not check.passed
+    assert check.counterexample == {
+        "error": "budget exceeded: centralizer of 48 elements exceeds 47"}
+    assert suite_supplement(1, 3, 2, 1, budget=48).passed

@@ -421,13 +421,17 @@ def test_mul_matches_reference_kernel(cocycle_rule, k):
         g = ExtendedWeylGroup(n, k, cocycle_rule)
         weyls = [random_signed_permutation(n, rng) for _ in range(12)]
         weyls += [g.identity.weyl, g.simple_lift(rng.randrange(1, n + 1)).weyl]
+        zero = (0,) * n
         for _ in range(40):
             w1, w2 = rng.choice(weyls), rng.choice(weyls)
             # the first product of a Weyl pair fills its cocycle, the
-            # second, on other tori, is a cache hit
-            for _ in range(2):
-                x = MonomialElement(_random_torus(g, rng), w1)
-                y = MonomialElement(_random_torus(g, rng), w2)
+            # second, on other tori, is a cache hit; canonical lifts (zero
+            # tori) on either side or both take the paths without an action
+            for zero_left, zero_right in ((False, False), (False, False),
+                                          (True, False), (False, True),
+                                          (True, True)):
+                x = MonomialElement(zero if zero_left else _random_torus(g, rng), w1)
+                y = MonomialElement(zero if zero_right else _random_torus(g, rng), w2)
                 assert g.mul(x, y) == reference_mul(g, x, y)
 
 
