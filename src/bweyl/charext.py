@@ -6,6 +6,10 @@ modulus is the least common multiple of 4*d0 (for the cyclic part) and the
 exponent of the relevant abelianization (for the symmetric part), so the
 whole computation is exact integer arithmetic.
 
+What charext derives from one supplement lives in a `CharacterTables` the
+caller makes and passes; `suite_charext` makes one per point, so the tables
+die with the suite call.
+
 Also holds the wreath-product character-degree combinatorics used to
 cross-check relative Weyl group structure.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from . import BudgetExceededError, VerificationError
@@ -24,6 +28,7 @@ from .supplement import SupplementData
 from .tits import MonomialElement
 
 __all__ = [
+    "CharacterTables",
     "ExtensionCharacter",
     "HPrimeCharacter",
     "check_multiplicative",
@@ -39,76 +44,120 @@ __all__ = [
 # -- characters of H' ----------------------------------------------------------
 
 
+class CharacterTables:
+    """What charext derives from one supplement, each part built on first
+    use and kept: the head basis and coordinates, the cyclic sums of C', the
+    c * p decomposition of V', each element's action on H' with its counts
+    over V', and the inertia group of each head character."""
+
+    def __init__(self, data: SupplementData):
+        self.data = data
+        self.inertia: dict = {}  # sign vector -> (C', P'_lam)
+        self._head_actions: dict = {}
+
+    @cached_property
+    def head_basis(self) -> list[MonomialElement]:
+        """(h_0, p_1'^2, ...), the basis of the elementary abelian head."""
+        g = self.data.ctx.group
+        return [self.data.ctx.h0] + [g.mul(p, p) for p in self.data.p_primes]
+
+    @cached_property
+    def head_coordinates(self) -> dict:
+        """Coordinates of every H' element over the basis, certified by
+        checking every edge of the labelled orbit."""
+        g = self.data.ctx.group
+        basis = self.head_basis
+        moves = range(len(basis))
+        size = len(self.data.h_prime.elements)
+
+        def act(x, i):
+            return g.mul(x, basis[i])
+
+        def step(cx, i):
+            return tuple((c + (1 if j == i else 0)) % 2 for j, c in enumerate(cx))
+
+        coords = orbit({g.identity: (0,) * len(basis)}, moves, act, size, step)
+        bad = broken_edge(coords, moves, act, step)
+        if bad is not None:
+            raise VerificationError("head subgroup has hidden relations", {"element": bad})
+        if len(coords) != size:
+            raise VerificationError("head coordinates missed elements", {})
+        return coords
+
+    @cached_property
+    def cyclic_sums(self) -> dict:
+        """For every element of C', the sum of its exponents over the c_i',
+        modulo 4*d0 (well defined by the central product structure)."""
+        data = self.data
+        g = data.ctx.group
+        mod = 4 * data.ctx.d0
+
+        def step(v, c):
+            return (v + 1) % mod
+
+        coords = orbit({g.identity: 0}, data.c_primes, g.mul,
+                       len(data.c_closure.elements), step)
+        if broken_edge(coords, data.c_primes, g.mul, step) is not None:
+            raise VerificationError("cyclic part has hidden relations", {})
+        return coords
+
+    @cached_property
+    def decomposition(self) -> dict:
+        """The factors (c, p) of every x = c * p in V' = C' x| P', from all
+        |C'|·|P'| products; two equal products would make the decomposition
+        ambiguous."""
+        g = self.data.ctx.group
+        decomp = {}
+        for c in self.data.c_closure.elements:
+            for p in self.data.p_closure.elements:
+                x = g.mul(c, p)
+                if decomp.setdefault(x, (c, p)) != (c, p):
+                    raise VerificationError(
+                        "supplement element has two decompositions as c * p",
+                        {"element": x, "decompositions": (decomp[x], (c, p))},
+                    )
+        return decomp
+
+    @cached_property
+    def product_actions(self) -> Counter:
+        """How many elements of V' act on H' by each action."""
+        return Counter(self.head_action(x) for x in self.decomposition)
+
+    def head_action(self, x: MonomialElement) -> tuple:
+        """The H'-coordinates of x b x^{-1} for each basis element b,
+        computed once per element and shared by every head character."""
+        rows = self._head_actions.get(x)
+        if rows is None:
+            g = self.data.ctx.group
+            coords = self.head_coordinates
+            x_inv = g.inv(x)
+            images = [g.mul(g.mul(x, b), x_inv) for b in self.head_basis]
+            if any(hb not in coords for hb in images):
+                raise VerificationError("conjugation left the head subgroup", {"element": x})
+            rows = self._head_actions[x] = tuple(coords[hb] for hb in images)
+        return rows
+
+
 @dataclass(frozen=True)
 class HPrimeCharacter:
     """A sign character of the elementary abelian head, given by its sign
     exponents on the basis (h_0, p_1'^2, ...) (0 for +1, 1 for -1); values
-    are read through the head coordinates of its supplement."""
+    are read through the head coordinates of its tables."""
 
     signs: tuple
-    data: SupplementData = field(compare=False, repr=False)
+    tables: CharacterTables = field(compare=False, repr=False)
 
     def value(self, h: MonomialElement) -> int:
         """The sign exponent of h in H'."""
-        coords = _hprime_coordinates(self.data)[h]
+        coords = self.tables.head_coordinates[h]
         return sum(s * c for s, c in zip(self.signs, coords)) % 2
 
 
-def _hprime_basis(data: SupplementData) -> list[MonomialElement]:
-    g = data.ctx.group
-    return [data.ctx.h0] + [g.mul(p, p) for p in data.p_primes]
-
-
-def _hprime_coordinates(data: SupplementData) -> dict:
-    """Coordinates of every H' element over the basis, certified by checking
-    every edge of the labelled orbit."""
-    coords = data.memo.get("hcoords")
-    if coords is not None:
-        return coords
-    g = data.ctx.group
-    basis = _hprime_basis(data)
-    moves = range(len(basis))
-
-    def act(x, i):
-        return g.mul(x, basis[i])
-
-    def step(cx, i):
-        return tuple((c + (1 if j == i else 0)) % 2 for j, c in enumerate(cx))
-
-    coords = orbit({g.identity: (0,) * len(basis)}, moves, act,
-                   len(data.h_prime.elements), step)
-    bad = broken_edge(coords, moves, act, step)
-    if bad is not None:
-        raise VerificationError("head subgroup has hidden relations", {"element": bad})
-    if len(coords) != len(data.h_prime.elements):
-        raise VerificationError("head coordinates missed elements", {})
-    data.memo["hcoords"] = coords
-    return coords
-
-
-def irr_of_hprime(data: SupplementData) -> list[HPrimeCharacter]:
+def irr_of_hprime(tables: CharacterTables) -> list[HPrimeCharacter]:
     """All 2^rank sign characters, ordered by sign vector."""
-    _hprime_coordinates(data)  # certifies the basis before any character exists
-    rank = len(_hprime_basis(data))
-    return [HPrimeCharacter(signs, data) for signs in iproduct((0, 1), repeat=rank)]
-
-
-def _head_action(data: SupplementData, x: MonomialElement) -> tuple:
-    """The H'-coordinates of x b x^{-1} for each basis element b, computed
-    once per element and shared by every head character."""
-    memo = data.memo.setdefault("head_action", {})
-    rows = memo.get(x)
-    if rows is None:
-        g = data.ctx.group
-        coords = _hprime_coordinates(data)
-        x_inv = g.inv(x)
-        images = [g.mul(g.mul(x, b), x_inv) for b in _hprime_basis(data)]
-        if any(hb not in coords for hb in images):
-            raise VerificationError(
-                "conjugation left the head subgroup", {"element": x}
-            )
-        rows = memo[x] = tuple(coords[hb] for hb in images)
-    return rows
+    tables.head_coordinates  # certifies the basis before any character exists
+    rank = len(tables.head_basis)
+    return [HPrimeCharacter(signs, tables) for signs in iproduct((0, 1), repeat=rank)]
 
 
 def _act_on_signs(rows: tuple, signs: tuple) -> tuple:
@@ -116,10 +165,10 @@ def _act_on_signs(rows: tuple, signs: tuple) -> tuple:
     return tuple(sum(s * c for s, c in zip(signs, row)) % 2 for row in rows)
 
 
-def _conj_action_on_characters(data: SupplementData, x: MonomialElement,
+def _conj_action_on_characters(tables: CharacterTables, x: MonomialElement,
                                lam: HPrimeCharacter) -> HPrimeCharacter:
     """lam^x with (lam^x)(h) = lam(x h x^{-1})."""
-    return HPrimeCharacter(_act_on_signs(_head_action(data, x), lam.signs), data)
+    return HPrimeCharacter(_act_on_signs(tables.head_action(x), lam.signs), tables)
 
 
 # -- inertia -------------------------------------------------------------------
@@ -129,57 +178,32 @@ def _conj_action_on_characters(data: SupplementData, x: MonomialElement,
 BRUTE_CAP = 3000
 
 
-def _decomposition(data: SupplementData) -> dict:
-    """The factors (c, p) of every x = c * p in V' = C' x| P', from all
-    |C'|·|P'| products, built once per supplement; two equal products
-    would make the decomposition ambiguous."""
-    decomp = data.memo.get("decomposition")
-    if decomp is not None:
-        return decomp
-    g = data.ctx.group
-    decomp = {}
-    for c in data.c_closure.elements:
-        for p in data.p_closure.elements:
-            x = g.mul(c, p)
-            if decomp.setdefault(x, (c, p)) != (c, p):
-                raise VerificationError(
-                    "supplement element has two decompositions as c * p",
-                    {"element": x, "decompositions": (decomp[x], (c, p))},
-                )
-    data.memo["decomposition"] = decomp
-    return decomp
-
-
-def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter):
+def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
     """(C', P'_lam).  P'_lam filters the symmetric part by the action on
     sign vectors, and every c_i' must fix lam.  Whenever |V'| is within
     BRUTE_CAP, the stabilizer of lam among all elements of V' is also
     counted by brute force and must have |C'|·|P'_lam| elements; the
-    conjugation action of each element is computed once per supplement and
-    shared by all head characters.  Above the cap the cyclic part's
+    conjugation action of each element is computed once per set of tables
+    and shared by all head characters.  Above the cap the cyclic part's
     triviality on characters (a generator check, which the conjugation
     action being a homomorphism extends to the closure) plus the symmetric
     filter give the same set."""
-    key = ("inertia", lam.signs)
-    cached = data.memo.get(key)
+    cached = tables.inertia.get(lam.signs)
     if cached is not None:
         return cached
+    data = tables.data
     p_stab = [
         p for p in data.p_closure.elements
-        if _conj_action_on_characters(data, p, lam) == lam
+        if _conj_action_on_characters(tables, p, lam) == lam
     ]
     for c in data.c_primes:
-        if _conj_action_on_characters(data, c, lam) != lam:
+        if _conj_action_on_characters(tables, c, lam) != lam:
             raise VerificationError(
                 "the cyclic part does not fix a head character",
                 {"signs": lam.signs},
             )
     if data.v_prime_order <= BRUTE_CAP:
-        actions = data.memo.get("product_actions")
-        if actions is None:
-            actions = data.memo["product_actions"] = Counter(
-                _head_action(data, x) for x in _decomposition(data))
-        stab_size = sum(n for rows, n in actions.items()
+        stab_size = sum(n for rows, n in tables.product_actions.items()
                         if _act_on_signs(rows, lam.signs) == lam.signs)
         if stab_size != len(data.c_closure.elements) * len(p_stab):
             raise VerificationError(
@@ -187,32 +211,11 @@ def inertia_decomposition(data: SupplementData, lam: HPrimeCharacter):
                 {"signs": lam.signs, "brute": stab_size,
                  "expected": len(data.c_closure.elements) * len(p_stab)},
             )
-    result = (data.c_closure, p_stab)
-    data.memo[key] = result
+    result = tables.inertia[lam.signs] = (data.c_closure, p_stab)
     return result
 
 
 # -- extensions ------------------------------------------------------------------
-
-
-def _cyclic_sum_coordinates(data: SupplementData) -> dict:
-    """For every element of C', the sum of its exponents over the c_i',
-    modulo 4*d0 (well defined by the central product structure)."""
-    coords = data.memo.get("csum")
-    if coords is not None:
-        return coords
-    g = data.ctx.group
-    mod = 4 * data.ctx.d0
-
-    def step(v, c):
-        return (v + 1) % mod
-
-    coords = orbit({g.identity: 0}, data.c_primes, g.mul,
-                   len(data.c_closure.elements), step)
-    if broken_edge(coords, data.c_primes, g.mul, step) is not None:
-        raise VerificationError("cyclic part has hidden relations", {})
-    data.memo["csum"] = coords
-    return coords
 
 
 def _linear_characters(elements, mul, identity, inverse, modulus):
@@ -282,50 +285,35 @@ class ExtensionCharacter:
     """A linear character of V'_lam = C' x| P'_lam, evaluated as
     theta(c) + mu(p) through the unique decomposition x = c * p."""
 
-    data: SupplementData
+    tables: CharacterTables
     lam: HPrimeCharacter
     modulus: int
     theta_exp: int  # exponent on each c_i' (times modulus / (4 d0))
     mu: dict  # P'_lam element -> exponent
-    csum: dict
     p_stab: list
 
     def theta(self, c: MonomialElement) -> int:
         """theta(c) for c in C': theta_exp times the cyclic sum of c, as an
         exponent modulo `modulus`."""
-        scale = self.modulus // (4 * self.data.ctx.d0)
-        return self.theta_exp * self.csum[c] * scale % self.modulus
+        scale = self.modulus // (4 * self.tables.data.ctx.d0)
+        return self.theta_exp * self.tables.cyclic_sums[c] * scale % self.modulus
 
     def value(self, x: MonomialElement) -> int:
-        c, p = _decomposition(self.data).get(x, (None, None))
+        c, p = self.tables.decomposition.get(x, (None, None))
         if p not in self.mu:
             raise ValueError("element is not in the inertia subgroup")
         return (self.theta(c) + self.mu[p]) % self.modulus
 
-    def conjugate(self, x: MonomialElement) -> "ExtensionCharacter":
-        """The transported character g -> value(x g x^{-1})."""
-        return _TransportedCharacter(self, x)
 
-
-class _TransportedCharacter:
-    def __init__(self, base, x):
-        self.base = base
-        self.x = x
-        self.modulus = base.modulus
-
-    def value(self, y: MonomialElement) -> int:
-        g = self.base.data.ctx.group
-        return self.base.value(g.conj(self.x, y))
-
-
-def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCharacter:
+def extend_character(tables: CharacterTables, lam: HPrimeCharacter) -> ExtensionCharacter:
     """A linear extension of lam to its inertia subgroup: equal values on the
     c_i' pin the cyclic part, the symmetric part is the least solution of the
     restriction constraints among the linear characters of P'_lam."""
+    data = tables.data
     g = data.ctx.group
     d0 = data.ctx.d0
-    _, p_stab = inertia_decomposition(data, lam)
-    csum = _cyclic_sum_coordinates(data)
+    _, p_stab = inertia_decomposition(tables, lam)
+    tables.cyclic_sums  # certifies theta before the symmetric part is solved
     # theta: value on every c_i' is a fixed root with square-chain matching
     # lam(h_0); h_0 sits at cyclic sum 2*d0
     theta_exp = lam.value(data.ctx.h0)
@@ -353,23 +341,22 @@ def extend_character(data: SupplementData, lam: HPrimeCharacter) -> ExtensionCha
             {"signs": lam.signs},
         )
     mu = min(valid, key=lambda chi: tuple(chi[x] for x in sorted(chi)))
-    ext = ExtensionCharacter(data, lam, modulus, theta_exp, mu, csum, p_stab)
-    _check_restriction(data, lam, ext)
+    ext = ExtensionCharacter(tables, lam, modulus, theta_exp, mu, p_stab)
+    _check_restriction(ext)
     return ext
 
 
-def _check_restriction(data: SupplementData, lam: HPrimeCharacter,
-                       ext: ExtensionCharacter) -> None:
-    for h in data.h_prime.elements:
+def _check_restriction(ext: ExtensionCharacter) -> None:
+    for h in ext.tables.data.h_prime.elements:
         got = ext.value(h)
-        if got != (lam.value(h) * ext.modulus // 2) % ext.modulus:
+        if got != (ext.lam.value(h) * ext.modulus // 2) % ext.modulus:
             raise VerificationError(
                 "extension does not restrict to the head character",
-                {"signs": lam.signs, "element": h, "got": got},
+                {"signs": ext.lam.signs, "element": h, "got": got},
             )
 
 
-def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
+def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> int:
     """Exact multiplicativity of ext on V'_lam = C' x| P'_lam by the
     semidirect-product criterion (Clifford theory of a split extension):
     f(c * p) = theta(c) + mu(p) is a homomorphism exactly when theta is one
@@ -384,11 +371,12 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
       C' that theta, a homomorphism, cannot tell apart from the identity.
 
     theta is theta_exp times the cyclic sum, a homomorphism on C' certified
-    when `_cyclic_sum_coordinates` found every Cayley edge of C' over the
-    c_i' consistent; it is not checked again here.  Returns the number of
-    relations checked."""
+    when `CharacterTables.cyclic_sums` found every Cayley edge of C' over
+    the c_i' consistent; it is not checked again here.  Returns the number
+    of relations checked."""
+    data = tables.data
     g = data.ctx.group
-    csum = _cyclic_sum_coordinates(data)
+    csum = tables.cyclic_sums
 
     def fail(**pair):
         raise VerificationError(
@@ -397,7 +385,7 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
 
     if set(ext.mu) != set(ext.p_stab):
         fail(mu_domain=len(ext.mu), p_part=len(ext.p_stab))
-    decomp = _decomposition(data)
+    decomp = tables.decomposition
     for p in ext.p_stab:
         if decomp.get(p) != (g.identity, p):
             fail(p=p, decomposition=decomp.get(p))
@@ -418,19 +406,20 @@ def check_multiplicative(data: SupplementData, ext: ExtensionCharacter) -> int:
 # -- equivariant assembly --------------------------------------------------------
 
 
-def verify_equivariance(data: SupplementData) -> dict:
+def verify_equivariance(tables: CharacterTables) -> dict:
     """Build the extension map on orbit representatives, transport along a
     fixed transversal, and check V'-equivariance on generators.  Field
     automorphisms centralize the supplement here, so the outer action is
     trivial; nontrivial outer actions are reported as unexercised."""
+    data = tables.data
     g = data.ctx.group
-    chars = irr_of_hprime(data)
+    chars = irr_of_hprime(tables)
     gens = [data.c_primes[0]] + list(data.p_primes)
 
     by_signs = {lam.signs: lam for lam in chars}
 
     def act(signs, x):
-        return _conj_action_on_characters(data, x, by_signs[signs]).signs
+        return _conj_action_on_characters(tables, x, by_signs[signs]).signs
 
     # orbits under the generated action, each sign vector labelled with its
     # mover: the generators along its BFS path, the last step leftmost
@@ -440,28 +429,32 @@ def verify_equivariance(data: SupplementData) -> dict:
             continue
         orbits.append(orbit({signs: g.identity}, gens, act, len(chars),
                             step=lambda mover, x: g.mul(x, mover)))
+    # each sign vector maps to its representative's extension and the
+    # transporter x = mover^{-1}, the extension being y -> ext(x y x^{-1})
     extension_of = {}
     for orb in orbits:
         rep_signs = min(orb)
-        base_ext = extend_character(data, by_signs[rep_signs])
+        base_ext = extend_character(tables, by_signs[rep_signs])
         for signs, mover in orb.items():
-            extension_of[signs] = (
-                base_ext if signs == rep_signs else base_ext.conjugate(g.inv(mover))
-            )
+            extension_of[signs] = (base_ext, None if signs == rep_signs else g.inv(mover))
+
+    def extension_value(signs, y):
+        ext, x = extension_of[signs]
+        return ext.value(y if x is None else g.conj(x, y))
+
     # equivariance on generators: Lambda(lam^x) == Lambda(lam)^x on the
     # inertia subgroup of lam^x
     checked = 0
     gens_with_inverses = [(x, g.inv(x)) for x in gens]
     for lam in chars:
         for x, x_inv in gens_with_inverses:
-            nu = _conj_action_on_characters(data, x, lam)
-            lhs = extension_of[nu.signs]
-            rhs_base = extension_of[lam.signs]
-            _, p_stab_nu = inertia_decomposition(data, nu)
+            nu = _conj_action_on_characters(tables, x, lam)
+            modulus = extension_of[nu.signs][0].modulus
+            _, p_stab_nu = inertia_decomposition(tables, nu)
             probes = list(data.c_primes) + list(p_stab_nu)
             for y in probes:
-                want = rhs_base.value(g.mul(g.mul(x_inv, y), x))
-                if lhs.value(y) % lhs.modulus != want % lhs.modulus:
+                want = extension_value(lam.signs, g.mul(g.mul(x_inv, y), x))
+                if extension_value(nu.signs, y) % modulus != want % modulus:
                     raise VerificationError(
                         "extension map is not equivariant",
                         {"lam": lam.signs, "x": x, "probe": y},

@@ -27,7 +27,7 @@ from .roots import (
     simple_roots,
 )
 from .sperm import reflection
-from .supplement import SupplementContext, build_supplement, build_twist, twist_d0
+from .supplement import SupplementContext, build_supplement
 from .tits import ExtendedWeylGroup, MonomialElement, root_character_eval
 
 __all__ = [
@@ -144,6 +144,8 @@ class SignTable:
         return replace(self, eta=eta)
 
 
+# Constants of the rank, read by separately called suites at every point of
+# it (suite-major callers included), so they live for the process.
 _sign_table_cache: dict = {}
 
 
@@ -333,14 +335,13 @@ def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
 def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3) -> dict:
     """F^{d0} on x_{e_1-e_2}(u) gives x_{eps (e_1-e_2)}(eps u^{q^{d0}}) with
     eps = +1 for odd d and -1 for even d."""
-    d0, n = twist_d0(l, d, q), l + m
-    g = ExtendedWeylGroup(max(n, 2))
-    v_l = build_twist(g, l, d)
+    ctx = SupplementContext(l, d, m, q)
+    g, d0, n = ctx.group, ctx.d0, ctx.n
     table = build_sign_table(n)
     eps = 1 if d % 2 else -1
     base_root = tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(n))
     term = FormalRootTerm(base_root)
-    got = twisted_frobenius_power(g, table, term, q, v_l, d0)
+    got = twisted_frobenius_power(g, table, term, q, ctx.v_l, d0)
     expected = FormalRootTerm(
         tuple(eps * x for x in base_root), eps, d0
     )
@@ -350,7 +351,7 @@ def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3) -> dict:
             {"l": l, "d": d, "got": got, "expected": expected},
         )
     # applying it twice returns to the original root with sign +1
-    round_trip = twisted_frobenius_power(g, table, term, q, v_l, 2 * d0)
+    round_trip = twisted_frobenius_power(g, table, term, q, ctx.v_l, 2 * d0)
     if round_trip != FormalRootTerm(base_root, 1, 2 * d0):
         raise VerificationError(
             "double twisted Frobenius power is not the identity on terms",

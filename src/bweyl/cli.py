@@ -103,10 +103,13 @@ def _run_point_suite(task) -> list:
 def cmd_verify(args) -> int:
     from .suites import GLOBAL_SUITES, POINT_SUITES
 
+    suites = args.suite or (list(GLOBAL_SUITES) + list(POINT_SUITES))
+    least_ell = 5 if "atlas-ellparts" in suites else 3  # the atlas needs ell >= 5
     rules = (("--d0", args.d0, lambda v: v >= 1 and v % 2, "odd integers >= 1"),
              ("--tl", args.tl, lambda v: v >= 1, "integers >= 1"),
              ("--m", args.m, lambda v: v >= 0, "integers >= 0"),
-             ("--ell", args.ell, lambda v: v > 2 and is_prime(v), "odd primes"),
+             ("--ell", args.ell, lambda v: v >= least_ell and is_prime(v),
+              f"primes >= {least_ell}"),
              ("--q", args.q, lambda v: v >= 2, "integers >= 2"))
     for flag, values, ok, want in rules:
         if not values or not all(map(ok, values)):
@@ -117,7 +120,6 @@ def cmd_verify(args) -> int:
         if value < least:
             print(f"error: {flag} wants an integer >= {least}", file=sys.stderr)
             return USAGE_ERROR
-    suites = args.suite or (list(GLOBAL_SUITES) + list(POINT_SUITES))
     unknown = [s for s in suites if s not in GLOBAL_SUITES and s not in POINT_SUITES]
     if unknown:
         print(f"error: unknown suites {unknown}", file=sys.stderr)
@@ -253,7 +255,6 @@ def cmd_group(args) -> int:
     except VerificationError as err:
         print(f"identity failure: {err} {err.counterexample}", file=sys.stderr)
         return CHECK_FAILURE
-    g = data.ctx.group
     summary = {
         "params": {"d0": args.d0, "t_l": args.tl, "m": args.m, "d": args.d,
                    "l": l, "rank": data.ctx.n},

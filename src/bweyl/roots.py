@@ -180,7 +180,6 @@ def component_types(subset: RootSubset) -> list[tuple[str, int]]:
     out = []
     for comp in subset.components():
         shorts = sum(1 for a in comp if dot(a, a) == 1)
-        longs = sum(1 for a in comp if dot(a, a) == 2)
         doubles = sum(1 for a in comp if dot(a, a) == 4)
         size = len(comp)
         if doubles and not shorts:

@@ -8,6 +8,10 @@ p_k, the distinguished cycle lift c_1, the folding homomorphisms iota_1 and
 iota_2, and the supplement V' = C' x| P' with V' cap H = H'.  Every claimed
 identity is checked exactly; failures raise with a counterexample payload.
 
+A `SupplementContext` builds the group, v_l and h_0 at once and every other
+element on first use; `build_supplement` keeps one verified supplement per
+(l, d, m, q) for the process.
+
 Conjugation is written x^g = g x g^{-1} throughout.
 """
 
@@ -44,7 +48,6 @@ __all__ = [
     "build_supplement",
     "build_twist",
     "check_frobenius_conventions",
-    "twist_d0",
     "verify_extmap_hypotheses",
 ]
 
@@ -55,17 +58,6 @@ def build_twist(group: ExtendedWeylGroup, l: int, d: int) -> MonomialElement:
         raise ValueError(f"need d | 2l and l <= rank, got l={l} d={d}")
     v_l0 = group.prod([group.simple_lift(i) for i in range(1, l + 1)])
     return group.power(v_l0, 2 * l // d)
-
-
-def twist_d0(l: int, d: int, q: int) -> int:
-    """d0 of the twist parity d, after checking that 2*d0 divides l >= 2 and
-    that q is odd."""
-    d0 = d if d % 2 else d // 2
-    if l % (2 * d0) or l < 2:
-        raise ValueError(f"l = {l} is not a multiple of 2*d0 = {2 * d0}")
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
-    return d0
 
 
 @dataclass
@@ -83,14 +75,16 @@ class SupplementContext:
     n: int = field(init=False)
 
     def __post_init__(self):
-        self.d0 = twist_d0(self.l, self.d, self.q)
+        self.d0 = self.d if self.d % 2 else self.d // 2
+        if self.l % (2 * self.d0) or self.l < 2:
+            raise ValueError(f"l = {self.l} is not a multiple of 2*d0 = {2 * self.d0}")
+        if self.q % 2 == 0:
+            raise ValueError("q must be odd")
         self.t_l = self.l // (2 * self.d0)
         self.a_l = 2 * self.t_l
         self.n = self.l + self.m
         self.group = ExtendedWeylGroup(max(self.n, 2))
-        g = self.group
-        self.v_l = build_twist(g, self.l, self.d)
-        self.v_l_prime = build_twist(g, self.l, 2 * self.d0)  # (m_1 ... m_l)^{a_l}
+        self.v_l = build_twist(self.group, self.l, self.d)
         self.w_l = self.v_l.weyl
         self.orbits = orbits_on_support(self.w_l, self.l)
         if len(self.orbits) != self.a_l or any(len(o) != self.d0 for o in self.orbits):
@@ -98,12 +92,7 @@ class SupplementContext:
                 "twist orbits do not have the expected shape",
                 {"l": self.l, "d": self.d, "orbits": self.orbits},
             )
-        self.h0 = g.h_short(1, 2)
-        self.h = [None] + [
-            g.prod([g.h_short(i, 1) for i in orbit]) for orbit in self.orbits
-        ]
-        self.p = [None] + [self._build_p(k) for k in range(1, self.a_l)]
-        self.cbar1 = self._build_cbar1()
+        self.h0 = self.group.h_short(1, 2)
 
     # -- twisted Frobenius ----------------------------------------------------
 
@@ -137,10 +126,25 @@ class SupplementContext:
         mul = self.group.mul
         return reduce(mul, [mul(mul(vk, x), vk_inv) for vk, vk_inv in self._twist_powers], x)
 
-    def _build_p(self, k: int) -> MonomialElement:
-        return self.iota1(self.group.simple_lift(k + 1))
+    @cached_property
+    def v_l_prime(self) -> MonomialElement:
+        """(m_1 ... m_l)^{a_l}, the twist of parity 2*d0."""
+        return build_twist(self.group, self.l, 2 * self.d0)
 
-    def _build_cbar1(self) -> SignedPermutation:
+    @cached_property
+    def h(self) -> list:
+        """[None, h_1, ..., h_{a_l}], h_k the short-root torus over orbit k."""
+        g = self.group
+        return [None] + [g.prod([g.h_short(i, 1) for i in o]) for o in self.orbits]
+
+    @cached_property
+    def p(self) -> list:
+        """[None, p_1, ..., p_{a_l - 1}], p_k = iota_1(m_{k+1})."""
+        return [None] + [self.iota1(self.group.simple_lift(k + 1))
+                         for k in range(1, self.a_l)]
+
+    @cached_property
+    def cbar1(self) -> SignedPermutation:
         """The signed 2*d0-cycle 1 -> a_l+1 -> ... -> -1 -> ... through the
         first orbit.  For even d this is the twist cycle containing 1; for
         odd d it is the inverse of the product of the two mirrored d-cycles
@@ -228,6 +232,7 @@ class SupplementContext:
             x = self.pconj(x, gelt)
         return x
 
+    @cached_property
     def g1_g2(self) -> tuple[MonomialElement, MonomialElement]:
         """The two interleaving elements.  The i-th factor of g_1 carries the
         conjugator word p_{i+1} ... p_{2i-2}, which for i = 1 has negative
@@ -246,22 +251,23 @@ class SupplementContext:
         return g.prod(factors1), g.prod(factors2)
 
     def iota2(self, x: MonomialElement) -> MonomialElement:
-        g1, g2 = self.g1_g2()
-        g = self.group
-        return g.mul(self.pconj(x, g1), self.pconj(x, g2))
+        g1, g2 = self.g1_g2
+        return self.group.mul(self.pconj(x, g1), self.pconj(x, g2))
 
+    @cached_property
     def p_primes(self) -> list[MonomialElement]:
         return [self.iota2(self.p[i]) for i in range(1, self.t_l)]
 
+    @cached_property
     def c1_prime(self) -> MonomialElement:
         g = self.group
         return g.mul(self.c1, self.pconj(self.c1, self.p[1])) if self.a_l >= 2 else self.c1
 
+    @cached_property
     def c_primes(self) -> list[MonomialElement]:
-        c1p = self.c1_prime()
-        pps = self.p_primes()
         return [
-            self.word_conj(c1p, pps[: i - 1]) for i in range(1, self.t_l + 1)
+            self.word_conj(self.c1_prime, self.p_primes[: i - 1])
+            for i in range(1, self.t_l + 1)
         ]
 
 
@@ -384,10 +390,11 @@ class SupplementData:
     h_prime: GeneratedSubgroup
     v_prime_order: int
     relative_weyl_order: int
-    # tables that charext derives from this supplement, built once each
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+# Five separately called point suites read a point's supplement, and callers
+# may run them suite-major, where an owner holding one point would rebuild it
+# per suite: supplements live for the process (CharacterTables do not).
 _supplement_cache: dict = {}
 
 
@@ -419,8 +426,8 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
     verify_p_elements(ctx)
     verify_c1(ctx)
     _verify_iota1(ctx)
-    c_primes = ctx.c_primes()
-    p_primes = ctx.p_primes()
+    c_primes = ctx.c_primes
+    p_primes = ctx.p_primes
     _verify_iota2(ctx, p_primes)
     _verify_weyl_images(ctx, c_primes, p_primes)
     _verify_conjugation_table(ctx, c_primes, p_primes)
@@ -551,7 +558,7 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> None:
         _expect(lhs == rhs, "braid relation for p_i'", {"i": i + 1})
     for pp in p_primes:
         _expect(ctx.is_frob_fixed(pp), "p_i' fixed by twisted Frobenius", {})
-    g1, g2 = ctx.g1_g2()
+    g1, g2 = ctx.g1_g2
     _expect(ctx.is_frob_fixed(g1), "g_1 fixed by twisted Frobenius", {})
     _expect(ctx.is_frob_fixed(g2), "g_2 fixed by twisted Frobenius", {})
 
@@ -580,7 +587,6 @@ def _verify_weyl_images(ctx, c_primes, p_primes) -> None:
 
 
 def _verify_conjugation_table(ctx, c_primes, p_primes) -> None:
-    g = ctx.group
     for i, c in enumerate(c_primes, start=1):
         for j, pp in enumerate(p_primes, start=1):
             got = ctx.pconj(c, pp)

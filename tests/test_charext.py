@@ -1,15 +1,16 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
 from bweyl import BudgetExceededError, VerificationError
 from bweyl import charext, supplement
 from bweyl.charext import (
+    CharacterTables,
     _check_restriction,
     _conj_action_on_characters,
-    _decomposition,
-    _head_action,
     _linear_characters,
     check_multiplicative,
     extend_character,
@@ -28,155 +29,157 @@ from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
 
 
 @pytest.fixture(scope="module")
-def data_t1():
-    return build_supplement(2, 1, 0)
+def tables_t1():
+    return CharacterTables(build_supplement(2, 1, 0))
 
 
 @pytest.fixture(scope="module")
-def data_t2():
-    return build_supplement(4, 2, 0)
+def tables_t2():
+    return CharacterTables(build_supplement(4, 2, 0))
 
 
 @pytest.fixture(scope="module")
-def data_t3():
-    return build_supplement(6, 1, 0)
+def tables_t3():
+    return CharacterTables(build_supplement(6, 1, 0))
 
 
-def test_character_counts(data_t1, data_t3):
-    assert len(irr_of_hprime(data_t1)) == 2
-    assert len(irr_of_hprime(data_t3)) == 8
-    trivial = irr_of_hprime(data_t1)[0]
-    assert all(trivial.value(h) == 0 for h in data_t1.h_prime.elements)
+def test_character_counts(tables_t1, tables_t3):
+    assert len(irr_of_hprime(tables_t1)) == 2
+    assert len(irr_of_hprime(tables_t3)) == 8
+    trivial = irr_of_hprime(tables_t1)[0]
+    assert all(trivial.value(h) == 0 for h in tables_t1.data.h_prime.elements)
 
 
-def test_character_values_are_signs(data_t2):
-    for lam in irr_of_hprime(data_t2):
-        assert all(lam.value(h) in (0, 1) for h in data_t2.h_prime.elements)
+def test_character_values_are_signs(tables_t2):
+    for lam in irr_of_hprime(tables_t2):
+        assert all(lam.value(h) in (0, 1) for h in tables_t2.data.h_prime.elements)
 
 
-def test_inertia_trivial_character(data_t2):
-    lam = irr_of_hprime(data_t2)[0]
-    _, p_stab = inertia_decomposition(data_t2, lam)
-    assert len(p_stab) == len(data_t2.p_closure.elements)
+def test_inertia_trivial_character(tables_t2):
+    lam = irr_of_hprime(tables_t2)[0]
+    _, p_stab = inertia_decomposition(tables_t2, lam)
+    assert len(p_stab) == len(tables_t2.data.p_closure.elements)
 
 
-def test_inertia_orbit_structure(data_t3):
+def test_inertia_orbit_structure(tables_t3):
     # at t_l = 3 the symmetric part moves some sign patterns
     sizes = set()
-    for lam in irr_of_hprime(data_t3):
-        _, p_stab = inertia_decomposition(data_t3, lam)
+    for lam in irr_of_hprime(tables_t3):
+        _, p_stab = inertia_decomposition(tables_t3, lam)
         sizes.add(len(p_stab))
     assert len(sizes) > 1  # some characters have proper inertia
 
 
-def test_extension_primitive_fourth_root(data_t1):
-    lam = [c for c in irr_of_hprime(data_t1) if c.signs == (1,)][0]
-    ext = extend_character(data_t1, lam)
-    c1p = data_t1.c_primes[0]
+def test_extension_primitive_fourth_root(tables_t1):
+    lam = [c for c in irr_of_hprime(tables_t1) if c.signs == (1,)][0]
+    ext = extend_character(tables_t1, lam)
+    c1p = tables_t1.data.c_primes[0]
     val = ext.value(c1p)
     # a primitive fourth root: its square is the value of h_0 = (c_1')^2
     assert ext.modulus % 4 == 0
     assert val * 2 % ext.modulus == ext.modulus // 2
-    g = data_t1.ctx.group
+    g = tables_t1.data.ctx.group
     assert ext.value(g.mul(c1p, c1p)) == ext.modulus // 2  # equals lam(h_0) = -1
 
 
-def test_trivial_extension_is_trivial(data_t1):
-    lam = irr_of_hprime(data_t1)[0]
-    ext = extend_character(data_t1, lam)
-    g = data_t1.ctx.group
-    for c in data_t1.c_closure.elements:
+def test_trivial_extension_is_trivial(tables_t1):
+    lam = irr_of_hprime(tables_t1)[0]
+    ext = extend_character(tables_t1, lam)
+    for c in tables_t1.data.c_closure.elements:
         assert ext.value(c) == 0
     for p in ext.p_stab:
         assert ext.value(p) == 0
 
 
-def test_value_table_matches_decomposition(data_t3):
-    g = data_t3.ctx.group
-    lam = max(irr_of_hprime(data_t3), key=lambda c: c.signs)
-    ext = extend_character(data_t3, lam)
-    assert len(ext.p_stab) < len(data_t3.p_closure.elements)
-    scale = ext.modulus // (4 * data_t3.ctx.d0)
-    for c in data_t3.c_closure.elements:
+def test_value_table_matches_decomposition(tables_t3):
+    data = tables_t3.data
+    g = data.ctx.group
+    lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
+    ext = extend_character(tables_t3, lam)
+    assert len(ext.p_stab) < len(data.p_closure.elements)
+    scale = ext.modulus // (4 * data.ctx.d0)
+    for c in data.c_closure.elements:
         for p in ext.p_stab:
-            want = (ext.theta_exp * ext.csum[c] * scale + ext.mu[p]) % ext.modulus
+            want = (ext.theta_exp * tables_t3.cyclic_sums[c] * scale
+                    + ext.mu[p]) % ext.modulus
             assert ext.value(g.mul(c, p)) == want
-    outside = next(p for p in data_t3.p_closure.elements if p not in ext.p_stab)
+    outside = next(p for p in data.p_closure.elements if p not in ext.p_stab)
     with pytest.raises(ValueError):
         ext.value(outside)
 
 
-def test_value_table_rejects_two_values(data_t1):
-    lam = [c for c in irr_of_hprime(data_t1) if c.signs == (1,)][0]
-    ext = extend_character(data_t1, lam)
+def test_value_table_rejects_two_values(tables_t1):
+    lam = [c for c in irr_of_hprime(tables_t1) if c.signs == (1,)][0]
+    ext = extend_character(tables_t1, lam)
     # c_1' listed in the symmetric part, with a value of its own; V'
     # decomposes c_1' as c_1' * 1, so it is not in P'
-    c1p = data_t1.c_primes[0]
+    c1p = tables_t1.data.c_primes[0]
     corrupt = dataclasses.replace(
         ext, p_stab=list(ext.p_stab) + [c1p],
         mu={**ext.mu, c1p: (ext.value(c1p) + 1) % ext.modulus},
     )
     with pytest.raises(VerificationError, match="not multiplicative") as err:
-        check_multiplicative(data_t1, corrupt)
+        check_multiplicative(tables_t1, corrupt)
     assert err.value.counterexample["decomposition"] == (
-        c1p, data_t1.ctx.group.identity)
+        c1p, tables_t1.data.ctx.group.identity)
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (2, 2, 1), (4, 1, 0), (4, 2, 1), (6, 3, 0)])
 def test_restriction_and_multiplicativity(l, d, m):
-    data = build_supplement(l, d, m)
-    for lam in irr_of_hprime(data):
-        ext = extend_character(data, lam)
+    tables = CharacterTables(build_supplement(l, d, m))
+    for lam in irr_of_hprime(tables):
+        ext = extend_character(tables, lam)
         # restriction to the head is rechecked inside extend_character;
         # verify multiplicativity across the inertia subgroup as well
-        assert check_multiplicative(data, ext) > 0
+        assert check_multiplicative(tables, ext) > 0
 
 
-def _nontrivial_extension(data):
-    lam = next(c for c in irr_of_hprime(data) if c.signs[0] == 1)
-    ext = extend_character(data, lam)
+def _nontrivial_extension(tables):
+    lam = next(c for c in irr_of_hprime(tables) if c.signs[0] == 1)
+    ext = extend_character(tables, lam)
     assert ext.theta_exp == 1
     return ext
 
 
-def test_multiplicativity_rejects_corrupted_mu(data_t2):
-    ext = _nontrivial_extension(data_t2)
-    g = data_t2.ctx.group
+def test_multiplicativity_rejects_corrupted_mu(tables_t2):
+    ext = _nontrivial_extension(tables_t2)
+    g = tables_t2.data.ctx.group
     p = next(p for p in ext.p_stab if p != g.identity)
     corrupt = dataclasses.replace(
         ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
     with pytest.raises(VerificationError, match="not multiplicative"):
-        check_multiplicative(data_t2, corrupt)
+        check_multiplicative(tables_t2, corrupt)
 
 
-def test_multiplicativity_rejects_mu_outside_the_inertia_group(data_t3):
+def test_multiplicativity_rejects_mu_outside_the_inertia_group(tables_t3):
     # value answers wherever mu is defined, so mu must not reach past P'_lam
-    lam = max(irr_of_hprime(data_t3), key=lambda c: c.signs)
-    ext = extend_character(data_t3, lam)
-    outside = next(p for p in data_t3.p_closure.elements if p not in ext.p_stab)
+    lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
+    ext = extend_character(tables_t3, lam)
+    outside = next(p for p in tables_t3.data.p_closure.elements
+                   if p not in ext.p_stab)
     corrupt = dataclasses.replace(ext, mu={**ext.mu, outside: 0})
     assert corrupt.value(outside) == 0
     with pytest.raises(VerificationError, match="not multiplicative"):
-        check_multiplicative(data_t3, corrupt)
+        check_multiplicative(tables_t3, corrupt)
 
 
-def test_multiplicativity_rejects_corrupted_theta(data_t2):
+def test_multiplicativity_rejects_corrupted_theta(tables_t2):
     # any theta_exp gives a homomorphism theta_exp * csum on C', so a wrong
     # one is multiplicative; theta_exp = 2 sends h_0 to +1 while lam(h_0) is
     # -1, so the extension no longer restricts to lam
-    ext = _nontrivial_extension(data_t2)
+    ext = _nontrivial_extension(tables_t2)
     corrupt = dataclasses.replace(ext, theta_exp=2)
-    assert check_multiplicative(data_t2, corrupt) > 0
+    assert check_multiplicative(tables_t2, corrupt) > 0
     with pytest.raises(VerificationError, match="does not restrict"):
-        _check_restriction(data_t2, ext.lam, corrupt)
+        _check_restriction(corrupt)
 
 
-def test_multiplicativity_rejects_corrupted_conjugation(data_t2, monkeypatch):
-    ext = _nontrivial_extension(data_t2)
-    check_multiplicative(data_t2, ext)
-    g = data_t2.ctx.group
+def test_multiplicativity_rejects_corrupted_conjugation(tables_t2, monkeypatch):
+    ext = _nontrivial_extension(tables_t2)
+    check_multiplicative(tables_t2, ext)
+    g = tables_t2.data.ctx.group
     p = next(p for p in ext.p_stab if p != g.identity)
-    c = data_t2.c_primes[-1]
+    c = tables_t2.data.c_primes[-1]
     conj = g.conj
 
     def corrupt(x, y):
@@ -185,13 +188,13 @@ def test_multiplicativity_rejects_corrupted_conjugation(data_t2, monkeypatch):
 
     monkeypatch.setattr(g, "conj", corrupt)
     with pytest.raises(VerificationError, match="not multiplicative"):
-        check_multiplicative(data_t2, ext)
+        check_multiplicative(tables_t2, ext)
 
 
-def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(data_t2):
-    ext = _nontrivial_extension(data_t2)
-    g = data_t2.ctx.group
-    h0 = data_t2.ctx.h0
+def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(tables_t2):
+    ext = _nontrivial_extension(tables_t2)
+    g = tables_t2.data.ctx.group
+    h0 = tables_t2.data.ctx.h0
     # P'_lam x <h_0> with mu extended by the value of h_0 in C': a closed
     # symmetric part with a homomorphic mu, but h_0 lies in C', so the new
     # elements decompose as h_0 * p and are not in P'
@@ -201,76 +204,69 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(data_t2):
     corrupt = dataclasses.replace(
         ext, p_stab=list(ext.p_stab) + list(extra), mu={**ext.mu, **extra})
     with pytest.raises(VerificationError, match="not multiplicative") as err:
-        check_multiplicative(data_t2, corrupt)
+        check_multiplicative(tables_t2, corrupt)
     assert err.value.counterexample["decomposition"][0] == h0
 
 
-def test_cyclic_part_moving_a_head_character_is_rejected(data_t3):
+def test_cyclic_part_moving_a_head_character_is_rejected(tables_t3):
     # p_1' listed among the c_i' moves some head character
-    p1 = data_t3.p_primes[0]
-    data = dataclasses.replace(data_t3, c_primes=list(data_t3.c_primes) + [p1])
-    lam = next(lam for lam in irr_of_hprime(data)
-               if _conj_action_on_characters(data, p1, lam) != lam)
+    data = tables_t3.data
+    p1 = data.p_primes[0]
+    tables = CharacterTables(
+        dataclasses.replace(data, c_primes=list(data.c_primes) + [p1]))
+    lam = next(lam for lam in irr_of_hprime(tables)
+               if _conj_action_on_characters(tables, p1, lam) != lam)
     with pytest.raises(VerificationError, match="cyclic part does not fix"):
-        inertia_decomposition(data, lam)
+        inertia_decomposition(tables, lam)
 
 
-def test_inertia_disagreeing_with_brute_force_is_rejected(data_t3, monkeypatch):
-    data = dataclasses.replace(data_t3)
-    assert data.v_prime_order <= charext.BRUTE_CAP
-    g = data.ctx.group
-    moved = set(data.p_closure.elements) - {g.identity}
+def test_inertia_disagreeing_with_brute_force_is_rejected(tables_t3, monkeypatch):
+    tables = CharacterTables(tables_t3.data)
+    assert tables.data.v_prime_order <= charext.BRUTE_CAP
+    g = tables.data.ctx.group
+    moved = set(tables.data.p_closure.elements) - {g.identity}
     conj = charext._conj_action_on_characters
 
-    def corrupt(d, x, lam):
+    def corrupt(t, x, lam):
         # every non-identity element of P' claims to move every character
         if x in moved:
-            return charext.HPrimeCharacter(tuple(1 - s for s in lam.signs), d)
-        return conj(d, x, lam)
+            return charext.HPrimeCharacter(tuple(1 - s for s in lam.signs), t)
+        return conj(t, x, lam)
 
     monkeypatch.setattr(charext, "_conj_action_on_characters", corrupt)
     with pytest.raises(VerificationError,
                        match="not the expected semidirect product"):
-        inertia_decomposition(data, irr_of_hprime(data)[0])
+        inertia_decomposition(tables, irr_of_hprime(tables)[0])
 
 
-def test_conjugation_leaving_the_head_is_rejected(data_t3):
-    data = dataclasses.replace(data_t3)
+def test_conjugation_leaving_the_head_is_rejected(tables_t3):
+    tables = CharacterTables(tables_t3.data)
     with pytest.raises(VerificationError, match="left the head subgroup"):
-        _head_action(data, data.ctx.group.simple_lift(3))
+        tables.head_action(tables.data.ctx.group.simple_lift(3))
 
 
-def test_ambiguous_decomposition_is_rejected(data_t3):
+def test_ambiguous_decomposition_is_rejected(tables_t3):
     # P' together with its h_0-translates: h_0 * p and 1 * (p h_0) are one
     # element, h_0 being central
-    g = data_t3.ctx.group
-    h0 = data_t3.ctx.h0
-    closure = data_t3.p_closure
-    translates = tuple(g.mul(p, h0) for p in closure.elements)
-    data = dataclasses.replace(data_t3, p_closure=dataclasses.replace(
-        closure, elements=closure.elements + translates))
-    with pytest.raises(VerificationError, match="two decompositions"):
-        _decomposition(data)
-
-
-def test_decomposition_built_once_and_values_are_lookups(data_t3, monkeypatch):
-    data = dataclasses.replace(data_t3)
+    data = tables_t3.data
     g = data.ctx.group
-    builds = []
-    decomposition = charext._decomposition
+    h0 = data.ctx.h0
+    closure = data.p_closure
+    translates = tuple(g.mul(p, h0) for p in closure.elements)
+    tables = CharacterTables(dataclasses.replace(data, p_closure=dataclasses.replace(
+        closure, elements=closure.elements + translates)))
+    with pytest.raises(VerificationError, match="two decompositions"):
+        tables.decomposition
 
-    def recording(d):
-        if "decomposition" not in d.memo:
-            builds.append(d)
-        return decomposition(d)
 
-    monkeypatch.setattr(charext, "_decomposition", recording)
-    exts = [extend_character(data, lam) for lam in irr_of_hprime(data)]
+def test_decomposition_built_once_and_values_are_lookups(tables_t3, monkeypatch):
+    tables = CharacterTables(tables_t3.data)
+    g = tables.data.ctx.group
+    exts = [extend_character(tables, lam) for lam in irr_of_hprime(tables)]
     for ext in exts:
-        check_multiplicative(data, ext)
-    assert len(builds) == 1
-    v_prime = list(data.memo["decomposition"])
-    assert len(v_prime) == data.v_prime_order
+        check_multiplicative(tables, ext)
+    v_prime = list(tables.decomposition)
+    assert len(v_prime) == tables.data.v_prime_order
     muls = []
     mul = g.mul
     monkeypatch.setattr(g, "mul", lambda x, y: muls.append((x, y)) or mul(x, y))
@@ -282,19 +278,23 @@ def test_decomposition_built_once_and_values_are_lookups(data_t3, monkeypatch):
                 inside += 1
             except ValueError:
                 pass
-        assert inside == len(data.c_closure.elements) * len(ext.p_stab)
+        assert inside == len(tables.data.c_closure.elements) * len(ext.p_stab)
+    # every extension read the one decomposition, built before the
+    # multiplication was wrapped
     assert muls == []
     outside = g.simple_lift(3)
-    assert outside not in data.memo["decomposition"]
+    assert outside not in tables.decomposition
     for ext in exts:
+        assert ext.tables is tables
         with pytest.raises(ValueError):
             ext.value(outside)
 
 
-def _cayley_edge_verdict(data, ext):
+def _cayley_edge_verdict(tables, ext):
     """Reference: the value table is a homomorphism when every Cayley edge
     over c_primes plus a generating sequence of P'_lam adds the value of
     its generator, and 1 has value 0."""
+    data = tables.data
     g = data.ctx.group
     gens, span = [], {g.identity}
     for p in ext.p_stab:
@@ -310,9 +310,9 @@ def _cayley_edge_verdict(data, ext):
                        lambda v, s: (v + table[s]) % ext.modulus) is None
 
 
-def _exact_verdict(data, ext):
+def _exact_verdict(tables, ext):
     try:
-        check_multiplicative(data, ext)
+        check_multiplicative(tables, ext)
     except VerificationError:
         return False
     return True
@@ -321,35 +321,51 @@ def _exact_verdict(data, ext):
 @pytest.mark.parametrize("point", [p for p in SWEEP_POINTS if p[0] == 1])
 def test_exact_multiplicativity_matches_cayley_edges(point):
     d0, t_l, m, d = point
-    data = build_supplement(2 * d0 * t_l, d, m)
-    g = data.ctx.group
-    for lam in irr_of_hprime(data):
-        ext = extend_character(data, lam)
-        assert _exact_verdict(data, ext) is _cayley_edge_verdict(data, ext) is True
+    tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
+    for lam in irr_of_hprime(tables):
+        ext = extend_character(tables, lam)
+        assert (_exact_verdict(tables, ext)
+                is _cayley_edge_verdict(tables, ext) is True)
         # one mu value off: both verdicts reject it
         p = ext.p_stab[-1]
         corrupt = dataclasses.replace(
             ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
-        assert _exact_verdict(data, corrupt) is _cayley_edge_verdict(data, corrupt) is False
+        assert (_exact_verdict(tables, corrupt)
+                is _cayley_edge_verdict(tables, corrupt) is False)
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (4, 1, 1), (6, 1, 0), (6, 3, 0)])
 def test_equivariance(l, d, m):
-    data = build_supplement(l, d, m)
-    report = verify_equivariance(data)
-    assert report["characters"] == 2 ** data.ctx.t_l
+    tables = CharacterTables(build_supplement(l, d, m))
+    report = verify_equivariance(tables)
+    assert report["characters"] == 2 ** tables.data.ctx.t_l
     assert report["equivariance_probes"] > 0
     assert sum(len(o) for o in report["orbits"]) == report["characters"]
 
 
-def test_head_basis_with_hidden_relation_is_rejected(monkeypatch):
-    # a copy of the cached supplement starts with an empty memo
-    data = dataclasses.replace(build_supplement(4, 1, 0))
-    basis = charext._hprime_basis
-    monkeypatch.setattr(charext, "_hprime_basis",
-                        lambda d: [d.ctx.h0] + basis(d))
+def test_head_basis_with_hidden_relation_is_rejected():
+    # fresh tables over the cached supplement, with h_0 listed twice
+    tables = CharacterTables(build_supplement(4, 1, 0))
+    tables.head_basis = [tables.data.ctx.h0] + tables.head_basis
     with pytest.raises(VerificationError, match="head subgroup has hidden relations"):
-        irr_of_hprime(data)
+        irr_of_hprime(tables)
+
+
+def test_suite_charext_drops_its_tables(monkeypatch):
+    # one set of tables per point, unreachable once the suite returns: the
+    # cached supplement keeps none of them
+    made = []
+    init = CharacterTables.__init__
+
+    def recording(self, data):
+        made.append(weakref.ref(self))
+        init(self, data)
+
+    monkeypatch.setattr(CharacterTables, "__init__", recording)
+    assert suite_charext(1, 2, 0, 1).passed
+    gc.collect()
+    assert len(made) == 1
+    assert all(ref() is None for ref in made)
 
 
 def test_partitions_and_multipartitions():
@@ -377,14 +393,15 @@ def test_wreath_sum_of_squares(m, t):
     assert sum(d * d for d in degrees) == m**t * math.factorial(t)
 
 
-def extension_report(data):
+def extension_report(tables):
     """Machine-readable summary per head character: sign vector, inertia
     order, extension value table on the supplement generators, and the
     equivariance verdict."""
+    data = tables.data
     per_character = []
-    for lam in irr_of_hprime(data):
-        ext = extend_character(data, lam)
-        _, p_stab = inertia_decomposition(data, lam)
+    for lam in irr_of_hprime(tables):
+        ext = extend_character(tables, lam)
+        _, p_stab = inertia_decomposition(tables, lam)
         p_set = set(p_stab)
         gens = list(data.c_primes) + [p for p in data.p_primes if p in p_set]
         per_character.append({
@@ -397,7 +414,7 @@ def extension_report(data):
                 for x in gens
             ],
         })
-    equi = verify_equivariance(data)
+    equi = verify_equivariance(tables)
     return {
         "d0": data.ctx.d0,
         "t_l": data.ctx.t_l,
@@ -410,10 +427,10 @@ def extension_report(data):
     }
 
 
-def test_extension_report_schema(data_t2):
+def test_extension_report_schema(tables_t2):
     import json
 
-    report = extension_report(data_t2)
+    report = extension_report(tables_t2)
     blob = json.dumps(report)  # JSON-serializable
     assert json.loads(blob)["equivariant"] is True
     assert len(report["characters"]) == 4
@@ -437,9 +454,10 @@ def test_linear_characters_runaway_order_is_a_budget_error():
 
 # cold-cache products of suite_charext(3, 2, 0, 3), counted after the fused
 # kernel, the conjugator-inverse memo, the cached twist powers of iota_1 (whose
-# k = 0 factor is x itself) and one inverse per element or generator in the
-# commutator and equivariance loops
-CHAREXT_3203_MUL_CEILING = 6733
+# k = 0 factor is x itself), one inverse per element or generator in the
+# commutator and equivariance loops, and g_1, g_2, the p_i' and the c_i'
+# built once per context
+CHAREXT_3203_MUL_CEILING = 6393
 
 
 def test_charext_mul_calls_do_not_grow(monkeypatch):

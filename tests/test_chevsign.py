@@ -19,7 +19,6 @@ from bweyl.chevsign import (
 )
 from bweyl.roots import are_orthogonal_long, build_root_system, coroot, dot, simple_roots
 from bweyl.sperm import reflection
-from bweyl.suites import suite_commutators, suite_supplement
 from bweyl.supplement import SupplementContext
 from bweyl.tits import ExtendedWeylGroup
 
@@ -212,19 +211,20 @@ def test_twist_power_sign(l, d):
     assert report["eps"] == (1 if d % 2 else -1)
 
 
-def test_twist_power_sign_builds_no_second_context(monkeypatch):
-    assert suite_supplement(3, 1, 0, 3).passed
-    builds = []
+def test_twist_power_sign_builds_no_supplement_elements(monkeypatch):
+    # the check reads v_l and d0 alone; p_k, h_k and v_l' stay unbuilt
+    contexts = []
     post_init = SupplementContext.__post_init__
     monkeypatch.setattr(SupplementContext, "__post_init__",
-                        lambda self: builds.append(None) or post_init(self))
-    assert suite_commutators(3, 1, 0, 3).passed
-    assert builds == []
+                        lambda self: contexts.append(self) or post_init(self))
+    assert verify_twist_power_sign(6, 3)["eps"] == 1
+    (ctx,) = contexts
+    assert not {"p", "h", "v_l_prime"} & set(vars(ctx))
 
 
 @pytest.mark.parametrize("l,d,q", [(6, 4, 3), (1, 1, 3), (4, 3, 3), (6, 3, 4)])
 def test_twist_power_sign_validates_like_the_context(l, d, q):
-    # the same parameter errors as SupplementContext, which it no longer builds
+    # the parameter errors of the SupplementContext it builds
     with pytest.raises(ValueError) as want:
         SupplementContext(l, d, 0, q)
     with pytest.raises(ValueError) as got:

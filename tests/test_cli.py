@@ -136,6 +136,8 @@ def test_verify_rejects_bad_ell(capsys):
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--d", ""],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--d", "4"],
     ["--suite", "atlas-ellparts", "--n", "1"],
+    ["--ell", "3"],
+    ["--suite", "atlas-ellparts", "--ell", "3,5"],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "0"],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "-5"],
 ])
@@ -143,6 +145,11 @@ def test_verify_rejects_unusable_parameters(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_takes_ell_3_without_the_atlas(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cyclo-lemma", "--ell", "3")
+    assert code == 0 and json.loads(out)[0]["passed"] is True
 
 
 def test_verify_rejects_unknown_suite(capsys):

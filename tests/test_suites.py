@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bweyl.suites import (
@@ -52,6 +54,29 @@ def test_tits_core_mul_calls_do_not_grow(monkeypatch):
                         lambda self, x, y: calls.append(None) or mul(self, x, y))
     assert suite_tits_core(random_triples=2000).passed
     assert len(calls) <= TITS_CORE_2000_MUL_CEILING
+
+
+# products made by the default suite_hl_structure(), counted once each
+# context builds only the group, v_l and h_0 that the rank check reads
+HL_STRUCTURE_MUL_CEILING = 4432
+
+
+def test_hl_structure_mul_calls_do_not_grow(monkeypatch):
+    calls = []
+    mul = ExtendedWeylGroup.mul
+    monkeypatch.setattr(ExtendedWeylGroup, "mul",
+                        lambda self, x, y: calls.append(None) or mul(self, x, y))
+    assert suite_hl_structure().passed
+    assert len(calls) <= HL_STRUCTURE_MUL_CEILING
+
+
+def test_atlas_suite_that_checked_no_row_fails():
+    # every q a multiple of every ell: no row is enumerated
+    report = suite_atlas_ellparts(n_max=4, ells=(5,), q_values=(5,))
+    assert report.params["rows"] == 0
+    footnote = next(c for c in report.checks if c.check_id == "footnote-and-ellpart")
+    assert not footnote.passed and footnote.counterexample["rows"] == 0
+    assert not report.passed
 
 
 # l-part evaluations of suite_atlas_ellparts at the atlas arguments of the
@@ -125,7 +150,7 @@ def test_point_suite_dispatch():
 
 def test_report_serialization():
     report = suite_wreath(m_max=2, t_max=2)
-    blob = report.to_json()
+    blob = json.dumps(report.as_dict(), sort_keys=True)
     assert '"suite": "wreath"' in blob
     md = report.to_markdown()
     assert md.startswith("### wreath")

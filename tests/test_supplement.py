@@ -141,12 +141,12 @@ def test_twisted_frobenius_costs_two_products(monkeypatch):
 def test_g_factors_small():
     # t_l = 1: the first interleaver is empty, the second is p_1
     ctx = SupplementContext(2, 1, 0)
-    g1, g2 = ctx.g1_g2()
+    g1, g2 = ctx.g1_g2
     assert g1 == ctx.group.identity
     assert g2 == ctx.p[1]
     # t_l = 2, d0 = 1: the displayed Weyl images
     ctx = SupplementContext(4, 1, 0)
-    g1, g2 = ctx.g1_g2()
+    g1, g2 = ctx.g1_g2
     assert g1.weyl == SignedPermutation.from_mapping(4, {2: 3, 3: 2})
     assert g2.weyl == SignedPermutation.from_mapping(4, {1: 2, 2: 4, 4: 1})
 
@@ -158,7 +158,7 @@ def test_displayed_g_image_formula():
         l = 2 * d0 * t_l
         ctx = SupplementContext(l, d0, 0)
         a_l = ctx.a_l
-        g1, g2 = ctx.g1_g2()
+        g1, g2 = ctx.g1_g2
         expected1 = SignedPermutation.identity(ctx.n)
         expected2 = SignedPermutation.identity(ctx.n)
         for i in range(1, t_l + 1):
