@@ -401,19 +401,24 @@ def verify_graph_action(l: int, d: int, m: int, q: int = 3) -> dict:
 
 @lru_cache(maxsize=None)
 def _consistency_laws(n: int) -> tuple:
-    """One law per root pair (b, a), rows b in sorted order: the roots
-    s_b(a) and -a whose entries it compares, the sign (-1)^<a, b^vee> the
-    square law expects, and whether the pair is orthogonal long.  They
-    depend on the rank alone, not on the table."""
+    """The sorted keys (b, a) of a full table, and one law per key in that
+    order: the positions in the keys of the entries (b, s_b(a)) and (b, -a)
+    it compares, the sign (-1)^<a, b^vee> the square law expects, and
+    whether the pair is orthogonal long.  They depend on the rank alone,
+    not on the table."""
     roots = sorted(build_root_system("B", n).roots)
-    laws = []
-    for b in roots:
+    position = {a: j for j, a in enumerate(roots)}
+    keys, laws = [], []
+    for row, b in enumerate(roots):
         refl = reflection(n, b)
         cr = coroot(b)
+        base = row * len(roots)
         for a in roots:
-            laws.append((b, a, refl.act_on_root(a), tuple(-x for x in a),
+            keys.append((b, a))
+            laws.append((base + position[refl.act_on_root(a)],
+                         base + position[tuple(-x for x in a)],
                          -1 if dot(a, cr) % 2 else 1, are_orthogonal_long(a, b)))
-    return tuple(laws)
+    return tuple(keys), tuple(laws)
 
 
 def check_sign_table_consistency(table: SignTable) -> list:
@@ -424,14 +429,14 @@ def check_sign_table_consistency(table: SignTable) -> list:
     of violations (empty for a true table)."""
     if not table.full:
         raise ValueError("consistency laws need a full table")
-    eta = table.eta
+    keys, laws = _consistency_laws(table.rank)
+    eta = [table.eta[k] for k in keys]
     bad = []
-    for b, a, s_b_a, neg_a, sign, orthogonal_long in _consistency_laws(table.rank):
-        e = eta[b, a]
-        if e * eta[b, s_b_a] != sign:
-            bad.append(("square-law", b, a))
-        if e != eta[b, neg_a]:
-            bad.append(("negation-symmetry", b, a))
+    for key, e, (s_b_a, neg_a, sign, orthogonal_long) in zip(keys, eta, laws):
+        if e * eta[s_b_a] != sign:
+            bad.append(("square-law", *key))
+        if e != eta[neg_a]:
+            bad.append(("negation-symmetry", *key))
         if orthogonal_long and e != 1:
-            bad.append(("orthogonal-long", b, a))
+            bad.append(("orthogonal-long", *key))
     return bad

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from . import VerificationError
 from .cyclo import EllContext, ell_valuation
@@ -271,15 +272,8 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
         rng = _random.Random(2024)
         for n in (3, 4, 5, 6):
             g = ExtendedWeylGroup(n, cocycle_rule=cocycle_rule)
-
-            def rand_elt():
-                out = g.identity
-                for _ in range(rng.randrange(1, 10)):
-                    out = g.mul(out, g.simple_lift(rng.randrange(1, n + 1)))
-                return g.mul(g.torus(tuple(rng.randrange(4) for _ in range(n))), out)
-
             for _ in range(random_triples // 4):
-                x, y, z = rand_elt(), rand_elt(), rand_elt()
+                x, y, z = (_random_element(g, rng) for _ in range(3))
                 if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
                     raise VerificationError(
                         "associativity failed", {"n": n, "x": x, "y": y, "z": z})
@@ -290,6 +284,14 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
            "exhaustive axioms at rank 2, randomized triples at ranks 3..6", axioms)
     return SuiteReport("tits-core", {"random_triples": random_triples},
                        checks, time.perf_counter() - t0)
+
+
+def _random_element(g, rng):
+    """The lift of a random word of length 1..9 times a random torus element
+    on the left, drawn in that order: the length, the letters, the torus."""
+    lifted = g.word_lift([rng.randrange(1, g.n + 1) for _ in range(rng.randrange(1, 10))])
+    return lifted._replace(
+        torus=tuple([(rng.randrange(4) + c) % g.modulus for c in lifted.torus]))
 
 
 def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteReport:
@@ -305,9 +307,12 @@ def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteR
         for t_l in range(1, l_cap // (2 * d0) + 1):
             l = 2 * d0 * t_l
             for d in (d0, 2 * d0):
+                # the group and v_l do not depend on q: one context serves
+                # every q, and a build that raises fails each q check alike
+                context = cache(partial(SupplementContext, l, d, 0))
                 for q in q_values:
-                    def one(l=l, d=d, q=q, t_l=t_l):
-                        ctx = SupplementContext(l, d, 0, q)
+                    def one(l=l, d=d, q=q, t_l=t_l, context=context):
+                        ctx = context()
                         rank = torsion_two_subgroup_fixed_rank(ctx.group, l, q, ctx.v_l)
                         if rank != 2 * t_l:
                             raise VerificationError(

@@ -14,16 +14,18 @@ over the choice of reduced word is exercised by the test suite.
 
 The fold result is affine in the right torus, so each group caches the
 cocycle and product of every Weyl pair it has multiplied.  A cache fill is
-one pass over the reversed least reduced word of the left factor: descent
-test, s_i on a torus list padded with a trailing 0, s_i on the inverse
-table, and the correction.  A cache hit is the fused action: one pass moves
-the e-coordinates of t2 by w1, and one suffix-sum pass takes them back to
-coroot coordinates while adding t1 and the cocycle mod 2^k.  A canonical
-lift on the right (t2 = 0, as in products with simple lifts) skips the
-action: the product torus is t1 + cocycle mod 2^k, or the cached cocycle
-itself when t1 = 0 too.  Least reduced words strip the least left descent
-repeatedly; stripping s_i leaves no descent below i - 1, so each scan
-resumes there instead of at 1.
+one pass of the left rule over the reversed least reduced word of the left
+factor: descent test, s_i on a torus list padded with a trailing 0, s_i on
+the inverse table, and the correction.  The same pass, run from the
+identity over any word, reduced or not, gives the lift of the word
+(`word_lift`) without a `mul` or a cache fill.  A cache hit is the fused
+action: one pass moves the e-coordinates of t2 by w1, and one suffix-sum
+pass takes them back to coroot coordinates while adding t1 and the
+cocycle mod 2^k.  A canonical lift on the right (t2 = 0, as in products
+with simple lifts) skips the action: the product torus is t1 + cocycle
+mod 2^k, or the cached cocycle itself when t1 = 0 too.  Least reduced
+words strip the least left descent repeatedly; stripping s_i leaves no
+descent below i - 1, so each scan resumes there instead of at 1.
 """
 
 from __future__ import annotations
@@ -161,18 +163,36 @@ class ExtendedWeylGroup:
         return MonomialElement(
             _act_and_add(images, y.torus, x.torus, cocycle, self.modulus), product)
 
+    def word_lift(self, word: Iterable[int]) -> MonomialElement:
+        """m_{i_1} ... m_{i_k} for any word, reduced or not: the left rule
+        applied letter by letter from the identity, in O(k + n) and without
+        touching the cocycle cache."""
+        word = tuple(word)
+        for i in word:
+            if not 1 <= i <= self.n:
+                raise ValueError(f"no simple lift with index {i}")
+        inv = list(range(self.n + 1))
+        torus = self._left_rule(word, inv)
+        # the inverse table of w lists the images of w^{-1}
+        return MonomialElement(torus, SignedPermutation._unchecked(tuple(inv[1:])).inverse())
+
     def _fold(self, w1: SignedPermutation, w2: SignedPermutation):
         """Fold the reduced word of w1 through (0, w2): returns the cocycle
-        torus correction and the product Weyl part.  Each letter s_i, right
-        to left, tests whether i is a left descent of the current Weyl part
-        (see `_inverse_table`), applies s_i to the torus (padded with a
-        trailing 0, so s_n reads no boundary) and to the inverse table, and
-        adds 2 alpha_i^vee on a descent ("ascent" moves it onto the ascents)."""
+        torus correction and the product Weyl part."""
+        return self._left_rule(self.reduced_word(w1), _inverse_table(w2.images)), w1 * w2
+
+    def _left_rule(self, word: tuple, inv: list) -> tuple:
+        """m_{i_1} ... m_{i_k} (0, w) for the inverse table `inv` of w, which
+        ends as that of s_{i_1} ... s_{i_k} w; returns the torus mod 2^k.
+        Each letter s_i, right to left, tests whether i is a left descent of
+        the current Weyl part (see `_inverse_table`), applies s_i to the torus
+        (padded with a trailing 0, so s_n reads no boundary) and to the
+        inverse table, and adds 2 alpha_i^vee on a descent ("ascent" moves it
+        onto the ascents)."""
         n = self.n
         t = [0] * (n + 1)
-        inv = _inverse_table(w2.images)
         on_descent, on_ascent = (0, 2) if self.cocycle_rule == "ascent" else (2, 0)
-        for i in reversed(self.reduced_word(w1)):
+        for i in reversed(word):
             a, b = inv[i], inv[i - 1]
             correction = on_descent if b > a else on_ascent
             if i == 1:
@@ -184,7 +204,7 @@ class ExtendedWeylGroup:
                             + correction)
                 inv[i - 1], inv[i] = a, b
         mod = self.modulus
-        return tuple([c % mod for c in t[:n]]), w1 * w2
+        return tuple([c % mod for c in t[:n]])
 
     def inv(self, x: MonomialElement) -> MonomialElement:
         winv = x.weyl.inverse()

@@ -202,6 +202,17 @@ def test_reports_identical_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_global_suites_identical_through_the_pool(capsys, monkeypatch):
+    # tits-core and mutation run in two pool workers under --jobs 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "--suite", "tits-core", "--suite", "mutation"]
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "tits-core" in out1 and "mutation" in out1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run_cli(capsys, "verify", "--suite", "wreath", "--jobs", jobs)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bweyl import VerificationError
 from bweyl.suites import (
     SWEEP_POINTS,
     default_sweep_points,
@@ -43,8 +44,9 @@ def test_tits_core_suite_small():
 
 
 # products made by suite_tits_core(random_triples=2000), counted once the
-# exhaustive rank-2 axioms read the closure's Cayley table
-TITS_CORE_2000_MUL_CEILING = 51988
+# exhaustive rank-2 axioms read the closure's Cayley table and the random
+# elements are word lifts, not chains of products
+TITS_CORE_2000_MUL_CEILING = 15650
 
 
 def test_tits_core_mul_calls_do_not_grow(monkeypatch):
@@ -57,8 +59,10 @@ def test_tits_core_mul_calls_do_not_grow(monkeypatch):
 
 
 # products made by the default suite_hl_structure(), counted once each
-# context builds only the group, v_l and h_0 that the rank check reads
-HL_STRUCTURE_MUL_CEILING = 4432
+# context builds only the group, v_l and h_0 that the rank check reads, and
+# one context per (l, d) serves both q; the rank solve itself makes 1,606
+# of them per q
+HL_STRUCTURE_MUL_CEILING = 3822
 
 
 def test_hl_structure_mul_calls_do_not_grow(monkeypatch):
@@ -68,6 +72,35 @@ def test_hl_structure_mul_calls_do_not_grow(monkeypatch):
                         lambda self, x, y: calls.append(None) or mul(self, x, y))
     assert suite_hl_structure().passed
     assert len(calls) <= HL_STRUCTURE_MUL_CEILING
+
+
+def test_hl_structure_context_that_fails_to_build_fails_every_q(monkeypatch):
+    from bweyl import supplement
+
+    def broken(l, d, m):
+        raise VerificationError("twist orbits do not have the expected shape",
+                                {"l": l, "d": d})
+
+    monkeypatch.setattr(supplement, "SupplementContext", broken)
+    report = suite_hl_structure(d0_values=(1,), l_cap=2, q_values=(3, 5))
+    assert [c.check_id for c in report.checks] == [
+        "hl-rank-l2-d1-q3", "hl-rank-l2-d1-q5", "hl-rank-l2-d2-q3", "hl-rank-l2-d2-q5"]
+    assert not any(c.passed for c in report.checks)
+    assert [c.counterexample for c in report.checks[:2]] == [
+        {"l": 2, "d": 1, "error": "twist orbits do not have the expected shape"}] * 2
+    assert [c.counterexample for c in report.checks[2:]] == [
+        {"l": 2, "d": 2, "error": "twist orbits do not have the expected shape"}] * 2
+
+
+def test_hl_structure_builds_one_context_per_l_and_d(monkeypatch):
+    from bweyl import supplement
+
+    builds = []
+    build = supplement.SupplementContext
+    monkeypatch.setattr(supplement, "SupplementContext",
+                        lambda *args: builds.append(args) or build(*args))
+    assert suite_hl_structure(d0_values=(1,), l_cap=4, q_values=(3, 5, 7)).passed
+    assert builds == [(2, 1, 0), (2, 2, 0), (4, 1, 0), (4, 2, 0)]
 
 
 def test_atlas_suite_that_checked_no_row_fails():

@@ -462,6 +462,57 @@ def test_ascent_rule_fails_the_same_named_checks():
     }
 
 
+def test_word_lift_matches_the_product_of_simple_lifts():
+    rng = random.Random(47)
+    for n in range(2, 9):
+        g = ExtendedWeylGroup(n)
+        for _ in range(40):
+            letters = [rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 16))]
+            reduced = g.reduced_word(random_signed_permutation(n, rng))
+            i = rng.randrange(1, n + 1)
+            # random words, reduced words, and reduced words with a square inside
+            for word in (letters, reduced, (*reduced[:2], i, i, *reduced[2:])):
+                assert g.word_lift(word) == g.prod([g.simple_lift(j) for j in word])
+
+
+def test_word_lift_of_the_empty_word_is_the_identity(g3):
+    assert g3.word_lift(()) == g3.identity
+
+
+@pytest.mark.parametrize("letter", [0, -1, 4])
+def test_word_lift_rejects_letters_outside_the_rank(g3, letter):
+    with pytest.raises(ValueError, match="no simple lift"):
+        g3.word_lift([1, letter, 2])
+    with pytest.raises(ValueError, match="no simple lift"):
+        g3.simple_lift(letter)
+
+
+def _reference_chain_element(g, rng):
+    """The random element of suite_tits_core as a chain of products with
+    simple lifts, as the suite built it before word lifts."""
+    out = g.identity
+    for _ in range(rng.randrange(1, 10)):
+        out = g.mul(out, g.simple_lift(rng.randrange(1, g.n + 1)))
+    return g.mul(g.torus(tuple(rng.randrange(4) for _ in range(g.n))), out)
+
+
+def test_tits_core_random_elements_match_the_chain_reference(monkeypatch):
+    from bweyl import suites
+
+    drawn = []
+    draw = suites._random_element
+    monkeypatch.setattr(suites, "_random_element",
+                        lambda g, rng: drawn.append((g.n, draw(g, rng))) or drawn[-1][1])
+    assert suite_tits_core(random_triples=2000).passed
+    rng = random.Random(2024)
+    expected = []
+    for n in (3, 4, 5, 6):
+        g = ExtendedWeylGroup(n)
+        expected += [(n, _reference_chain_element(g, rng)) for _ in range(3 * 500)]
+    assert len(drawn) == 6000
+    assert drawn == expected
+
+
 def test_f2_rank_matches_span_size():
     rng = random.Random(31)
     for _ in range(300):
