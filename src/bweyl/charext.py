@@ -124,14 +124,14 @@ class CharacterTables:
         return Counter(self.head_action(x) for x in self.decomposition)
 
     def head_action(self, x: MonomialElement) -> tuple:
-        """The H'-coordinates of x b x^{-1} for each basis element b,
+        """The H'-coordinates of x b x^{-1} for each basis element b, the
+        Weyl action of x on the torus element b (`conj`, no product),
         computed once per element and shared by every head character."""
         rows = self._head_actions.get(x)
         if rows is None:
             g = self.data.ctx.group
             coords = self.head_coordinates
-            x_inv = g.inv(x)
-            images = [g.mul(g.mul(x, b), x_inv) for b in self.head_basis]
+            images = [g.conj(x, b) for b in self.head_basis]
             if any(hb not in coords for hb in images):
                 raise VerificationError("conjugation left the head subgroup", {"element": x})
             rows = self._head_actions[x] = tuple(coords[hb] for hb in images)

@@ -236,12 +236,14 @@ def broken_edge(labels: dict, gens, act, step):
 
 
 def closure(generators, budget: int = 2_000_000):
-    """BFS closure of a list of group elements (anything with * and inverse)."""
+    """BFS closure of a list of elements of a finite group (anything with *
+    and inverse), multiplying by the generators alone: in a finite group
+    g^{-1} = g^{ord(g) - 1}, so the inverses add no element.  More than
+    `budget` elements raise BudgetExceededError."""
     if not generators:
         raise ValueError("need at least one generator")
-    gens = list(generators) + [g.inverse() for g in generators]
     identity = generators[0] * generators[0].inverse()
-    return set(orbit({identity: None}, gens, operator.mul, budget))
+    return set(orbit({identity: None}, generators, operator.mul, budget))
 
 
 def reflection(n: int, a) -> SignedPermutation:

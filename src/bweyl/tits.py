@@ -1,11 +1,11 @@
 """The extended Weyl group of type B with torus torsion, in normal form.
 
 An element is a pair (t, w): a torsion torus element t (coordinate vector
-over Z/2^k, default Z/4, in the coroot basis, recording exponents of a fixed
-primitive fourth root of unity) times the canonical lift of the signed
-permutation w.  The canonical lift of w is the product of the simple-root
-lifts m_i along any reduced word of w; products are computed by left-folding
-a reduced word of the left factor through the right factor with the rule
+over Z/4 in the coroot basis, recording exponents of a fixed primitive
+fourth root of unity) times the canonical lift of the signed permutation w.
+The canonical lift of w is the product of the simple-root lifts m_i along
+any reduced word of w; products are computed by left-folding a reduced word
+of the left factor through the right factor with the rule
 
     m_i * (t, w) = (s_i.t + [length drops] * 2*alpha_i^vee, s_i w),
 
@@ -21,11 +21,18 @@ identity over any word, reduced or not, gives the lift of the word
 (`word_lift`) without a `mul` or a cache fill.  A cache hit is the fused
 action: one pass moves the e-coordinates of t2 by w1, and one suffix-sum
 pass takes them back to coroot coordinates while adding t1 and the
-cocycle mod 2^k.  A canonical lift on the right (t2 = 0, as in products
+cocycle mod 4.  A canonical lift on the right (t2 = 0, as in products
 with simple lifts) skips the action: the product torus is t1 + cocycle
-mod 2^k, or the cached cocycle itself when t1 = 0 too.  Least reduced
+mod 4, or the cached cocycle itself when t1 = 0 too.  Least reduced
 words strip the least left descent repeatedly; stripping s_i leaves no
 descent below i - 1, so each scan resumes there instead of at 1.
+
+Two group-law facts save products.  The torus is normal and abelian, so
+(t, w)(s, 1)(t, w)^{-1} = (w.s, 1) (Tits, Normalisateurs de tores I, 1966):
+`conj` of a torus element is the fused action alone.  A finite group is
+closed under its generators alone, since g^{-1} = g^{ord(g) - 1} (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 4.1):
+`GeneratedSubgroup.generate` multiplies by the generators only.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ __all__ = [
     "root_character_eval",
 ]
 
-TorusTorsionElement = tuple  # coordinates over Z/2^k in the coroot basis
+TorusTorsionElement = tuple  # coordinates over Z/4 in the coroot basis
 
 
 class MonomialElement(NamedTuple):
@@ -62,14 +69,13 @@ class ExtendedWeylGroup:
     """Ambient context of rank n: caches reduced words and provides the
     group operations on normal-form pairs."""
 
-    def __init__(self, n: int, k: int = 2, cocycle_rule: str = "descent"):
-        if n < 2 or k < 2:
-            raise ValueError("need rank >= 2 and torsion exponent k >= 2")
+    def __init__(self, n: int, *, cocycle_rule: str = "descent"):
+        if n < 2:
+            raise ValueError("need rank >= 2")
         if cocycle_rule not in ("descent", "ascent"):
             raise ValueError("cocycle_rule must be 'descent' or 'ascent'")
         self.n = n
-        self.k = k
-        self.modulus = 2**k
+        self.modulus = 4
         # "ascent" deliberately corrupts the correction branch; it exists so
         # the verification suites can demonstrate they detect the corruption.
         self.cocycle_rule = cocycle_rule
@@ -80,7 +86,8 @@ class ExtendedWeylGroup:
         # the fold result is affine in the right torus: caching the cocycle
         # of each Weyl pair makes repeated products (closures, sweeps) cheap
         self._cocycles: dict[tuple, tuple] = {}
-        # conjugators recur (twists, their powers, supplement generators)
+        # conjugators of non-torus elements recur (twists, their powers,
+        # supplement generators)
         self._conjugator_inverses: dict[MonomialElement, MonomialElement] = {}
         self.identity = MonomialElement(
             (0,) * n, SignedPermutation.identity(n)
@@ -183,7 +190,7 @@ class ExtendedWeylGroup:
 
     def _left_rule(self, word: tuple, inv: list) -> tuple:
         """m_{i_1} ... m_{i_k} (0, w) for the inverse table `inv` of w, which
-        ends as that of s_{i_1} ... s_{i_k} w; returns the torus mod 2^k.
+        ends as that of s_{i_1} ... s_{i_k} w; returns the torus mod 4.
         Each letter s_i, right to left, tests whether i is a left descent of
         the current Weyl part (see `_inverse_table`), applies s_i to the torus
         (padded with a trailing 0, so s_n reads no boundary) and to the
@@ -235,7 +242,13 @@ class ExtendedWeylGroup:
         return k
 
     def conj(self, g: MonomialElement, x: MonomialElement) -> MonomialElement:
-        """g x g^{-1}; the inverse of each conjugator is kept."""
+        """g x g^{-1}.  A torus element x = (s, 1) goes to (w.s, 1) for the
+        Weyl part w of g, with no product; for any other x the inverse of
+        each conjugator is kept."""
+        if x.weyl.images == self.identity.weyl.images:
+            zero = self.identity.torus
+            return MonomialElement(
+                _act_and_add(g.weyl.images, x.torus, zero, zero, self.modulus), x.weyl)
         g_inv = self._conjugator_inverses.get(g)
         if g_inv is None:
             g_inv = self._conjugator_inverses[g] = self.inv(g)
@@ -265,7 +278,7 @@ class ExtendedWeylGroup:
         return self.conj(twist, self.frobenius_q(x, q))
 
     def weyl_torus_matrix(self, w: SignedPermutation) -> tuple:
-        """Columns of w on the coroot basis: column i is w.unit_i mod 2^k."""
+        """Columns of w on the coroot basis: column i is w.unit_i mod 4."""
         n = self.n
         zero = (0,) * n
         return tuple(
@@ -366,7 +379,7 @@ def _inverse_table(images: tuple) -> list:
 
 
 def _act_and_add(images: tuple, t2: tuple, t1: tuple, cocycle: tuple, mod: int) -> tuple:
-    """t1 + w.t2 + cocycle mod 2^k for the signed permutation w with these
+    """t1 + w.t2 + cocycle mod 4 for the signed permutation w with these
     images.  One pass takes t2 to e-coordinates (alpha_1^vee = 2 e_1,
     alpha_i^vee = e_i - e_{i-1}) and moves them by w; one suffix-sum pass,
     the first sum halved, takes them back to coroot coordinates and adds."""
@@ -430,9 +443,12 @@ class GeneratedSubgroup:
         generators: Iterable[MonomialElement],
         budget: int = 1_000_000,
     ) -> "GeneratedSubgroup":
+        """The closure of the generators, in BFS order from the identity,
+        right multiplication by the generators alone: the group is finite,
+        so their inverses are their powers.  More than `budget` elements
+        raise BudgetExceededError."""
         gens = list(generators)
-        inv_gens = [group.inv(g) for g in gens]
-        elements = orbit({group.identity: None}, gens + inv_gens, group.mul, budget)
+        elements = orbit({group.identity: None}, gens, group.mul, budget)
         return GeneratedSubgroup(group, tuple(gens), tuple(elements))
 
     def __len__(self) -> int:
@@ -503,7 +519,7 @@ def torsion_two_subgroup_fixed_rank(group: ExtendedWeylGroup, l: int, q: int,
 
 
 def _order_two_mask(group: ExtendedWeylGroup, x: MonomialElement):
-    """x as a bitmask, bit i for coordinate i at 2^(k-1); None off the order-2 torus."""
+    """x as a bitmask, bit i for coordinate i at 2; None off the order-2 torus."""
     if x.weyl.is_identity() and not any(c % (group.modulus // 2) for c in x.torus):
         return sum(1 << i for i, c in enumerate(x.torus) if c)
     return None

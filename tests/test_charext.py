@@ -455,9 +455,10 @@ def test_linear_characters_runaway_order_is_a_budget_error():
 # cold-cache products of suite_charext(3, 2, 0, 3), counted after the fused
 # kernel, the conjugator-inverse memo, the cached twist powers of iota_1 (whose
 # k = 0 factor is x itself), one inverse per element or generator in the
-# commutator and equivariance loops, and g_1, g_2, the p_i' and the c_i'
-# built once per context
-CHAREXT_3203_MUL_CEILING = 6393
+# commutator and equivariance loops, g_1, g_2, the p_i' and the c_i' built
+# once per context, torus conjugation by the Weyl action alone and closures
+# over the generators alone
+CHAREXT_3203_MUL_CEILING = 4021
 
 
 def test_charext_mul_calls_do_not_grow(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -401,3 +402,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert [line for line in err.splitlines() if "error" in line] == [
         "internal error: RuntimeError: broken suite"]
+
+
+# sha256 of the stdout of `bweyl verify --jobs 1` and of `bweyl verify
+# --mutate cocycle`.  Speed-ups keep every report byte-identical, so these
+# do not move; a change that alters the reports on purpose updates the
+# digests in the same change.
+VERIFY_STDOUT_SHA256 = "37c17140e28c3dd9bbd6ce67c9f7c0b04fa7655a6c8af8b6e8616efa6f5348bb"
+MUTATE_COCYCLE_STDOUT_SHA256 = (
+    "a552d1be844cfe0006f83c3ec1e99ce2ec5de748dbfa00e1f163e249fb5751e1")
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (["verify", "--jobs", "1"], 0, VERIFY_STDOUT_SHA256),
+    (["verify", "--mutate", "cocycle"], 1, MUTATE_COCYCLE_STDOUT_SHA256),
+], ids=["verify", "mutate-cocycle"])
+def test_verify_stdout_is_golden(capsys, argv, code, digest):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from collections import Counter
 
 import pytest
@@ -363,3 +365,43 @@ def test_orbit_and_closure_budget_boundary():
     assert len(closure(B3_GENS, budget=48)) == 48
     with pytest.raises(BudgetExceededError):
         closure(B3_GENS, budget=47)
+
+
+def _closure_over_inverses(generators, budget):
+    """The closure as it was built before: BFS over the generators and their
+    inverses."""
+    gens = list(generators) + [g.inverse() for g in generators]
+    identity = generators[0] * generators[0].inverse()
+    return set(orbit({identity: None}, gens, operator.mul, budget))
+
+
+def _random_signed_permutation(n, rng):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return SignedPermutation(tuple(v if rng.random() < 0.5 else -v for v in images))
+
+
+def test_closure_matches_the_closure_over_inverses():
+    # one to three generators: random elements, and conjugates of simple
+    # reflections, which keep many of the subgroups within the budget
+    budget = 5000
+    completed = 0
+    for n in range(2, 9):
+        rng = random.Random(61 + n)
+        for _ in range(15):
+            gens = []
+            for _ in range(rng.randrange(1, 4)):
+                x = _random_signed_permutation(n, rng)
+                if rng.randrange(2):
+                    s = SignedPermutation.simple_reflection(n, rng.randrange(1, n + 1))
+                    x = x * s * x.inverse()
+                gens.append(x)
+            try:
+                want = _closure_over_inverses(gens, budget)
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError):
+                    closure(gens, budget)
+                continue
+            assert closure(gens, budget) == want
+            completed += 1
+    assert completed >= 60

@@ -131,11 +131,15 @@ def test_twisted_frobenius_costs_two_products(monkeypatch):
     mul = g.mul
     monkeypatch.setattr(g, "mul", lambda x, y: calls.append(None) or mul(x, y))
     assert [ctx.frob(x) for x in xs] == want
-    # the first call also inverts the twist, once
-    assert len(calls) == 2 * len(xs) + 1
+    # the torus element h_1 costs no product, each other argument costs two,
+    # and the first of them also inverts the twist, once
+    assert [x.weyl.is_identity() for x in xs] == [False, True, False, False]
+    assert len(calls) == 2 * 3 + 1
     calls.clear()
     assert [ctx.frob(x) for x in xs] == want
-    assert len(calls) == 2 * len(xs)
+    assert len(calls) == 2 * 3
+    calls.clear()
+    assert ctx.frob(ctx.h[1]) == want[1] and calls == []
 
 
 def test_g_factors_small():
