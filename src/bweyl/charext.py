@@ -6,6 +6,9 @@ modulus is the least common multiple of 4*d0 (for the cyclic part) and the
 exponent of the relevant abelianization (for the symmetric part), so the
 whole computation is exact integer arithmetic.
 
+Every check runs over generators (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005), and c * p factors are found on demand.
+
 What charext derives from one supplement lives in a `CharacterTables` the
 caller makes and passes; `suite_charext` makes one per point, so the tables
 die with the suite call.
@@ -46,13 +49,15 @@ __all__ = [
 
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
-    use and kept: the head basis and coordinates, the cyclic sums of C', the
-    c * p decomposition of V', each element's action on H' with its counts
-    over V', and the inertia group of each head character."""
+    use and kept: the head basis and coordinates, the cyclic sums of C', P'
+    indexed for `decompose`, each element's action on H', and per head
+    character its inertia group and certified extension."""
 
     def __init__(self, data: SupplementData):
         self.data = data
         self.inertia: dict = {}  # sign vector -> (C', P'_lam)
+        self.inertia_generators: dict = {}  # sign vector -> generators of P'_lam
+        self.extensions: dict = {}  # sign vector -> certified ExtensionCharacter
         self._head_actions: dict = {}
 
     @cached_property
@@ -102,26 +107,51 @@ class CharacterTables:
         return coords
 
     @cached_property
-    def decomposition(self) -> dict:
-        """The factors (c, p) of every x = c * p in V' = C' x| P', from all
-        |C'|·|P'| products; two equal products would make the decomposition
-        ambiguous."""
+    def _block_of_point(self) -> dict:
+        """Each point mapped to the least point of its orbit under the Weyl
+        parts of the c_i', signs forgotten."""
+        n, block = self.data.ctx.group.n, {}
+        for i in range(n, 0, -1):
+            block.update(dict.fromkeys(orbit(
+                {i: None}, self.data.c_primes, lambda j, c: abs(c.weyl(j)), n), i))
+        return block
+
+    def _blocks_moved(self, x: MonomialElement) -> tuple:
+        """The C'-orbit of each point's image under the Weyl part of x."""
+        return tuple(self._block_of_point[j] for j in x.weyl.unsigned())
+
+    @cached_property
+    def _p_by_blocks(self) -> dict:
+        """The elements of P' with their inverses, by `_blocks_moved`."""
+        g, index = self.data.ctx.group, {}
+        for p in self.data.p_closure.elements:
+            index.setdefault(self._blocks_moved(p), []).append((p, g.inv(p)))
+        return index
+
+    def decompose(self, x: MonomialElement):
+        """The factors (c, p) of x = c * p in V' = C' x| P', None outside
+        V'.  C' keeps the orbits of its Weyl parts, so x moves them as p
+        does: of the 2^(t_l - 1) elements of P' that do, p is the one with
+        x p^{-1} in C'.  All are tried, so a second factorization raises."""
         g = self.data.ctx.group
-        decomp = {}
-        for c in self.data.c_closure.elements:
-            for p in self.data.p_closure.elements:
-                x = g.mul(c, p)
-                if decomp.setdefault(x, (c, p)) != (c, p):
+        found = None
+        for p, p_inv in self._p_by_blocks.get(self._blocks_moved(x), ()):
+            c = g.mul(x, p_inv)
+            if c in self.cyclic_sums:
+                if found is not None:
                     raise VerificationError(
                         "supplement element has two decompositions as c * p",
-                        {"element": x, "decompositions": (decomp[x], (c, p))},
+                        {"element": x, "decompositions": (found, (c, p))},
                     )
-        return decomp
+                found = (c, p)
+        return found
 
     @cached_property
     def product_actions(self) -> Counter:
-        """How many elements of V' act on H' by each action."""
-        return Counter(self.head_action(x) for x in self.decomposition)
+        """How many of the |C'|·|P'| products act on H' by each action."""
+        g, data = self.data.ctx.group, self.data
+        return Counter(self.head_action(g.mul(c, p)) for c in data.c_closure.elements
+                       for p in data.p_closure.elements)
 
     def head_action(self, x: MonomialElement) -> tuple:
         """The H'-coordinates of x b x^{-1} for each basis element b, the
@@ -136,6 +166,16 @@ class CharacterTables:
                 raise VerificationError("conjugation left the head subgroup", {"element": x})
             rows = self._head_actions[x] = tuple(coords[hb] for hb in images)
         return rows
+
+    def extension(self, lam: HPrimeCharacter) -> ExtensionCharacter:
+        """lam's extension, from `extend_character`, certified by
+        `check_multiplicative` on first use."""
+        ext = self.extensions.get(lam.signs)
+        if ext is None:
+            ext = extend_character(self, lam)
+            check_multiplicative(self, ext)
+            self.extensions[lam.signs] = ext
+        return ext
 
 
 @dataclass(frozen=True)
@@ -161,14 +201,19 @@ def irr_of_hprime(tables: CharacterTables) -> list[HPrimeCharacter]:
 
 
 def _act_on_signs(rows: tuple, signs: tuple) -> tuple:
-    """The signs of lam^x from those of lam, x acting on H' by `rows`."""
+    """The signs of lam^x: h -> lam(x h x^{-1}), x acting on H' by `rows`."""
     return tuple(sum(s * c for s, c in zip(signs, row)) % 2 for row in rows)
 
 
-def _conj_action_on_characters(tables: CharacterTables, x: MonomialElement,
-                               lam: HPrimeCharacter) -> HPrimeCharacter:
-    """lam^x with (lam^x)(h) = lam(x h x^{-1})."""
-    return HPrimeCharacter(_act_on_signs(tables.head_action(x), lam.signs), tables)
+def _generating_sequence(elements, mul, identity, budget: int) -> list:
+    """Greedy generators of <elements>: each element outside the `orbit` of
+    1 under those before it joins them."""
+    gens, span = [], {identity}
+    for x in elements:
+        if x not in span:
+            gens.append(x)
+            span = orbit({identity: None}, gens, mul, budget)
+    return gens
 
 
 # -- inertia -------------------------------------------------------------------
@@ -180,24 +225,23 @@ BRUTE_CAP = 3000
 
 def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
     """(C', P'_lam).  P'_lam filters the symmetric part by the action on
-    sign vectors, and every c_i' must fix lam.  Whenever |V'| is within
-    BRUTE_CAP, the stabilizer of lam among all elements of V' is also
-    counted by brute force and must have |C'|·|P'_lam| elements; the
-    conjugation action of each element is computed once per set of tables
-    and shared by all head characters.  Above the cap the cyclic part's
-    triviality on characters (a generator check, which the conjugation
-    action being a homomorphism extends to the closure) plus the symmetric
-    filter give the same set."""
+    sign vectors, and every c_i' must fix lam (a generator check, which the
+    conjugation action being a homomorphism extends to C').  Whenever |V'|
+    is within BRUTE_CAP, the stabilizer of lam among all |C'|·|P'| products
+    is also counted by brute force and must have |C'|·|P'_lam| elements.
+    Greedy generators of P'_lam go to `tables.inertia_generators`."""
     cached = tables.inertia.get(lam.signs)
     if cached is not None:
         return cached
     data = tables.data
-    p_stab = [
-        p for p in data.p_closure.elements
-        if _conj_action_on_characters(tables, p, lam) == lam
-    ]
+    g = data.ctx.group
+
+    def fixes(x):
+        return _act_on_signs(tables.head_action(x), lam.signs) == lam.signs
+
+    p_stab = [p for p in data.p_closure.elements if fixes(p)]
     for c in data.c_primes:
-        if _conj_action_on_characters(tables, c, lam) != lam:
+        if not fixes(c):
             raise VerificationError(
                 "the cyclic part does not fix a head character",
                 {"signs": lam.signs},
@@ -211,6 +255,8 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
                 {"signs": lam.signs, "brute": stab_size,
                  "expected": len(data.c_closure.elements) * len(p_stab)},
             )
+    tables.inertia_generators[lam.signs] = _generating_sequence(
+        p_stab, g.mul, g.identity, len(p_stab))
     result = tables.inertia[lam.signs] = (data.c_closure, p_stab)
     return result
 
@@ -218,14 +264,23 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
 # -- extensions ------------------------------------------------------------------
 
 
-def _linear_characters(elements, mul, identity, inverse, modulus):
-    """All linear characters of a small group, as exponent dictionaries
-    modulo `modulus` (which the abelianization exponent must divide)."""
+def _linear_characters(elements, gens, mul, identity, inverse, modulus):
+    """All linear characters of a small group generated by `gens`, as
+    exponent dictionaries modulo `modulus` (which the abelianization
+    exponent must divide).  The derived subgroup, the normal closure of the
+    generators' commutators, is the orbit of 1 under right multiplication
+    by them and conjugation by the generators."""
     elems = sorted(elements)
-    # derived subgroup
-    inv = {x: inverse(x) for x in elems}
-    comms = {mul(mul(inv[x], inv[y]), mul(x, y)) for x in elems for y in elems}
-    derived = orbit({identity: None}, comms, mul, len(elems))
+    inv = {s: inverse(s) for s in gens}
+    comms = [mul(mul(inv[s], inv[t]), mul(s, t))
+             for i, s in enumerate(gens) for t in gens[i + 1:]]
+
+    def act(x, move):
+        left, right = move
+        return mul(x if left is None else mul(left, x), right)
+
+    moves = [(None, c) for c in comms] + [(inv[s], s) for s in gens]
+    derived = orbit({identity: None}, moves, act, len(elems))
     # coset representatives of the abelianization
     rep_of = {}
     reps = []
@@ -236,18 +291,18 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
         for y in coset:
             rep_of[y] = coset[0]
         reps.append(coset[0])
-    # greedy generating sequence of the abelianization
-    gens = []
-    span = {rep_of[identity]}
-    for r in sorted(reps):
-        if r in span:
-            continue
-        gens.append(r)
-        span = {rep_of[x] for x in orbit({identity: None}, gens, mul, len(elems))}
+
+    def quotient_mul(x, y):
+        return rep_of[mul(x, y)]
+
+    one = rep_of[identity]
+    # the generators' images, less those the earlier ones already span
+    quotient_gens = _generating_sequence([rep_of[s] for s in gens], quotient_mul, one,
+                                         len(reps))
     orders = []
-    for r in gens:
+    for r in quotient_gens:
         k, acc = 1, r
-        while rep_of[acc] != rep_of[identity]:
+        while rep_of[acc] != one:
             acc = mul(acc, r)
             k += 1
             if k > len(elems):
@@ -257,19 +312,19 @@ def _linear_characters(elements, mul, identity, inverse, modulus):
     if all(modulus % o == 0 for o in orders):
         # the abelianization's Cayley graph on the generators, shared by the
         # value propagation of every candidate exponent vector
-        moves = range(len(gens))
-        cayley = {(x, i): rep_of[mul(x, gens[i])] for x in reps for i in moves}
+        moves = range(len(quotient_gens))
+        cayley = {(x, i): quotient_mul(x, quotient_gens[i]) for x in reps for i in moves}
 
-        def act(x, i):
+        def step_on(x, i):
             return cayley[x, i]
 
         for exps in iproduct(*[range(o) for o in orders]):
             def step(v, i):
                 return (v + exps[i] * (modulus // orders[i])) % modulus
 
-            values = orbit({rep_of[identity]: 0}, moves, act, len(reps), step)
+            values = orbit({one: 0}, moves, step_on, len(reps), step)
             if (len(values) == len(reps)
-                    and broken_edge(values, moves, act, step) is None):
+                    and broken_edge(values, moves, step_on, step) is None):
                 chars.append({x: values[rep_of[x]] for x in elems})
     expected = len(reps)
     if len(chars) != expected:
@@ -289,8 +344,7 @@ class ExtensionCharacter:
     lam: HPrimeCharacter
     modulus: int
     theta_exp: int  # exponent on each c_i' (times modulus / (4 d0))
-    mu: dict  # P'_lam element -> exponent
-    p_stab: list
+    mu: dict  # P'_lam element -> exponent, on all of P'_lam
 
     def theta(self, c: MonomialElement) -> int:
         """theta(c) for c in C': theta_exp times the cyclic sum of c, as an
@@ -299,7 +353,7 @@ class ExtensionCharacter:
         return self.theta_exp * self.tables.cyclic_sums[c] * scale % self.modulus
 
     def value(self, x: MonomialElement) -> int:
-        c, p = self.tables.decomposition.get(x, (None, None))
+        c, p = self.tables.decompose(x) or (None, None)
         if p not in self.mu:
             raise ValueError("element is not in the inertia subgroup")
         return (self.theta(c) + self.mu[p]) % self.modulus
@@ -318,30 +372,21 @@ def extend_character(tables: CharacterTables, lam: HPrimeCharacter) -> Extension
     # lam(h_0); h_0 sits at cyclic sum 2*d0
     theta_exp = lam.value(data.ctx.h0)
     # modulus: enough room for the cyclic part and the symmetric part
-    p_exponent = 1
-    for p in p_stab:
-        p_exponent = math.lcm(p_exponent, g.order(p))
-    modulus = math.lcm(4 * d0, p_exponent)
-
-    chars = _linear_characters(p_stab, g.mul, g.identity, g.inv, modulus)
+    modulus = math.lcm(4 * d0, *(g.order(p) for p in p_stab))
+    chars = _linear_characters(p_stab, tables.inertia_generators[lam.signs],
+                               g.mul, g.identity, g.inv, modulus)
     # restriction constraints on the symmetric part: the head elements inside
     # P' must get their lam-values
-    p_set = set(p_stab)
-    head_in_p = [h for h in data.h_prime.elements if h in p_set]
-    valid = []
-    for chi in chars:
-        if all(
-            chi[h] % modulus == (lam.value(h) * modulus // 2) % modulus
-            for h in head_in_p
-        ):
-            valid.append(chi)
+    valid = [chi for chi in chars
+             if all(chi[h] == lam.value(h) * modulus // 2
+                    for h in data.h_prime.elements if h in chi)]
     if not valid:
         raise VerificationError(
             "no extension of the head character exists on the symmetric part",
             {"signs": lam.signs},
         )
     mu = min(valid, key=lambda chi: tuple(chi[x] for x in sorted(chi)))
-    ext = ExtensionCharacter(tables, lam, modulus, theta_exp, mu, p_stab)
+    ext = ExtensionCharacter(tables, lam, modulus, theta_exp, mu)
     _check_restriction(ext)
     return ext
 
@@ -360,47 +405,52 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
     """Exact multiplicativity of ext on V'_lam = C' x| P'_lam by the
     semidirect-product criterion (Clifford theory of a split extension):
     f(c * p) = theta(c) + mu(p) is a homomorphism exactly when theta is one
-    on C', mu is one on P'_lam and theta(p c p^{-1}) = theta(c).  Checked:
+    on C', mu is one on P'_lam and theta(p c p^{-1}) = theta(c).  Checked,
+    S being the generators of P'_lam in `tables.inertia_generators`:
 
-    - mu is defined on P'_lam exactly, and P'_lam lies in P': each p
-      decomposes as 1 * p, so `value` reads theta(c) + mu(p) off the
-      unique decomposition of V';
-    - mu on all pairs of P'_lam: p q lies in P'_lam and mu(pq) = mu(p) + mu(q);
-    - for each c_i' and each p in P'_lam: p c_i' p^{-1} lies in C' and has
-      the theta-value of c_i'; conjugation by p is then an automorphism of
-      C' that theta, a homomorphism, cannot tell apart from the identity.
+    - mu is defined on P'_lam exactly, and 1 and each s in S decompose as
+      1 * s, so `value` reads theta(c) + mu(p) off the decomposition of V';
+    - mu labels the `orbit` of 1 under S, x s getting mu(x) + mu(s), and
+      every Cayley edge over S agrees: a labelling consistent on every edge
+      over generators is a homomorphism;
+    - for each c_i' and each s in S: s c_i' s^{-1} lies in C' and has the
+      theta-value of c_i'; conjugation by s, and so by all of P'_lam, is
+      then an automorphism of C' that theta cannot tell from the identity.
 
-    theta is theta_exp times the cyclic sum, a homomorphism on C' certified
-    when `CharacterTables.cyclic_sums` found every Cayley edge of C' over
-    the c_i' consistent; it is not checked again here.  Returns the number
-    of relations checked."""
+    theta is theta_exp times the cyclic sum, which `cyclic_sums` certified
+    on every Cayley edge of C'.  Returns the number of relations checked."""
     data = tables.data
     g = data.ctx.group
     csum = tables.cyclic_sums
+    _, p_stab = inertia_decomposition(tables, ext.lam)
+    gens = tables.inertia_generators[ext.lam.signs]
 
     def fail(**pair):
         raise VerificationError(
             "extension is not multiplicative", {"signs": ext.lam.signs, **pair}
         )
 
-    if set(ext.mu) != set(ext.p_stab):
-        fail(mu_domain=len(ext.mu), p_part=len(ext.p_stab))
-    decomp = tables.decomposition
-    for p in ext.p_stab:
-        if decomp.get(p) != (g.identity, p):
-            fail(p=p, decomposition=decomp.get(p))
-    for p in ext.p_stab:
-        for q in ext.p_stab:
-            pq = g.mul(p, q)
-            if pq not in ext.mu or (ext.mu[pq] - ext.mu[p] - ext.mu[q]) % ext.modulus:
-                fail(p=p, q=q)
-    for p in ext.p_stab:
+    if set(ext.mu) != set(p_stab):
+        fail(mu_domain=len(ext.mu), p_part=len(p_stab))
+    for p in [g.identity] + gens:
+        if tables.decompose(p) != (g.identity, p):
+            fail(p=p, decomposition=tables.decompose(p))
+
+    def step(v, s):
+        return (v + ext.mu[s]) % ext.modulus
+
+    labels = orbit({g.identity: 0}, gens, g.mul, len(p_stab), step)
+    if labels != ext.mu:
+        fail(p=next(p for p in p_stab if labels.get(p) != ext.mu[p]))
+    bad = broken_edge(labels, gens, g.mul, step)
+    if bad is not None:
+        fail(p=bad)
+    for s in gens:
         for c in data.c_primes:
-            image = g.conj(p, c)
+            image = g.conj(s, c)
             if image not in csum or ext.theta(image) != ext.theta(c):
-                fail(p=p, c=c)
-    n_p = len(ext.p_stab)
-    return 1 + n_p + n_p * n_p + n_p * len(data.c_primes)
+                fail(p=s, c=c)
+    return 2 + len(gens) + len(p_stab) * len(gens) + len(gens) * len(data.c_primes)
 
 
 # -- equivariant assembly --------------------------------------------------------
@@ -408,9 +458,11 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
 
 def verify_equivariance(tables: CharacterTables) -> dict:
     """Build the extension map on orbit representatives, transport along a
-    fixed transversal, and check V'-equivariance on generators.  Field
-    automorphisms centralize the supplement here, so the outer action is
-    trivial; nontrivial outer actions are reported as unexercised."""
+    fixed transversal, and check V'-equivariance on generators, probing
+    the c_i' and the generators of P'_nu, which pin a linear character of
+    V'_nu.  Field automorphisms centralize the supplement here, so the
+    outer action is trivial; nontrivial outer actions are reported as
+    unexercised."""
     data = tables.data
     g = data.ctx.group
     chars = irr_of_hprime(tables)
@@ -419,7 +471,7 @@ def verify_equivariance(tables: CharacterTables) -> dict:
     by_signs = {lam.signs: lam for lam in chars}
 
     def act(signs, x):
-        return _conj_action_on_characters(tables, x, by_signs[signs]).signs
+        return _act_on_signs(tables.head_action(x), signs)
 
     # orbits under the generated action, each sign vector labelled with its
     # mover: the generators along its BFS path, the last step leftmost
@@ -434,7 +486,7 @@ def verify_equivariance(tables: CharacterTables) -> dict:
     extension_of = {}
     for orb in orbits:
         rep_signs = min(orb)
-        base_ext = extend_character(tables, by_signs[rep_signs])
+        base_ext = tables.extension(by_signs[rep_signs])
         for signs, mover in orb.items():
             extension_of[signs] = (base_ext, None if signs == rep_signs else g.inv(mover))
 
@@ -448,13 +500,13 @@ def verify_equivariance(tables: CharacterTables) -> dict:
     gens_with_inverses = [(x, g.inv(x)) for x in gens]
     for lam in chars:
         for x, x_inv in gens_with_inverses:
-            nu = _conj_action_on_characters(tables, x, lam)
-            modulus = extension_of[nu.signs][0].modulus
-            _, p_stab_nu = inertia_decomposition(tables, nu)
-            probes = list(data.c_primes) + list(p_stab_nu)
+            nu = act(lam.signs, x)
+            modulus = extension_of[nu][0].modulus
+            inertia_decomposition(tables, by_signs[nu])
+            probes = list(data.c_primes) + tables.inertia_generators[nu]
             for y in probes:
                 want = extension_value(lam.signs, g.mul(g.mul(x_inv, y), x))
-                if extension_value(nu.signs, y) % modulus != want % modulus:
+                if extension_value(nu, y) % modulus != want % modulus:
                     raise VerificationError(
                         "extension map is not equivariant",
                         {"lam": lam.signs, "x": x, "probe": y},

@@ -127,6 +127,11 @@ def cmd_verify(args) -> int:
     if any(s in POINT_SUITES for s in suites) and not _verify_points(args):
         print("error: no --d value is d0 or 2 d0 for a --d0 value", file=sys.stderr)
         return USAGE_ERROR
+    if "atlas-ellparts" in suites and all(q % ell == 0 for q in args.q for ell in args.ell):
+        # the atlas skips q divisible by ell, so it would check no row
+        print("error: the atlas wants a --q value not divisible by some --ell value",
+              file=sys.stderr)
+        return USAGE_ERROR
     if args.mutate is not None:
         return _run_mutation(args)
     suite_kwargs = {

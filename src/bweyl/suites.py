@@ -415,10 +415,7 @@ def suite_extmap_hypotheses(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
 
 
 def suite_charext(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
-    from .charext import (
-        CharacterTables, check_multiplicative, extend_character, irr_of_hprime,
-        verify_equivariance,
-    )
+    from .charext import CharacterTables, irr_of_hprime, verify_equivariance
     from .supplement import build_supplement
 
     t0 = time.perf_counter()
@@ -436,7 +433,7 @@ def suite_charext(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     def extensions():
         t = tables()
         for lam in irr_of_hprime(t):
-            check_multiplicative(t, extend_character(t, lam))
+            t.extension(lam)
 
     _guard(checks, "extension-existence",
            "every head character extends linearly to its inertia subgroup "

@@ -435,11 +435,7 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
         g, c_primes, budget=8 * (2 * ctx.d0) ** ctx.t_l
     )
     _verify_c_structure(ctx, c_primes, c_closure)
-    p_closure = (
-        GeneratedSubgroup.generate(g, p_primes, budget=64 * math.factorial(ctx.t_l))
-        if p_primes
-        else GeneratedSubgroup(g, (), (g.identity,))
-    )
+    p_closure = GeneratedSubgroup.generate(g, p_primes, budget=64 * math.factorial(ctx.t_l))
     h_prime = GeneratedSubgroup.generate(
         g,
         [ctx.h0] + [g.mul(pp, pp) for pp in p_primes],

@@ -38,7 +38,7 @@ Eick and O'Brien, Handbook of Computational Group Theory, 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
 from operator import sub
 from typing import Iterable, NamedTuple
@@ -431,10 +431,8 @@ def root_character_eval(a, x: MonomialElement | TorusTorsionElement) -> int:
 
 @dataclass(frozen=True)
 class GeneratedSubgroup:
-    """A subgroup given by generators with its closure, deterministic order."""
+    """The closure of some generators, its elements in BFS order."""
 
-    group: ExtendedWeylGroup
-    generators: tuple
     elements: tuple
 
     @staticmethod
@@ -447,19 +445,11 @@ class GeneratedSubgroup:
         right multiplication by the generators alone: the group is finite,
         so their inverses are their powers.  More than `budget` elements
         raise BudgetExceededError."""
-        gens = list(generators)
-        elements = orbit({group.identity: None}, gens, group.mul, budget)
-        return GeneratedSubgroup(group, tuple(gens), tuple(elements))
+        return GeneratedSubgroup(
+            tuple(orbit({group.identity: None}, list(generators), group.mul, budget)))
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def __contains__(self, x: MonomialElement) -> bool:
-        return x in self._members
 
 
 def fixed_coset(group: ExtendedWeylGroup, gens: Iterable[MonomialElement], frob,

@@ -9,8 +9,8 @@ from bweyl import BudgetExceededError, VerificationError
 from bweyl import charext, supplement
 from bweyl.charext import (
     CharacterTables,
+    _act_on_signs,
     _check_restriction,
-    _conj_action_on_characters,
     _linear_characters,
     check_multiplicative,
     extend_character,
@@ -22,7 +22,7 @@ from bweyl.charext import (
     verify_equivariance,
     wreath_character_degrees,
 )
-from bweyl.sperm import broken_edge
+from bweyl.sperm import broken_edge, orbit
 from bweyl.suites import SWEEP_POINTS, suite_charext
 from bweyl.supplement import build_supplement
 from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
@@ -87,7 +87,7 @@ def test_trivial_extension_is_trivial(tables_t1):
     ext = extend_character(tables_t1, lam)
     for c in tables_t1.data.c_closure.elements:
         assert ext.value(c) == 0
-    for p in ext.p_stab:
+    for p in inertia_decomposition(tables_t1, lam)[1]:
         assert ext.value(p) == 0
 
 
@@ -96,14 +96,15 @@ def test_value_table_matches_decomposition(tables_t3):
     g = data.ctx.group
     lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
     ext = extend_character(tables_t3, lam)
-    assert len(ext.p_stab) < len(data.p_closure.elements)
+    _, p_stab = inertia_decomposition(tables_t3, lam)
+    assert len(p_stab) < len(data.p_closure.elements)
     scale = ext.modulus // (4 * data.ctx.d0)
     for c in data.c_closure.elements:
-        for p in ext.p_stab:
+        for p in p_stab:
             want = (ext.theta_exp * tables_t3.cyclic_sums[c] * scale
                     + ext.mu[p]) % ext.modulus
             assert ext.value(g.mul(c, p)) == want
-    outside = next(p for p in data.p_closure.elements if p not in ext.p_stab)
+    outside = next(p for p in data.p_closure.elements if p not in p_stab)
     with pytest.raises(ValueError):
         ext.value(outside)
 
@@ -111,17 +112,16 @@ def test_value_table_matches_decomposition(tables_t3):
 def test_value_table_rejects_two_values(tables_t1):
     lam = [c for c in irr_of_hprime(tables_t1) if c.signs == (1,)][0]
     ext = extend_character(tables_t1, lam)
-    # c_1' listed in the symmetric part, with a value of its own; V'
-    # decomposes c_1' as c_1' * 1, so it is not in P'
+    # mu given a value on c_1', which V' decomposes as c_1' * 1, so it is
+    # not in P'_lam and theta already gives it a value
     c1p = tables_t1.data.c_primes[0]
+    assert tables_t1.decompose(c1p) == (c1p, tables_t1.data.ctx.group.identity)
     corrupt = dataclasses.replace(
-        ext, p_stab=list(ext.p_stab) + [c1p],
-        mu={**ext.mu, c1p: (ext.value(c1p) + 1) % ext.modulus},
-    )
+        ext, mu={**ext.mu, c1p: (ext.value(c1p) + 1) % ext.modulus})
     with pytest.raises(VerificationError, match="not multiplicative") as err:
         check_multiplicative(tables_t1, corrupt)
-    assert err.value.counterexample["decomposition"] == (
-        c1p, tables_t1.data.ctx.group.identity)
+    assert err.value.counterexample["mu_domain"] == len(ext.mu) + 1
+    assert _all_pairs_verdict(tables_t1, corrupt) is False
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (2, 2, 1), (4, 1, 0), (4, 2, 1), (6, 3, 0)])
@@ -144,11 +144,13 @@ def _nontrivial_extension(tables):
 def test_multiplicativity_rejects_corrupted_mu(tables_t2):
     ext = _nontrivial_extension(tables_t2)
     g = tables_t2.data.ctx.group
-    p = next(p for p in ext.p_stab if p != g.identity)
+    p = next(p for p in inertia_decomposition(tables_t2, ext.lam)[1]
+             if p != g.identity)
     corrupt = dataclasses.replace(
         ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
     with pytest.raises(VerificationError, match="not multiplicative"):
         check_multiplicative(tables_t2, corrupt)
+    assert _all_pairs_verdict(tables_t2, corrupt) is False
 
 
 def test_multiplicativity_rejects_mu_outside_the_inertia_group(tables_t3):
@@ -156,11 +158,29 @@ def test_multiplicativity_rejects_mu_outside_the_inertia_group(tables_t3):
     lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
     ext = extend_character(tables_t3, lam)
     outside = next(p for p in tables_t3.data.p_closure.elements
-                   if p not in ext.p_stab)
+                   if p not in ext.mu)
     corrupt = dataclasses.replace(ext, mu={**ext.mu, outside: 0})
     assert corrupt.value(outside) == 0
     with pytest.raises(VerificationError, match="not multiplicative"):
         check_multiplicative(tables_t3, corrupt)
+    assert _all_pairs_verdict(tables_t3, corrupt) is False
+
+
+def test_multiplicativity_rejects_mu_consistent_on_a_spanning_tree_only(tables_t3):
+    # mu propagated in BFS order from generator values that define no linear
+    # character (one value shifted by 1): mu equals its own orbit labels, so
+    # only a Cayley edge off the BFS tree shows that it is no homomorphism
+    lam = irr_of_hprime(tables_t3)[0]
+    ext = tables_t3.extension(lam)
+    g = tables_t3.data.ctx.group
+    gens = tables_t3.inertia_generators[lam.signs]
+    mu = orbit({g.identity: 0}, gens, g.mul, len(ext.mu),
+               lambda v, s: (v + ext.mu[s] + (s == gens[0])) % ext.modulus)
+    corrupt = dataclasses.replace(ext, mu=mu)
+    assert set(mu) == set(ext.mu)
+    with pytest.raises(VerificationError, match="not multiplicative"):
+        check_multiplicative(tables_t3, corrupt)
+    assert _all_pairs_verdict(tables_t3, corrupt) is False
 
 
 def test_multiplicativity_rejects_corrupted_theta(tables_t2):
@@ -178,34 +198,43 @@ def test_multiplicativity_rejects_corrupted_conjugation(tables_t2, monkeypatch):
     ext = _nontrivial_extension(tables_t2)
     check_multiplicative(tables_t2, ext)
     g = tables_t2.data.ctx.group
-    p = next(p for p in ext.p_stab if p != g.identity)
+    p = tables_t2.inertia_generators[ext.lam.signs][0]
     c = tables_t2.data.c_primes[-1]
     conj = g.conj
 
     def corrupt(x, y):
-        # p c_i' p^{-1} sent to the identity, which has theta-value 0
+        # the image of c_i' under a generator of P'_lam sent to the
+        # identity, which has theta-value 0
         return g.identity if (x, y) == (p, c) else conj(x, y)
 
     monkeypatch.setattr(g, "conj", corrupt)
-    with pytest.raises(VerificationError, match="not multiplicative"):
+    with pytest.raises(VerificationError, match="not multiplicative") as err:
         check_multiplicative(tables_t2, ext)
+    assert err.value.counterexample["p"] == p
+    assert _all_pairs_verdict(tables_t2, ext) is False
 
 
 def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(tables_t2):
     ext = _nontrivial_extension(tables_t2)
-    g = tables_t2.data.ctx.group
-    h0 = tables_t2.data.ctx.h0
-    # P'_lam x <h_0> with mu extended by the value of h_0 in C': a closed
-    # symmetric part with a homomorphic mu, but h_0 lies in C', so the new
-    # elements decompose as h_0 * p and are not in P'
-    extra = {g.mul(p, h0): (ext.mu[p] + ext.value(h0)) % ext.modulus
-             for p in ext.p_stab}
-    assert not set(extra) & set(ext.p_stab)
-    corrupt = dataclasses.replace(
-        ext, p_stab=list(ext.p_stab) + list(extra), mu={**ext.mu, **extra})
-    with pytest.raises(VerificationError, match="not multiplicative") as err:
-        check_multiplicative(tables_t2, corrupt)
-    assert err.value.counterexample["decomposition"][0] == h0
+    data = tables_t2.data
+    g = data.ctx.group
+    h0 = data.ctx.h0
+    # P' x <h_0> as the symmetric part, and mu extended to P'_lam x <h_0> by
+    # the value of h_0 in C': a closed symmetric part with a homomorphic mu,
+    # but h_0 lies in C', so the new elements also decompose as h_0 * p
+    closure = data.p_closure
+    tables = CharacterTables(dataclasses.replace(data, p_closure=dataclasses.replace(
+        closure, elements=closure.elements + tuple(g.mul(p, h0) for p in closure.elements))))
+    lam = charext.HPrimeCharacter(ext.lam.signs, tables)
+    extra = {g.mul(p, h0): (ext.mu[p] + ext.value(h0)) % ext.modulus for p in ext.mu}
+    assert not set(extra) & set(ext.mu)
+    corrupt = dataclasses.replace(ext, tables=tables, lam=lam, mu={**ext.mu, **extra})
+    assert set(corrupt.mu) == set(inertia_decomposition(tables, lam)[1])
+    with pytest.raises(VerificationError, match="two decompositions") as err:
+        check_multiplicative(tables, corrupt)
+    assert {c for c, _ in err.value.counterexample["decompositions"]} == {g.identity, h0}
+    with pytest.raises(VerificationError, match="two decompositions"):
+        _reference_decomposition(tables)
 
 
 def test_cyclic_part_moving_a_head_character_is_rejected(tables_t3):
@@ -215,7 +244,7 @@ def test_cyclic_part_moving_a_head_character_is_rejected(tables_t3):
     tables = CharacterTables(
         dataclasses.replace(data, c_primes=list(data.c_primes) + [p1]))
     lam = next(lam for lam in irr_of_hprime(tables)
-               if _conj_action_on_characters(tables, p1, lam) != lam)
+               if _act_on_signs(tables.head_action(p1), lam.signs) != lam.signs)
     with pytest.raises(VerificationError, match="cyclic part does not fix"):
         inertia_decomposition(tables, lam)
 
@@ -225,18 +254,21 @@ def test_inertia_disagreeing_with_brute_force_is_rejected(tables_t3, monkeypatch
     assert tables.data.v_prime_order <= charext.BRUTE_CAP
     g = tables.data.ctx.group
     moved = set(tables.data.p_closure.elements) - {g.identity}
-    conj = charext._conj_action_on_characters
+    tables.product_actions  # the brute-force count, formed before the corruption
+    head_action = tables.head_action
 
-    def corrupt(t, x, lam):
-        # every non-identity element of P' claims to move every character
-        if x in moved:
-            return charext.HPrimeCharacter(tuple(1 - s for s in lam.signs), t)
-        return conj(t, x, lam)
+    def corrupt(x):
+        # every non-identity element of P' claims to send H' to 1, which
+        # moves every nontrivial character
+        rows = head_action(x)
+        return tuple((0,) * len(row) for row in rows) if x in moved else rows
 
-    monkeypatch.setattr(charext, "_conj_action_on_characters", corrupt)
+    monkeypatch.setattr(tables, "head_action", corrupt)
+    # lam(h_0) = -1 and trivial elsewhere: h_0 is central, so V' fixes lam
+    lam = charext.HPrimeCharacter((1,) + (0,) * (len(tables.head_basis) - 1), tables)
     with pytest.raises(VerificationError,
                        match="not the expected semidirect product"):
-        inertia_decomposition(tables, irr_of_hprime(tables)[0])
+        inertia_decomposition(tables, lam)
 
 
 def test_conjugation_leaving_the_head_is_rejected(tables_t3):
@@ -256,21 +288,19 @@ def test_ambiguous_decomposition_is_rejected(tables_t3):
     tables = CharacterTables(dataclasses.replace(data, p_closure=dataclasses.replace(
         closure, elements=closure.elements + translates)))
     with pytest.raises(VerificationError, match="two decompositions"):
-        tables.decomposition
+        tables.decompose(closure.elements[-1])
+    with pytest.raises(VerificationError, match="two decompositions"):
+        _reference_decomposition(tables)
 
 
-def test_decomposition_built_once_and_values_are_lookups(tables_t3, monkeypatch):
+def test_values_read_the_decomposition(tables_t3):
+    # every extension answers on its inertia subgroup of V' and nowhere else
     tables = CharacterTables(tables_t3.data)
     g = tables.data.ctx.group
-    exts = [extend_character(tables, lam) for lam in irr_of_hprime(tables)]
-    for ext in exts:
-        check_multiplicative(tables, ext)
-    v_prime = list(tables.decomposition)
+    v_prime = _reference_decomposition(tables)
     assert len(v_prime) == tables.data.v_prime_order
-    muls = []
-    mul = g.mul
-    monkeypatch.setattr(g, "mul", lambda x, y: muls.append((x, y)) or mul(x, y))
-    for ext in exts:
+    for lam in irr_of_hprime(tables):
+        ext = tables.extension(lam)
         inside = 0
         for x in v_prime:
             try:
@@ -278,16 +308,60 @@ def test_decomposition_built_once_and_values_are_lookups(tables_t3, monkeypatch)
                 inside += 1
             except ValueError:
                 pass
-        assert inside == len(tables.data.c_closure.elements) * len(ext.p_stab)
-    # every extension read the one decomposition, built before the
-    # multiplication was wrapped
-    assert muls == []
-    outside = g.simple_lift(3)
-    assert outside not in tables.decomposition
-    for ext in exts:
+        assert inside == len(tables.data.c_closure.elements) * len(ext.mu)
         assert ext.tables is tables
+    outside = g.simple_lift(3)
+    assert tables.decompose(outside) is None
+    for ext in tables.extensions.values():
         with pytest.raises(ValueError):
             ext.value(outside)
+
+
+def _reference_decomposition(tables):
+    """Reference: the factors (c, p) of every x = c * p in V', from all
+    |C'|·|P'| products; two equal products make it ambiguous."""
+    g = tables.data.ctx.group
+    decomp = {}
+    for c in tables.data.c_closure.elements:
+        for p in tables.data.p_closure.elements:
+            x = g.mul(c, p)
+            if decomp.setdefault(x, (c, p)) != (c, p):
+                raise VerificationError(
+                    "supplement element has two decompositions as c * p",
+                    {"element": x, "decompositions": (decomp[x], (c, p))},
+                )
+    return decomp
+
+
+def _all_pairs_verdict(tables, ext):
+    """Reference: ext is multiplicative by the semidirect-product criterion
+    checked on all of P'_lam: mu is defined on P'_lam exactly, each p of it
+    decomposes as 1 * p, mu(pq) = mu(p) + mu(q) for all pairs, and each p
+    keeps the theta-value of every c_i'."""
+    data = tables.data
+    g = data.ctx.group
+    _, p_stab = inertia_decomposition(tables, ext.lam)
+    if set(ext.mu) != set(p_stab):
+        return False
+    decomp = _reference_decomposition(tables)
+    if any(decomp.get(p) != (g.identity, p) for p in p_stab):
+        return False
+    for p in p_stab:
+        for q in p_stab:
+            pq = g.mul(p, q)
+            if pq not in ext.mu or (ext.mu[pq] - ext.mu[p] - ext.mu[q]) % ext.modulus:
+                return False
+    return all(
+        g.conj(p, c) in tables.cyclic_sums and ext.theta(g.conj(p, c)) == ext.theta(c)
+        for p in p_stab for c in data.c_primes
+    )
+
+
+def _reference_derived_subgroup(elements, mul, identity, inverse):
+    """Reference: the closure of the commutators of all pairs."""
+    inv = {x: inverse(x) for x in elements}
+    comms = {mul(mul(inv[x], inv[y]), mul(x, y)) for x in elements for y in elements}
+    return set(orbit({identity: None}, comms, mul, len(elements)))
 
 
 def _cayley_edge_verdict(tables, ext):
@@ -296,13 +370,14 @@ def _cayley_edge_verdict(tables, ext):
     its generator, and 1 has value 0."""
     data = tables.data
     g = data.ctx.group
+    _, p_stab = inertia_decomposition(tables, ext.lam)
     gens, span = [], {g.identity}
-    for p in ext.p_stab:
+    for p in p_stab:
         if p not in span:
             gens.append(p)
             span = set(GeneratedSubgroup.generate(g, gens).elements)
     moves = list(data.c_primes) + gens
-    products = [g.mul(c, p) for c in data.c_closure.elements for p in ext.p_stab]
+    products = [g.mul(c, p) for c in data.c_closure.elements for p in p_stab]
     table = {x: ext.value(x) for x in products}
     if table.get(g.identity) != 0:
         return False
@@ -318,20 +393,42 @@ def _exact_verdict(tables, ext):
     return True
 
 
-@pytest.mark.parametrize("point", [p for p in SWEEP_POINTS if p[0] == 1])
+D0_1_POINTS = [p for p in SWEEP_POINTS if p[0] == 1]
+
+
+@pytest.mark.parametrize("point", D0_1_POINTS)
 def test_exact_multiplicativity_matches_cayley_edges(point):
     d0, t_l, m, d = point
     tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
     for lam in irr_of_hprime(tables):
         ext = extend_character(tables, lam)
-        assert (_exact_verdict(tables, ext)
-                is _cayley_edge_verdict(tables, ext) is True)
-        # one mu value off: both verdicts reject it
-        p = ext.p_stab[-1]
+        assert (_exact_verdict(tables, ext) is _cayley_edge_verdict(tables, ext)
+                is _all_pairs_verdict(tables, ext) is True)
+        # one mu value off: every verdict rejects it
+        p = inertia_decomposition(tables, lam)[1][-1]
         corrupt = dataclasses.replace(
             ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
-        assert (_exact_verdict(tables, corrupt)
-                is _cayley_edge_verdict(tables, corrupt) is False)
+        assert (_exact_verdict(tables, corrupt) is _cayley_edge_verdict(tables, corrupt)
+                is _all_pairs_verdict(tables, corrupt) is False)
+
+
+@pytest.mark.parametrize("point", D0_1_POINTS)
+def test_decomposition_and_derived_subgroup_match_the_references(point):
+    d0, t_l, m, d = point
+    tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
+    g = tables.data.ctx.group
+    decomp = _reference_decomposition(tables)
+    assert all(tables.decompose(x) == cp for x, cp in decomp.items())
+    assert tables.decompose(g.simple_lift(g.n)) is None
+    for lam in irr_of_hprime(tables):
+        ext = tables.extension(lam)
+        _, p_stab = inertia_decomposition(tables, lam)
+        chars = _linear_characters(p_stab, tables.inertia_generators[lam.signs],
+                                   g.mul, g.identity, g.inv, ext.modulus)
+        # the derived subgroup is where every linear character vanishes
+        kernel = {x for x in p_stab if all(chi[x] == 0 for chi in chars)}
+        assert kernel == _reference_derived_subgroup(p_stab, g.mul, g.identity, g.inv)
+        assert len(chars) * len(kernel) == len(p_stab)
 
 
 @pytest.mark.parametrize("l,d,m", [(2, 1, 0), (4, 1, 1), (6, 1, 0), (6, 3, 0)])
@@ -341,6 +438,20 @@ def test_equivariance(l, d, m):
     assert report["characters"] == 2 ** tables.data.ctx.t_l
     assert report["equivariance_probes"] > 0
     assert sum(len(o) for o in report["orbits"]) == report["characters"]
+
+
+def test_equivariance_rejects_an_extension_that_is_no_class_function(tables_t3):
+    # the trivial character's extension shifted on one generator of P': a
+    # generator of V' conjugates it to an element with the old value, which
+    # a probe on the generators of P'_nu sees and one on the c_i' does not
+    tables = CharacterTables(tables_t3.data)
+    lam = irr_of_hprime(tables)[0]
+    ext = tables.extension(lam)
+    s = tables.inertia_generators[lam.signs][0]
+    tables.extensions[lam.signs] = dataclasses.replace(
+        ext, mu={**ext.mu, s: (ext.mu[s] + 1) % ext.modulus})
+    with pytest.raises(VerificationError, match="not equivariant"):
+        verify_equivariance(tables)
 
 
 def test_head_basis_with_hidden_relation_is_rejected():
@@ -449,19 +560,23 @@ def test_linear_characters_runaway_order_is_a_budget_error():
     # mul(a, b) = a with trivial inverses: the commutators are trivial and
     # 1 generates the abelianization, but its powers never reach 0
     with pytest.raises(BudgetExceededError):
-        _linear_characters([0, 1], lambda a, b: a, 0, lambda x: 0, 2)
+        _linear_characters([0, 1], [1], lambda a, b: a, 0, lambda x: 0, 2)
 
 
 # cold-cache products of suite_charext(3, 2, 0, 3), counted after the fused
 # kernel, the conjugator-inverse memo, the cached twist powers of iota_1 (whose
 # k = 0 factor is x itself), one inverse per element or generator in the
 # commutator and equivariance loops, g_1, g_2, the p_i' and the c_i' built
-# once per context, torus conjugation by the Weyl action alone and closures
-# over the generators alone
-CHAREXT_3203_MUL_CEILING = 4021
+# once per context, torus conjugation by the Weyl action alone, closures
+# over the generators alone, and charext's checks on generators with the
+# c * p decomposition found on demand
+CHAREXT_3203_MUL_CEILING = 3555
+# the same at (1, 4, 0, 1), where all-pairs checks and a stored map of V'
+# took about 0.8 M products in charext alone
+CHAREXT_1401_MUL_CEILING = 37866
 
 
-def test_charext_mul_calls_do_not_grow(monkeypatch):
+def _cold_charext_mul_calls(monkeypatch, point):
     # a fresh supplement, hence a fresh group with empty caches; the count
     # repeats exactly, so redundant products fail here without any timing
     monkeypatch.setattr(supplement, "_supplement_cache", {})
@@ -469,5 +584,20 @@ def test_charext_mul_calls_do_not_grow(monkeypatch):
     mul = ExtendedWeylGroup.mul
     monkeypatch.setattr(ExtendedWeylGroup, "mul",
                         lambda self, x, y: calls.append(None) or mul(self, x, y))
-    assert suite_charext(3, 2, 0, 3).passed
-    assert len(calls) <= CHAREXT_3203_MUL_CEILING
+    assert suite_charext(*point).passed
+    return len(calls)
+
+
+def test_charext_mul_calls_do_not_grow(monkeypatch):
+    assert _cold_charext_mul_calls(monkeypatch, (3, 2, 0, 3)) <= CHAREXT_3203_MUL_CEILING
+
+
+def test_charext_mul_calls_at_1_4_0_1(monkeypatch):
+    assert _cold_charext_mul_calls(monkeypatch, (1, 4, 0, 1)) <= CHAREXT_1401_MUL_CEILING
+
+
+def test_charext_passes_at_1_5_0_1(monkeypatch):
+    # |P'| = 1920: the reach point that all-pairs checks could not finish;
+    # its supplement is dropped with the monkeypatched cache
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    assert suite_charext(1, 5, 0, 1).passed

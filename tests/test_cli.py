@@ -139,6 +139,8 @@ def test_verify_rejects_bad_ell(capsys):
     ["--suite", "atlas-ellparts", "--n", "1"],
     ["--ell", "3"],
     ["--suite", "atlas-ellparts", "--ell", "3,5"],
+    ["--suite", "atlas-ellparts", "--ell", "5", "--q", "5,10"],
+    ["--ell", "5,7", "--q", "35"],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "0"],
     ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "-5"],
 ])
@@ -146,6 +148,13 @@ def test_verify_rejects_unusable_parameters(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_runs_the_atlas_when_one_q_is_prime_to_an_ell(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "atlas-ellparts",
+                           "--ell", "5", "--q", "5,6", "--n", "3")
+    report = json.loads(out)[0]
+    assert code == 0 and report["passed"] and report["params"]["rows"] > 0
 
 
 def test_verify_takes_ell_3_without_the_atlas(capsys):

@@ -199,7 +199,7 @@ def test_generate_budget_boundary(g2):
     gens = [g2.simple_lift(1), g2.simple_lift(2)]
     v = GeneratedSubgroup.generate(g2, gens, budget=32)
     assert len(v) == 32
-    assert g2.simple_lift(2) in v and g2.torus((1, 0)) not in v
+    assert g2.simple_lift(2) in v.elements and g2.torus((1, 0)) not in v.elements
     with pytest.raises(BudgetExceededError):
         GeneratedSubgroup.generate(g2, gens, budget=31)
 
