@@ -21,6 +21,7 @@ from functools import lru_cache
 from .cyclo import EllContext, GenericOrder, ell_valuation, generic_order_eval_ell_part
 from .roots import (
     RootSubset,
+    b_block_roots,
     levi_root_subset,
     quotient_torsion,
     root_lattice_doubled,
@@ -77,12 +78,6 @@ class IsolatedBlockRow:
             raise ValueError("case 3 needs even d0")
         if self.case_no in (2, 3) and self.m % 2 == 1:
             raise ValueError("cases 2 and 3 need even m")
-
-    @property
-    def t_l(self) -> int:
-        if self.case_no != 2:
-            raise ValueError("t_l is a case-2 parameter")
-        return self.a // 2
 
     def centralizer_type(self) -> str:
         if self.case_no == 1:
@@ -183,21 +178,7 @@ def case13_levi(n: int, m: int, d: int) -> LeviDatum:
     eps = (-1) ** d
     case = 3 if d0 % 2 == 0 and m % 2 == 0 and n % 2 == 0 and a >= 1 else 1
     row = IsolatedBlockRow(case, n, d, d0, m, a, eps, l_split=0, a1=a)
-    roots: set = set()
-    for i in range(nprime + 1, n + 1):
-        for j in range(i, n + 1):
-            base = [0] * n
-            if i == j:
-                base[i - 1] = 1
-                roots.add(tuple(base))
-                roots.add(tuple(-x for x in base))
-            else:
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [0] * n
-                        v[i - 1], v[j - 1] = si, sj
-                        roots.add(tuple(v))
-    subset = RootSubset(n, frozenset(roots))
+    subset = RootSubset(n, frozenset(b_block_roots(n, nprime + 1)))
     twist = (
         sylow_twist(nprime, d, n) if nprime else SignedPermutation.identity(n)
     )
@@ -222,7 +203,7 @@ def build_case2_levi(n: int, m: int, d: int) -> LeviDatum:
     return LeviDatum(row, subset, twist, _torus_order(d0, eps, t_l))
 
 
-def levi_rational_type(datum: LeviDatum, include_torus: bool = True) -> str:
+def levi_rational_type(datum: LeviDatum) -> str:
     """Canonical rational-type string: semisimple factors X_k(q^j) sorted by
     (family, rank, field power), torus factors last."""
     comps = datum.root_subset.components()
@@ -256,13 +237,12 @@ def levi_rational_type(datum: LeviDatum, include_torus: bool = True) -> str:
     parts = []
     for (family, rank, power), mult in sorted(factors.items()):
         parts.append(_pw(f"{family}_{rank}({_qp(power)})", mult))
-    if include_torus:
-        row = datum.row
-        sign = "+" if row.eps == 1 else "-"
-        mult = row.a // 2 if row.case_no == 2 else row.a
-        torus = _pw(f"({_qp(row.d0)}{sign}1)", mult)
-        if torus:
-            parts.append(torus)
+    row = datum.row
+    sign = "+" if row.eps == 1 else "-"
+    mult = row.a // 2 if row.case_no == 2 else row.a
+    torus = _pw(f"({_qp(row.d0)}{sign}1)", mult)
+    if torus:
+        parts.append(torus)
     return " ".join(parts) if parts else "1"
 
 

@@ -264,10 +264,11 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
 # -- extensions ------------------------------------------------------------------
 
 
-def _linear_characters(elements, gens, mul, identity, inverse, modulus):
+def _linear_characters(elements, gens, mul, identity, inverse, base):
     """All linear characters of a small group generated by `gens`, as
-    exponent dictionaries modulo `modulus` (which the abelianization
-    exponent must divide).  The derived subgroup, the normal closure of the
+    (modulus, exponent dictionaries modulo it), the modulus being the lcm of
+    `base` and the abelianization's exponent: the lcm of the orders of its
+    generators.  The derived subgroup, the normal closure of the
     generators' commutators, is the orbit of 1 under right multiplication
     by them and conjugation by the generators."""
     elems = sorted(elements)
@@ -308,31 +309,31 @@ def _linear_characters(elements, gens, mul, identity, inverse, modulus):
             if k > len(elems):
                 raise BudgetExceededError("runaway order in the abelianization")
         orders.append(k)
+    modulus = math.lcm(base, *orders)
+    # the abelianization's Cayley graph on the generators, shared by the
+    # value propagation of every candidate exponent vector
+    moves = range(len(quotient_gens))
+    cayley = {(x, i): quotient_mul(x, quotient_gens[i]) for x in reps for i in moves}
+
+    def step_on(x, i):
+        return cayley[x, i]
+
     chars = []
-    if all(modulus % o == 0 for o in orders):
-        # the abelianization's Cayley graph on the generators, shared by the
-        # value propagation of every candidate exponent vector
-        moves = range(len(quotient_gens))
-        cayley = {(x, i): quotient_mul(x, quotient_gens[i]) for x in reps for i in moves}
+    for exps in iproduct(*[range(o) for o in orders]):
+        def step(v, i):
+            return (v + exps[i] * (modulus // orders[i])) % modulus
 
-        def step_on(x, i):
-            return cayley[x, i]
-
-        for exps in iproduct(*[range(o) for o in orders]):
-            def step(v, i):
-                return (v + exps[i] * (modulus // orders[i])) % modulus
-
-            values = orbit({one: 0}, moves, step_on, len(reps), step)
-            if (len(values) == len(reps)
-                    and broken_edge(values, moves, step_on, step) is None):
-                chars.append({x: values[rep_of[x]] for x in elems})
+        values = orbit({one: 0}, moves, step_on, len(reps), step)
+        if (len(values) == len(reps)
+                and broken_edge(values, moves, step_on, step) is None):
+            chars.append({x: values[rep_of[x]] for x in elems})
     expected = len(reps)
     if len(chars) != expected:
         raise VerificationError(
             "linear character count disagrees with the abelianization",
             {"found": len(chars), "expected": expected},
         )
-    return chars
+    return modulus, chars
 
 
 @dataclass
@@ -372,9 +373,8 @@ def extend_character(tables: CharacterTables, lam: HPrimeCharacter) -> Extension
     # lam(h_0); h_0 sits at cyclic sum 2*d0
     theta_exp = lam.value(data.ctx.h0)
     # modulus: enough room for the cyclic part and the symmetric part
-    modulus = math.lcm(4 * d0, *(g.order(p) for p in p_stab))
-    chars = _linear_characters(p_stab, tables.inertia_generators[lam.signs],
-                               g.mul, g.identity, g.inv, modulus)
+    modulus, chars = _linear_characters(p_stab, tables.inertia_generators[lam.signs],
+                                        g.mul, g.identity, g.inv, 4 * d0)
     # restriction constraints on the symmetric part: the head elements inside
     # P' must get their lam-values
     valid = [chi for chi in chars

@@ -20,6 +20,7 @@ from functools import lru_cache
 from . import VerificationError
 from .roots import (
     are_orthogonal_long,
+    b_block_roots,
     build_root_system,
     coroot,
     dot,
@@ -266,21 +267,6 @@ def _levi_factor_terms(ctx: SupplementContext, i: int, table: SignTable):
     return terms
 
 
-def _bm_block_roots(ctx: SupplementContext):
-    out = []
-    for i in range(ctx.l + 1, ctx.n + 1):
-        out.append(tuple(1 if j == i - 1 else 0 for j in range(ctx.n)))
-        out.append(tuple(-1 if j == i - 1 else 0 for j in range(ctx.n)))
-        for k in range(i + 1, ctx.n + 1):
-            for si in (1, -1):
-                for sk in (1, -1):
-                    out.append(tuple(
-                        si if j == i - 1 else sk if j == k - 1 else 0
-                        for j in range(ctx.n)
-                    ))
-    return out
-
-
 def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
     """[L_i, c_j'] = 1 for i != j and [B_m-block, V'] = 1, at the level of
     formal root terms.  Returns a summary; raises with a counterexample on
@@ -303,11 +289,10 @@ def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
                         {"i": i, "j": j, "term": t, "got": got},
                     )
                 checked += 1
-    bm_roots = _bm_block_roots(ctx)
     vprime_gens = [data.c_primes[0]] + list(data.p_primes) + [
         g.mul(p, p) for p in data.p_primes
     ]
-    for a in bm_roots:
+    for a in b_block_roots(ctx.n, ctx.l + 1):
         t = FormalRootTerm(a)
         for x in vprime_gens:
             got = conjugate(g, table, x, t)
@@ -390,7 +375,7 @@ def verify_graph_action(l: int, d: int, m: int, q: int = 3) -> dict:
                 "c_1' and v_l' act differently on a first-factor term",
                 {"term": t, "via_c": via_c, "via_v": via_v},
             )
-    for a in _bm_block_roots(ctx):
+    for a in b_block_roots(ctx.n, ctx.l + 1):
         t = FormalRootTerm(a)
         if conjugate(g, table, data.c_primes[0], t) != t:
             raise VerificationError(

@@ -109,10 +109,6 @@ class CycloPoly:
         if self.coefficients[-1] != 1:
             raise ValueError("cyclotomic polynomials are monic")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, q: int) -> int:
         acc = 0
         for c in reversed(self.coefficients):
@@ -138,19 +134,6 @@ def cyclotomic_poly(e: int) -> CycloPoly:
     if e < 1:
         raise ValueError(f"index must be positive, got {e}")
     return CycloPoly(e, _phi_coeffs(e))
-
-
-def _euler_phi(e: int) -> int:
-    out, n, p = e, e, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            out -= out // p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
 
 
 # -- l-adic context ---------------------------------------------------------
@@ -205,8 +188,7 @@ def e_set(ctx: EllContext, bound: int) -> tuple[int, ...]:
 class GenericOrder:
     """q^(q_power) times a product of cyclotomic values Phi_e(q)^mult.
 
-    Immutable; multiplication adds exponents.  Evaluation at any integer
-    q >= 2 is a positive integer.
+    Immutable.  Evaluation at any integer q >= 2 is a positive integer.
     """
 
     q_power: int = 0
@@ -230,19 +212,6 @@ class GenericOrder:
         factors = {e: mult for e in range(1, 2 * k + 1) if (2 * k) % e == 0 and k % e != 0}
         return GenericOrder.from_factors(0, factors)
 
-    def times(self, other: GenericOrder) -> GenericOrder:
-        merged: dict[int, int] = dict(self.cyclo_factors)
-        for e, m in other.cyclo_factors:
-            merged[e] = merged.get(e, 0) + m
-        return GenericOrder.from_factors(self.q_power + other.q_power, merged)
-
-    def power(self, k: int) -> GenericOrder:
-        if k < 0:
-            raise ValueError("nonnegative powers only")
-        return GenericOrder.from_factors(
-            self.q_power * k, {e: m * k for e, m in self.cyclo_factors}
-        )
-
     def evaluate(self, q: int) -> int:
         if q < 2:
             raise ValueError("evaluation wants q >= 2")
@@ -250,9 +219,6 @@ class GenericOrder:
         for e, m in self.cyclo_factors:
             value *= cyclotomic_poly(e)(q) ** m
         return value
-
-    def degree(self) -> int:
-        return self.q_power + sum(_euler_phi(e) * m for e, m in self.cyclo_factors)
 
 
 def generic_order_eval_ell_part(g: GenericOrder, ctx: EllContext) -> int:

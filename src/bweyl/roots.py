@@ -18,6 +18,7 @@ __all__ = [
     "Root",
     "RootSubset",
     "are_orthogonal_long",
+    "b_block_roots",
     "build_root_system",
     "component_types",
     "coroot",
@@ -146,6 +147,21 @@ def are_orthogonal_long(a: Root, b: Root) -> bool:
     return dot(a, b) == 0 and dot(a, a) == 2 and dot(b, b) == 2
 
 
+def b_block_roots(n: int, first: int) -> list[Root]:
+    """The roots of type B on the coordinates first..n of rank n: for each
+    i in turn, e_i, -e_i and then +-e_i +-e_k for k > i."""
+    roots = []
+    for i in range(first, n + 1):
+        roots += [_unit(n, i), _unit(n, i, -1)]
+        for k in range(i + 1, n + 1):
+            for si in (1, -1):
+                for sk in (1, -1):
+                    v = [0] * n
+                    v[i - 1], v[k - 1] = si, sk
+                    roots.append(tuple(v))
+    return roots
+
+
 def levi_root_subset(n: int, m: int, d0: int, t_l: int) -> RootSubset:
     """Root set of the twist-stable Levi with a type-B_m block on the last m
     coordinates and l/2 pairwise roots +-(e_{2i} - e_{2i-1}) on the first
@@ -157,16 +173,7 @@ def levi_root_subset(n: int, m: int, d0: int, t_l: int) -> RootSubset:
     l = n - m
     if m < 0 or l < 2 or l != 2 * d0 * t_l:
         raise ValueError(f"need n - m = 2*d0*t_l >= 2, got n={n} m={m} d0={d0} t_l={t_l}")
-    roots: set[Root] = set()
-    for i in range(l + 1, n + 1):
-        roots.add(_unit(n, i))
-        roots.add(_unit(n, i, -1))
-        for j in range(i + 1, n + 1):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * n
-                    v[i - 1], v[j - 1] = si, sj
-                    roots.add(tuple(v))
+    roots = set(b_block_roots(n, l + 1))
     for pair in range(1, l // 2 + 1):
         v = [0] * n
         v[2 * pair - 2], v[2 * pair - 1] = -1, 1

@@ -1,8 +1,9 @@
 """The hyperoctahedral group of signed permutations, Sylow twist elements,
 `centralizer`, the budgeted centralizer of a signed permutation by cycle
-matching, the relative Weyl centralizer built on it, and `orbit`, the
-budgeted breadth-first enumeration behind every closure and orbit in the
-package.
+matching, and its order from the signed cycle type alone; the relative Weyl
+centralizer, named through the pair-block map onto W(B_{l/2}) by the twist's
+image and that order; and `orbit`, the budgeted breadth-first enumeration
+behind every closure and orbit in the package.
 
 A signed permutation on {+-1, ..., +-n} is stored one-line on the positive
 part; sigma(-i) = -sigma(i) is implied.  Composition applies the right factor
@@ -17,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from . import BudgetExceededError, VerificationError
+from . import BudgetExceededError
 from .roots import RootSubset, coroot, dot, levi_root_subset
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "SignedPermutation",
     "broken_edge",
     "centralizer",
+    "centralizer_order",
     "closure",
     "orbit",
     "orbits_on_support",
@@ -260,17 +262,9 @@ def reflection(n: int, a) -> SignedPermutation:
     return SignedPermutation(tuple(images))
 
 
-def centralizer(x: SignedPermutation, budget: int) -> list:
-    """The centralizer of x in W(B_k), k = rank of x, by cycle matching.
-
-    g centralizes x exactly when g(x(i)) = x(g(i)) for every i.  So g maps
-    each signed cycle of x onto a cycle of the same length L and sign, and
-    the image of one point of the cycle, any of the 2L signed points of the
-    target cycle, fixes g on all of it (Carter, Conjugacy classes in the
-    Weyl group, 1972).  The centralizer has prod (2L)^c c! elements over
-    the c cycles of each type; past `budget` elements BudgetExceededError
-    is raised before any is built.
-    """
+def _signed_cycles(x: SignedPermutation) -> dict:
+    """The signed cycles of x, each as the list of its points from its least
+    one, grouped by (length, whether the cycle returns with sign +)."""
     types: dict = {}
     seen: set = set()
     for start in range(1, x.rank + 1):
@@ -282,10 +276,32 @@ def centralizer(x: SignedPermutation, budget: int) -> list:
             y = x(y)
         seen.update(map(abs, cycle))
         types.setdefault((len(cycle), y > 0), []).append(cycle)
-    order = math.prod((2 * length) ** len(cycles) * math.factorial(len(cycles))
-                      for (length, _), cycles in types.items())
+    return types
+
+
+def centralizer_order(x: SignedPermutation) -> int:
+    """|C(x)| in W(B_k), k = rank of x, from the signed cycle type alone:
+    prod (2L)^c c! over the c cycles of each length L and sign (see
+    `centralizer`)."""
+    return math.prod((2 * length) ** len(cycles) * math.factorial(len(cycles))
+                     for (length, _), cycles in _signed_cycles(x).items())
+
+
+def centralizer(x: SignedPermutation, budget: int) -> list:
+    """The centralizer of x in W(B_k), k = rank of x, by cycle matching.
+
+    g centralizes x exactly when g(x(i)) = x(g(i)) for every i.  So g maps
+    each signed cycle of x onto a cycle of the same length L and sign, and
+    the image of one point of the cycle, any of the 2L signed points of the
+    target cycle, fixes g on all of it (Carter, Conjugacy classes in the
+    Weyl group, 1972).  The centralizer has `centralizer_order(x)` elements;
+    past `budget` elements BudgetExceededError is raised before any is
+    built.
+    """
+    order = centralizer_order(x)
     if order > budget:
         raise BudgetExceededError(f"centralizer of {order} elements exceeds {budget}")
+    types = _signed_cycles(x)
 
     def images_from(source: list, target: int) -> list:
         # g(x^r(c)) = x^r(g(c)) along the source cycle, as (position, image)
@@ -326,37 +342,23 @@ def _pair_block_image(x: SignedPermutation, pairs: int) -> SignedPermutation | N
     return SignedPermutation._unchecked(tuple(images))
 
 
-def _least_lift(p: SignedPermutation, n: int) -> SignedPermutation:
-    """The least element of W(B_n) over p in W(B_pairs): each pair block in
-    increasing order, or decreasing when negated, and the coordinates past
-    the pairs reversed and negated."""
-    images = []
-    for t in p.images:
-        images += (2 * t - 1, 2 * t) if t > 0 else (2 * t, 2 * t + 1)
-    return SignedPermutation._unchecked(tuple(images) + tuple(range(-n, -2 * p.rank)))
-
-
 @dataclass(frozen=True)
 class CosetGroup:
     """C_{N_W(W_L)/W_L}(w_l W_L) for W = W(B_n) and the Levi root set
     B_m x A_1^{pairs}: the roots +-(e_{2i} - e_{2i-1}), i <= pairs, and a
-    type-B block on the last m = n - 2 pairs coordinates.  A coset is named
-    by its lexicographically least element."""
+    type-B block on the last m = n - 2 pairs coordinates.  The quotient
+    N_W(W_L)/W_L is W(B_pairs) through the pair blocks (see
+    `relative_weyl_centralizer`): `image(x)` names the coset of x, `twist` is
+    the image of w_l and `order` the order of its centralizer there."""
 
-    ambient_rank: int
     pairs: int
-    centralizer: tuple  # representatives centralizing the twist coset, sorted
-    twist_rep: SignedPermutation
+    twist: SignedPermutation
+    order: int
 
-    @property
-    def order(self) -> int:
-        return len(self.centralizer)
-
-    def canonical(self, x: SignedPermutation) -> SignedPermutation | None:
-        """The representative of the coset x W_L, in O(n); None when x is not
-        in N_W(W_L)."""
-        p = _pair_block_image(x, self.pairs)
-        return None if p is None else _least_lift(p, self.ambient_rank)
+    def image(self, x: SignedPermutation) -> SignedPermutation | None:
+        """The image of x in W(B_pairs), in O(n); None when x is not in
+        N_W(W_L)."""
+        return _pair_block_image(x, self.pairs)
 
 
 def relative_weyl_centralizer(
@@ -366,16 +368,15 @@ def relative_weyl_centralizer(
     budget: int = 4_000_000,
 ) -> CosetGroup:
     """C_{N_W(W_L)/W_L}(w_l W_L) for W = W(B_n) and the Levi root set
-    B_m x A_1^{l/2} (see `CosetGroup`).
+    B_m x A_1^{l/2} (see `CosetGroup`), as the image of w_l in W(B_{l/2})
+    and the order of its centralizer there, with nothing enumerated.
 
     An element of W stabilizes the root set exactly when it moves each pair
     block {2i-1, 2i} onto a pair block with one sign, so N_W(W_L) acts on
-    the pair sums e_{2i-1} + e_{2i} as W(B_{l/2}), with kernel W_L (Howlett,
-    Normalizers of parabolic subgroups of reflection groups, 1980).  The
-    centralizer of the image of w_l there is lifted to the least
-    representatives of its cosets, and each lift is checked to stabilize the
-    root set and to centralize w_l modulo W_L.  Raises BudgetExceededError
-    past `budget` cosets.
+    the pair sums as W(B_{l/2}), with kernel W_L (Howlett, Normalizers of
+    parabolic subgroups of reflection groups, 1980).  Raises
+    BudgetExceededError when the centralizer has more than `budget`
+    elements.
     """
     m = sum(1 for a in levi_roots.roots if dot(a, a) == 1) // 2
     pairs = (n - m) // 2
@@ -385,15 +386,7 @@ def relative_weyl_centralizer(
     twist = _pair_block_image(w_l, pairs)
     if twist is None:
         raise ValueError("the twist does not stabilize the Levi root set")
-    twist_rep = _least_lift(twist, n)
-    positive = levi_roots.positive()
-    reps = sorted(_least_lift(c, n) for c in centralizer(twist, budget))
-    cosets = CosetGroup(n, pairs, tuple(reps), twist_rep)
-    for r in reps:
-        if not all(r.act_on_root(a) in levi_roots.roots for a in positive):
-            raise VerificationError("relative Weyl lift does not stabilize the "
-                                    "Levi root set", {"lift": r.images})
-        if cosets.canonical(r * w_l * r.inverse()) != twist_rep:
-            raise VerificationError("relative Weyl lift does not centralize the "
-                                    "twist modulo W_L", {"lift": r.images})
-    return cosets
+    order = centralizer_order(twist)
+    if order > budget:
+        raise BudgetExceededError(f"centralizer of {order} elements exceeds {budget}")
+    return CosetGroup(pairs, twist, order)

@@ -93,20 +93,18 @@ class SuiteReport:
 def _guard(checks: list, check_id: str, statement: str, fn,
            verdict=None) -> None:
     """Run a check callable; a VerificationError payload becomes the
-    counterexample, any True return (or no return) is a pass.  With a
-    `verdict`, fn returns the check's details, kept pass or fail, and
-    verdict(details) decides.  An exceeded enumeration budget also fails
-    the check, with the budget as payload."""
+    counterexample, and a return is a pass.  With a `verdict`, fn returns
+    the check's details, kept pass or fail, and verdict(details) decides.
+    An exceeded enumeration budget also fails the check, with the budget as
+    payload."""
     from . import BudgetExceededError
 
     try:
         result = fn()
-        if verdict is not None:
+        if verdict is None:
+            checks.append(CheckResult(check_id, statement, True, {}))
+        else:
             checks.append(CheckResult(check_id, statement, verdict(result), result))
-            return
-        passed = True if result is None else bool(result)
-        checks.append(CheckResult(check_id, statement, passed,
-                                  {} if passed else {"returned": result}))
     except VerificationError as err:
         checks.append(CheckResult(check_id, statement, False,
                                   dict(err.counterexample) | {"error": str(err)}))
@@ -378,11 +376,11 @@ def suite_commutators(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     checks: list[CheckResult] = []
     _guard(checks, "factor-commutators",
            "[L_i, c_j'] = 1 for i != j and [B-block, V'] = 1 on formal terms",
-           lambda: verify_commutator_lemmas(l, d, m) and None)
+           lambda: verify_commutator_lemmas(l, d, m))
     _guard(checks, "twist-power-sign",
            "F^{d0} maps x_{e_1-e_2}(u) to x_{eps(e_1-e_2)}(eps u^{q^{d0}}), "
            "eps = (-1)^{d+1}",
-           lambda: verify_twist_power_sign(l, d, m) and None)
+           lambda: verify_twist_power_sign(l, d, m))
     return SuiteReport("commutators", {"d0": d0, "t_l": t_l, "m": m, "d": d},
                        checks, time.perf_counter() - t0)
 
@@ -395,7 +393,7 @@ def suite_graph_action(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     checks: list[CheckResult] = []
     _guard(checks, "graph-action",
            "c_1' acts as v_l' on the first factor and trivially on the B-block",
-           lambda: verify_graph_action(l, d, m) and None)
+           lambda: verify_graph_action(l, d, m))
     return SuiteReport("graph-action", {"d0": d0, "t_l": t_l, "m": m, "d": d},
                        checks, time.perf_counter() - t0)
 
@@ -409,7 +407,7 @@ def suite_extmap_hypotheses(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     _guard(checks, "extmap-hypotheses",
            "head centralizes the Levi root subgroups; supplement covers the "
            "relative Weyl quotient; index arithmetic matches",
-           lambda: verify_extmap_hypotheses(l, d, m) and None)
+           lambda: verify_extmap_hypotheses(l, d, m))
     return SuiteReport("extmap-hypotheses", {"d0": d0, "t_l": t_l, "m": m, "d": d},
                        checks, time.perf_counter() - t0)
 
@@ -440,7 +438,7 @@ def suite_charext(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
            "and restricts back correctly", extensions)
     _guard(checks, "equivariance",
            "the orbit-transported extension map is supplement-equivariant",
-           lambda: verify_equivariance(tables()) and None)
+           lambda: verify_equivariance(tables()))
     return SuiteReport("charext", {"d0": d0, "t_l": t_l, "m": m, "d": d},
                        checks, time.perf_counter() - t0)
 

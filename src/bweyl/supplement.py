@@ -26,10 +26,12 @@ from . import BudgetExceededError, VerificationError
 from .roots import levi_root_subset
 from .sperm import (
     SignedPermutation,
+    _signed_block_cycle,
     centralizer,
     closure as perm_closure,
     orbits_on_support,
     relative_weyl_centralizer,
+    w_l_prime_parts,
 )
 from .tits import (
     ExtendedWeylGroup,
@@ -151,10 +153,7 @@ class SupplementContext:
         with the orbit sign flip (the orientation is pinned by the later
         requirement that c_1 c_1^{p_1} projects onto the first block cycle,
         and the displayed-form relation is asserted in the checks)."""
-        a_l, d0, n = self.a_l, self.d0, self.n
-        chain = [1 + k * a_l for k in range(d0)]
-        mapping = dict(zip(chain, chain[1:] + [-chain[0]]))
-        return SignedPermutation.from_mapping(n, mapping)
+        return _signed_block_cycle(self.n, 1, self.a_l, self.d0)
 
     def displayed_cbar1(self) -> SignedPermutation:
         """The distinguished cycle in its two displayed case forms."""
@@ -406,10 +405,9 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
     and injectivity properties, the Weyl images of the supplement
     generators, the conjugation table, the central product structure of C',
     the semidirect decomposition V' = C' x| P' with V' cap H = H', and the
-    relative Weyl group comparison against the centralizer of the twist
-    coset, at every rank.  A supplement is built once per (l, d, m, q); a
-    later call whose budget is below its relative Weyl order raises as the
-    build would have.
+    relative Weyl group by the pair-block map and two orders, at every rank.
+    A supplement is built once per (l, d, m, q); a later call whose budget
+    is below its relative Weyl order raises as the build would have.
     """
     key = (l, d, m, q)
     data = _supplement_cache.get(key)
@@ -442,7 +440,8 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
         budget=2 ** (ctx.t_l + 1),
     )
     v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime)
-    rel_order = _verify_relative_weyl(ctx, c_primes, p_primes, relative_weyl_budget)
+    rel_order = _verify_relative_weyl(ctx, c_primes, p_primes,
+                                      v_prime_order // len(h_prime), relative_weyl_budget)
     data = SupplementData(
         ctx, c_primes, p_primes, c_closure, p_closure, h_prime,
         v_prime_order, rel_order,
@@ -560,8 +559,6 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> None:
 
 
 def _verify_weyl_images(ctx, c_primes, p_primes) -> None:
-    from .sperm import w_l_prime_parts
-
     w_l_prime, parts, taus = w_l_prime_parts(ctx.l, ctx.d0, ctx.t_l, ctx.n)
     _expect(
         ctx.v_l_prime.weyl == w_l_prime,
@@ -668,38 +665,35 @@ def _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime) -
     return v_prime_order
 
 
-def _verify_relative_weyl(ctx, c_primes, p_primes, budget) -> int:
-    """The Weyl image of V' is a set of representatives of the relative Weyl
-    centralizer C_{N_W(W_L)/W_L}(w_l W_L); returns the measured order."""
+def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order, budget) -> int:
+    """rho(V') maps isomorphically onto the relative Weyl centralizer
+    C = C_{N_W(W_L)/W_L}(w_l W_L), the centralizer of the twist's image in
+    W(B_{l/2}) (`relative_weyl_centralizer`); returns |C|.
+
+    Each generator normalizes W_L and its image commutes with the twist's,
+    so the images generate a subgroup of C, all of C when it has |C|
+    elements.  rho(V') meets W_L trivially when its image has |rho(V')|
+    elements, and |rho(V')| = |V'|/|H'| = `quotient_order` as V' cap ker rho
+    = H': rho(c p) = 1 puts rho(c) in rho(C') cap rho(P') = 1, so c lies in
+    C' cap ker rho = <h_0> and p in P' cap ker rho, and these products form
+    H' (`_verify_c_structure`, `_verify_semidirect`)."""
     expected = (2 * ctx.d0) ** ctx.t_l * math.factorial(ctx.t_l)
     levi = levi_root_subset(ctx.n, ctx.m, ctx.d0, ctx.t_l)
     cg = relative_weyl_centralizer(ctx.n, levi, ctx.w_l, budget=budget)
-    _expect(
-        cg.order == expected,
-        "relative Weyl centralizer order matches the wreath formula",
-        {"order": cg.order, "expected": expected},
-    )
-    gens_w = [c.weyl for c in c_primes] + [pp.weyl for pp in p_primes]
-    image = perm_closure(gens_w, budget=4 * expected)
-    cosets = set()
-    for w in sorted(image):
-        rep = cg.canonical(w)
-        _expect(
-            rep is not None,
-            "supplement generators normalize the Levi Weyl group",
-            {"element": w.images},
-        )
-        cosets.add(rep)
-    _expect(
-        len(cosets) == len(image),
-        "Weyl image of V' meets the Levi Weyl group trivially",
-        {"image": len(image), "cosets": len(cosets)},
-    )
-    _expect(
-        cosets == set(cg.centralizer),
-        "supplement generators cover the relative Weyl centralizer",
-        {"generated": len(cosets), "expected": cg.order},
-    )
+    _expect(cg.order == expected, "relative Weyl centralizer order matches the wreath formula",
+            {"order": cg.order, "expected": expected})
+    cover = "supplement generators cover the relative Weyl centralizer"
+    images = []
+    for w in [x.weyl for x in c_primes + p_primes]:
+        image = cg.image(w)
+        _expect(image is not None and all(w.act_on_root(a) in levi.roots for a in levi.positive()),
+                "supplement generators normalize the Levi Weyl group", {"element": w.images})
+        _expect(image * cg.twist == cg.twist * image, cover, {"element": w.images})
+        images.append(image)
+    generated = len(perm_closure(images, budget=cg.order))
+    _expect(generated == cg.order, cover, {"generated": generated, "expected": cg.order})
+    _expect(generated == quotient_order, "Weyl image of V' meets the Levi Weyl group trivially",
+            {"image": generated, "quotient": quotient_order})
     return cg.order
 
 

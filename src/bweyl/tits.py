@@ -137,9 +137,6 @@ class ExtendedWeylGroup:
             cached = self._words[key] = least_reduced_word(key)
         return cached
 
-    def length(self, w: SignedPermutation) -> int:
-        return len(self.reduced_word(w))
-
     # -- group operations ------------------------------------------------------
 
     def simple_lift(self, i: int) -> MonomialElement:

@@ -14,6 +14,7 @@ from bweyl.roots import (
     _rank_of,
     RootSubset,
     are_orthogonal_long,
+    b_block_roots,
     build_root_system,
     component_types,
     coroot,
@@ -25,6 +26,15 @@ from bweyl.roots import (
     smith_normal_form,
     weight_lattice_doubled,
 )
+
+
+@pytest.mark.parametrize("n,first", [(1, 1), (3, 1), (4, 3), (6, 4), (5, 6)])
+def test_b_block_roots_are_the_type_b_roots_on_the_last_coordinates(n, first):
+    roots = b_block_roots(n, first)
+    k = n - first + 1
+    assert len(set(roots)) == len(roots) == 2 * k * k
+    if k >= 2:
+        assert set(roots) == {(0,) * (first - 1) + a for a in build_root_system("B", k).roots}
 
 
 def test_cardinalities():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bweyl import BudgetExceededError
+from bweyl import BudgetExceededError, sperm
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
     centralizer,
+    centralizer_order,
     closure,
     orbit,
     orbits_on_support,
@@ -21,6 +22,7 @@ from bweyl.sperm import (
     w_l_prime_parts,
 )
 from bweyl.suites import SWEEP_POINTS
+from bweyl.supplement import build_supplement
 
 
 def rand_perm(draw_images):
@@ -189,8 +191,8 @@ def test_relative_weyl_wreath_relations(n, m, d0, t_l, d):
         return min((g * h for h in levi_group), key=lambda s: s.images)
 
     images = [canon(p) for p in parts] + [canon(t) for t in taus]
-    assert all(img in cg.centralizer for img in images)
-    # closure of the images inside the quotient equals the centralizer
+    assert all(cg.image(img) * cg.twist == cg.twist * cg.image(img) for img in images)
+    # closure of the images inside the quotient maps onto the centralizer
     generated = {canon(SignedPermutation.identity(n))}
     frontier = list(generated)
     while frontier:
@@ -202,7 +204,8 @@ def test_relative_weyl_wreath_relations(n, m, d0, t_l, d):
                     generated.add(y)
                     nxt.append(y)
         frontier = nxt
-    assert generated == set(cg.centralizer)
+    assert {cg.image(x) for x in generated} == set(centralizer(cg.twist, cg.order))
+    assert len(generated) == cg.order
     # wreath relations: cyclic part of order 2*d0, blocks commute, taus are
     # involutions conjugating adjacent blocks into each other
     for p in parts:
@@ -272,7 +275,8 @@ def test_relative_weyl_matches_orbit_stabilizer(d0, t_l, m, d):
     w_l = sylow_twist(l, d, n)
     _, cent, twist_rep = orbit_stabilizer_cosets(n, levi, w_l)
     cg = relative_weyl_centralizer(n, levi, w_l)
-    assert cg.centralizer == cent and cg.twist_rep == twist_rep
+    assert cg.image(twist_rep) == cg.twist and len(cent) == cg.order
+    assert {cg.image(r) for r in cent} == set(centralizer(cg.twist, cg.order))
 
 
 @pytest.mark.parametrize("n,m,d0,t_l,d", [(5, 1, 1, 2, 1), (4, 2, 1, 1, 2)])
@@ -281,7 +285,47 @@ def test_canonical_names_every_coset_and_nothing_else(n, m, d0, t_l, d):
     canon, _, _ = orbit_stabilizer_cosets(n, levi, sylow_twist(n - m, d, n))
     cg = relative_weyl_centralizer(n, levi, sylow_twist(n - m, d, n))
     weyl = closure([SignedPermutation.simple_reflection(n, i) for i in range(1, n + 1)])
-    assert {x: cg.canonical(x) for x in weyl} == {x: canon.get(x) for x in weyl}
+    assert {x for x in weyl if cg.image(x) is not None} == set(canon)
+    # image and the reference's coset name determine each other on N_W(W_L)
+    pairs = {(canon[x], cg.image(x)) for x in canon}
+    assert len(pairs) == len(set(canon.values())) == len({p for _, p in pairs})
+
+
+def enumerated_relative_weyl(n, levi_roots, w_l, budget=4_000_000):
+    """The reference: the centralizer of the twist's image in W(B_{l/2}),
+    lifted to the least representative of each W_L-coset, each lift checked
+    to stabilize the root set and to centralize w_l modulo W_L."""
+    cg = relative_weyl_centralizer(n, levi_roots, w_l, budget)
+
+    def least_lift(p):
+        images = []
+        for t in p.images:
+            images += (2 * t - 1, 2 * t) if t > 0 else (2 * t, 2 * t + 1)
+        return SignedPermutation(tuple(images) + tuple(range(-n, -2 * p.rank)))
+
+    lifts = sorted(least_lift(c) for c in centralizer(cg.twist, budget))
+    positive = levi_roots.positive()
+    for r in lifts:
+        assert all(r.act_on_root(a) in levi_roots.roots for a in positive)
+        assert cg.image(r * w_l * r.inverse()) == cg.twist
+    return lifts
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS)
+def test_relative_weyl_order_matches_the_enumeration(d0, t_l, m, d):
+    l = 2 * d0 * t_l
+    n = l + m
+    lifts = enumerated_relative_weyl(n, levi_root_subset(n, m, d0, t_l), sylow_twist(l, d, n))
+    assert len(set(lifts)) == len(lifts) == build_supplement(l, d, m).relative_weyl_order
+
+
+def test_relative_weyl_order_at_rank_30_enumerates_nothing(monkeypatch):
+    def refuse(x, budget):
+        raise AssertionError("the centralizer was enumerated")
+
+    monkeypatch.setattr(sperm, "centralizer", refuse)
+    cg = relative_weyl_centralizer(30, levi_root_subset(30, 0, 3, 5), sylow_twist(30, 3))
+    assert cg.order == 933_120 == 6**5 * math.factorial(5)
 
 
 def test_relative_weyl_rejects_other_levis():
@@ -317,7 +361,7 @@ mixed_signed_perms = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=80, deadline=None)
 def test_centralizer_matches_brute_force(x):
     cent = centralizer(x, budget=384)
-    assert len(cent) == len(set(cent))
+    assert len(cent) == len(set(cent)) == centralizer_order(x)
     assert set(cent) == brute_force_centralizer(x)
 
 

@@ -3,6 +3,7 @@ import pytest
 from bweyl import VerificationError
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import SignedPermutation, closure as perm_closure, orbit
+from bweyl.suites import run_suite
 from bweyl.supplement import (
     SupplementContext,
     _verify_relative_weyl,
@@ -272,14 +273,34 @@ def test_c1_does_not_enumerate_the_subsystem():
 @pytest.mark.parametrize("l,d,m", [(10, 5, 0), (10, 10, 1)])
 def test_conjugated_generator_misses_the_relative_weyl_centralizer(l, d, m):
     # c_1' conjugated by a sign change of the first pair block: its image
-    # still has the wreath order and meets W_L trivially, but its cosets
-    # form the centralizer of another twist coset
+    # still normalizes W_L, but its pair-block image does not commute with
+    # the twist's image
     data = build_supplement(l, d, m)
     ctx, g = data.ctx, data.ctx.group
     flip = g.lift(SignedPermutation.from_mapping(ctx.n, {1: -1, 2: -2}))
     bad = g.conj(flip, data.c_primes[0])
     with pytest.raises(VerificationError, match="cover the relative Weyl centralizer"):
-        _verify_relative_weyl(ctx, [bad], data.p_primes, 4_000_000)
+        _verify_relative_weyl(ctx, [bad], data.p_primes, data.relative_weyl_order, 4_000_000)
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 1), (6, 3, 0), (12, 6, 2)])
+@pytest.mark.parametrize("factor", [2, 0.5])
+def test_quotient_order_off_by_two_misses_the_trivial_meet(l, d, m, factor):
+    # the images still generate the whole centralizer, so only the order
+    # |V'|/|H'| of rho(V') tells whether rho(V') meets W_L
+    data = build_supplement(l, d, m)
+    quotient = data.v_prime_order // len(data.h_prime)
+    with pytest.raises(VerificationError, match="meets the Levi Weyl group trivially"):
+        _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes,
+                              int(quotient * factor), 4_000_000)
+    assert _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes,
+                                 quotient, 4_000_000) == quotient
+
+
+def test_supplement_and_extmap_pass_at_l24():
+    # (3, 4, 0, 3): l = 24, a relative Weyl centralizer of 31,104 elements
+    for suite in ("supplement", "extmap-hypotheses"):
+        assert run_suite(suite, point=(3, 4, 0, 3)).passed
 
 
 def test_h_parity_centrality_in_levi():

@@ -267,7 +267,7 @@ def _all_reduced_words(g, w, cap):
     for i in range(1, g.n + 1):
         si = SignedPermutation.simple_reflection(g.n, i)
         shorter = si * w
-        if g.length(shorter) < g.length(w):
+        if len(g.reduced_word(shorter)) < len(g.reduced_word(w)):
             for rest in _all_reduced_words(g, shorter, cap):
                 words.append((i,) + rest)
                 if len(words) >= cap:
