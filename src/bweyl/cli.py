@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q", type=_parse_int_list, default=(2, 3, 4))
     verify.add_argument("--n", type=int, default=6,
                         help="atlas rank cap for the sweep")
-    verify.add_argument("--budget", type=int, default=4_000_000)
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("json", "md"), default="json")
     verify.add_argument("--mutate", default=None,
@@ -115,8 +114,7 @@ def cmd_verify(args) -> int:
         if not values or not all(map(ok, values)):
             print(f"error: {flag} wants a non-empty list of {want}", file=sys.stderr)
             return USAGE_ERROR
-    for flag, value, least in (("--n", args.n, 2), ("--budget", args.budget, 1),
-                               ("--jobs", args.jobs, 1)):
+    for flag, value, least in (("--n", args.n, 2), ("--jobs", args.jobs, 1)):
         if value < least:
             print(f"error: {flag} wants an integer >= {least}", file=sys.stderr)
             return USAGE_ERROR
@@ -141,7 +139,6 @@ def cmd_verify(args) -> int:
         "atlas-ellparts": {"n_max": args.n, "ells": args.ell,
                            "q_values": args.q},
         "tits-core": {"random_triples": 2000},
-        "supplement": {"budget": args.budget},
     }
     # one task per global suite, the longest tasks, first so that a free
     # worker takes the next one (list scheduling); then one task per point

@@ -325,8 +325,7 @@ def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteR
                        checks, time.perf_counter() - t0)
 
 
-def suite_supplement(d0: int, t_l: int, m: int, d: int,
-                     budget: int = 4_000_000) -> SuiteReport:
+def suite_supplement(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
     """The full identity bundle of the supplement at one parameter point;
     construction and checks live in the builder, which raises on the first
     failed identity."""
@@ -339,7 +338,7 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int,
 
     def build():
         nonlocal data
-        data = build_supplement(l, d, m, relative_weyl_budget=budget)
+        data = build_supplement(l, d, m)
 
     _guard(checks, "supplement-identities",
            "h/p/c element identities, iota homomorphisms and injectivity, "

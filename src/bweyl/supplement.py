@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import xor
 
-from . import BudgetExceededError, VerificationError
+from . import VerificationError
 from .roots import levi_root_subset
 from .sperm import (
     SignedPermutation,
@@ -397,24 +397,19 @@ class SupplementData:
 _supplement_cache: dict = {}
 
 
-def build_supplement(l: int, d: int, m: int, q: int = 3,
-                     relative_weyl_budget: int = 4_000_000) -> SupplementData:
+def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
     """Construct and fully verify the supplement for one parameter point.
 
     Checks, in order: the h/p/c element identities, the iota homomorphism
     and injectivity properties, the Weyl images of the supplement
     generators, the conjugation table, the central product structure of C',
     the semidirect decomposition V' = C' x| P' with V' cap H = H', and the
-    relative Weyl group by the pair-block map and two orders, at every rank.
-    A supplement is built once per (l, d, m, q); a later call whose budget
-    is below its relative Weyl order raises as the build would have.
+    relative Weyl group by the pair-block map and the orders of its two
+    factors, at every rank.  A supplement is built once per (l, d, m, q).
     """
     key = (l, d, m, q)
     data = _supplement_cache.get(key)
     if data is not None:
-        if relative_weyl_budget < data.relative_weyl_order:
-            raise BudgetExceededError(f"centralizer of {data.relative_weyl_order} "
-                                      f"elements exceeds {relative_weyl_budget}")
         return data
     ctx = SupplementContext(l, d, m, q)
     if ctx.d0 % 2 == 0:
@@ -440,8 +435,7 @@ def build_supplement(l: int, d: int, m: int, q: int = 3,
         budget=2 ** (ctx.t_l + 1),
     )
     v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime)
-    rel_order = _verify_relative_weyl(ctx, c_primes, p_primes,
-                                      v_prime_order // len(h_prime), relative_weyl_budget)
+    rel_order = _verify_relative_weyl(ctx, c_primes, p_primes, v_prime_order // len(h_prime))
     data = SupplementData(
         ctx, c_primes, p_primes, c_closure, p_closure, h_prime,
         v_prime_order, rel_order,
@@ -665,21 +659,24 @@ def _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime) -
     return v_prime_order
 
 
-def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order, budget) -> int:
+def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order) -> int:
     """rho(V') maps isomorphically onto the relative Weyl centralizer
     C = C_{N_W(W_L)/W_L}(w_l W_L), the centralizer of the twist's image in
     W(B_{l/2}) (`relative_weyl_centralizer`); returns |C|.
 
     Each generator normalizes W_L and its image commutes with the twist's,
-    so the images generate a subgroup of C, all of C when it has |C|
-    elements.  rho(V') meets W_L trivially when its image has |rho(V')|
-    elements, and |rho(V')| = |V'|/|H'| = `quotient_order` as V' cap ker rho
-    = H': rho(c p) = 1 puts rho(c) in rho(C') cap rho(P') = 1, so c lies in
-    C' cap ker rho = <h_0> and p in P' cap ker rho, and these products form
-    H' (`_verify_c_structure`, `_verify_semidirect`)."""
+    so the images generate a subgroup of C.  Let A and B be the groups
+    generated by the images of the c_i' and of the p_i'.  Each p_j' image
+    conjugates each c_i' image into A, so B normalizes A: AB is then the
+    subgroup the images generate, of order |A| |B| / |A cap B|, and all of C
+    when that is |C|.  rho(V') meets W_L trivially when its image has
+    |rho(V')| elements, and |rho(V')| = |V'|/|H'| = `quotient_order` as
+    V' cap ker rho = H': rho(c p) = 1 puts rho(c) in rho(C') cap rho(P') = 1,
+    so c lies in C' cap ker rho = <h_0> and p in P' cap ker rho, and these
+    products form H' (`_verify_c_structure`, `_verify_semidirect`)."""
     expected = (2 * ctx.d0) ** ctx.t_l * math.factorial(ctx.t_l)
     levi = levi_root_subset(ctx.n, ctx.m, ctx.d0, ctx.t_l)
-    cg = relative_weyl_centralizer(ctx.n, levi, ctx.w_l, budget=budget)
+    cg = relative_weyl_centralizer(ctx.n, levi, ctx.w_l)
     _expect(cg.order == expected, "relative Weyl centralizer order matches the wreath formula",
             {"order": cg.order, "expected": expected})
     cover = "supplement generators cover the relative Weyl centralizer"
@@ -690,7 +687,14 @@ def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order, budget) -> in
                 "supplement generators normalize the Levi Weyl group", {"element": w.images})
         _expect(image * cg.twist == cg.twist * image, cover, {"element": w.images})
         images.append(image)
-    generated = len(perm_closure(images, budget=cg.order))
+    c_images, p_images = images[:len(c_primes)], images[len(c_primes):]
+    a = perm_closure(c_images, budget=cg.order)
+    b = perm_closure(p_images or [SignedPermutation.identity(cg.pairs)], budget=cg.order)
+    for p in p_images:
+        for c in c_images:
+            _expect(p * c * p.inverse() in a, "Weyl images of P' normalize the Weyl image of C'",
+                    {"p": p.images, "c": c.images})
+    generated = len(a) * len(b) // len(a & b)
     _expect(generated == cg.order, cover, {"generated": generated, "expected": cg.order})
     _expect(generated == quotient_order, "Weyl image of V' meets the Levi Weyl group trivially",
             {"image": generated, "quotient": quotient_order})

@@ -141,13 +141,18 @@ def test_verify_rejects_bad_ell(capsys):
     ["--suite", "atlas-ellparts", "--ell", "3,5"],
     ["--suite", "atlas-ellparts", "--ell", "5", "--q", "5,10"],
     ["--ell", "5,7", "--q", "35"],
-    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "0"],
-    ["--suite", "supplement", "--d0", "1", "--tl", "1", "--m", "0", "--budget", "-5"],
 ])
 def test_verify_rejects_unusable_parameters(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_has_no_budget_option(capsys):
+    # the relative Weyl check enumerates no centralizer, so nothing is left
+    # for a budget to bound: argparse refuses the option as a usage error
+    code, out, _ = run_cli(capsys, "verify", "--budget", "10")
+    assert code == 2 and out == ""
 
 
 def test_verify_runs_the_atlas_when_one_q_is_prime_to_an_ell(capsys):
@@ -329,38 +334,6 @@ def test_mixed_suites_identical_across_jobs(capsys, suites):
               for r in reports[len(global_suites):]]
     assert points == sorted(points)
     assert len(points) == 2 * 2 * 2  # two point suites at (m, d) in {0,1} x {1,2}
-
-
-def _canonical_checks(out):
-    return sorted((r["suite"], json.dumps(r["params"], sort_keys=True),
-                   json.dumps(c, sort_keys=True))
-                  for r in json.loads(out) for c in r["checks"])
-
-
-def test_non_default_budget_builds_each_supplement_once(capsys, monkeypatch):
-    from bweyl import supplement
-
-    monkeypatch.setattr(supplement, "_supplement_cache", {})
-    code, out, _ = run_cli(capsys, "verify", "--suite", "supplement",
-                           "--suite", "extmap-hypotheses", "--suite", "charext",
-                           "--d0", "1", "--tl", "1,2", "--budget", "3999999",
-                           "--jobs", "1")
-    assert code == 0
-    # (t_l, m, d) in {1, 2} x {0, 1} x {1, 2}: eight points, eight builds
-    assert len(supplement._supplement_cache) == 8
-
-
-def test_budget_result_independent_of_suite_order(capsys):
-    # the supplement built under the default budget by extmap-hypotheses
-    # must not stand in for one built under --budget 10
-    argv = ["verify", "--d0", "1", "--tl", "3", "--m", "2", "--budget", "10",
-            "--jobs", "1", "--format", "json"]
-    code1, out1, _ = run_cli(capsys, *argv, "--suite", "supplement",
-                             "--suite", "extmap-hypotheses")
-    code2, out2, _ = run_cli(capsys, *argv, "--suite", "extmap-hypotheses",
-                             "--suite", "supplement")
-    assert code1 == code2 == 1
-    assert _canonical_checks(out1) == _canonical_checks(out2)
 
 
 def test_reports_identical_under_optimize():

@@ -11,7 +11,6 @@ from bweyl.suites import (
     suite_cyclotomic_lemma,
     suite_hl_structure,
     suite_mutation,
-    suite_supplement,
     suite_tits_core,
     suite_wreath,
 )
@@ -174,9 +173,6 @@ def test_mutation_suite():
 def test_point_suite_dispatch():
     report = run_suite("supplement", point=(1, 1, 0, 1))
     assert report.passed
-    # keyword arguments reach point suites: a 48-element centralizer > 10
-    starved = run_suite("supplement", point=(1, 3, 2, 1), budget=10)
-    assert "budget exceeded" in starved.checks[0].counterexample["error"]
     with pytest.raises(ValueError):
         run_suite("supplement")
     with pytest.raises(ValueError):
@@ -213,20 +209,3 @@ def test_supplement_frobenius_pass_keeps_its_details():
     assert conv.counterexample["conjugate_by_twist"] == conv.counterexample["expected_rank"]
     assert set(conv.counterexample) == {"expected_rank", "conjugate_by_twist",
                                         "conjugate_by_inverse_twist", "both_pass"}
-
-
-def test_supplement_budget_below_the_order_fails_alike_cold_and_cached(monkeypatch):
-    from bweyl import supplement
-
-    # d0 = 1, t_l = 3: the relative Weyl centralizer has 2^3 3! = 48 elements
-    monkeypatch.setattr(supplement, "_supplement_cache", {})
-    cold = suite_supplement(1, 3, 2, 1, budget=47)
-    assert supplement._supplement_cache == {}
-    supplement.build_supplement(6, 1, 2)  # cached under the default budget
-    cached = suite_supplement(1, 3, 2, 1, budget=47)
-    assert [c.as_dict() for c in cached.checks] == [c.as_dict() for c in cold.checks]
-    [check] = cold.checks
-    assert check.check_id == "supplement-identities" and not check.passed
-    assert check.counterexample == {
-        "error": "budget exceeded: centralizer of 48 elements exceeds 47"}
-    assert suite_supplement(1, 3, 2, 1, budget=48).passed

@@ -1,9 +1,17 @@
+import math
+import time
+
 import pytest
 
-from bweyl import VerificationError
+from bweyl import VerificationError, supplement
 from bweyl.roots import levi_root_subset
-from bweyl.sperm import SignedPermutation, closure as perm_closure, orbit
-from bweyl.suites import run_suite
+from bweyl.sperm import (
+    SignedPermutation,
+    closure as perm_closure,
+    orbit,
+    relative_weyl_centralizer,
+)
+from bweyl.suites import SWEEP_POINTS, run_suite
 from bweyl.supplement import (
     SupplementContext,
     _verify_relative_weyl,
@@ -186,8 +194,6 @@ def test_displayed_g_image_formula():
 def test_build_supplement_sweep_small(d0, t_l, m, parity):
     l = 2 * d0 * t_l
     data = build_supplement(l, parity * d0, m)
-    import math
-
     assert data.v_prime_order == 2 * (2 * d0) ** t_l * 2 ** (t_l - 1) * math.factorial(t_l)
     assert len(data.h_prime.elements) == 2**t_l
     assert len(data.c_closure) == 2 * (2 * d0) ** t_l
@@ -280,7 +286,7 @@ def test_conjugated_generator_misses_the_relative_weyl_centralizer(l, d, m):
     flip = g.lift(SignedPermutation.from_mapping(ctx.n, {1: -1, 2: -2}))
     bad = g.conj(flip, data.c_primes[0])
     with pytest.raises(VerificationError, match="cover the relative Weyl centralizer"):
-        _verify_relative_weyl(ctx, [bad], data.p_primes, data.relative_weyl_order, 4_000_000)
+        _verify_relative_weyl(ctx, [bad], data.p_primes, data.relative_weyl_order)
 
 
 @pytest.mark.parametrize("l,d,m", [(4, 1, 1), (6, 3, 0), (12, 6, 2)])
@@ -291,10 +297,56 @@ def test_quotient_order_off_by_two_misses_the_trivial_meet(l, d, m, factor):
     data = build_supplement(l, d, m)
     quotient = data.v_prime_order // len(data.h_prime)
     with pytest.raises(VerificationError, match="meets the Levi Weyl group trivially"):
-        _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes,
-                              int(quotient * factor), 4_000_000)
-    assert _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes,
-                                 quotient, 4_000_000) == quotient
+        _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes, int(quotient * factor))
+    assert _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes, quotient) == quotient
+
+
+def _factor_closures(monkeypatch, ctx, c_primes, p_primes, quotient):
+    """The result of `_verify_relative_weyl` and the closures it forms."""
+    formed = []
+
+    def recording(gens, budget):
+        formed.append(perm_closure(gens, budget=budget))
+        return formed[-1]
+
+    monkeypatch.setattr(supplement, "perm_closure", recording)
+    return _verify_relative_weyl(ctx, c_primes, p_primes, quotient), formed
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(3, 4, 0, 3)])
+def test_factor_orders_match_one_closure_of_all_images(monkeypatch, d0, t_l, m, d):
+    # the reference: one closure of every generator's pair-block image
+    data = build_supplement(2 * d0 * t_l, d, m)
+    ctx = data.ctx
+    cg = relative_weyl_centralizer(ctx.n, levi_root_subset(ctx.n, m, d0, t_l), ctx.w_l)
+    whole = perm_closure([cg.image(x.weyl) for x in data.c_primes + data.p_primes],
+                         budget=cg.order)
+    order, formed = _factor_closures(monkeypatch, ctx, data.c_primes, data.p_primes,
+                                     data.relative_weyl_order)
+    a, b = formed
+    assert a | b <= whole
+    assert len(a) * len(b) // len(a & b) == len(whole) == order
+
+
+def test_relative_weyl_at_l30_closes_only_the_two_factors(monkeypatch):
+    # (3, 5, 0, 3): |C| = 6^5 5! = 933,120, of which A holds 6^5 and B 5!
+    ctx = SupplementContext(30, 3, 0)
+    c_primes, p_primes = ctx.c_primes, ctx.p_primes
+    t0 = time.perf_counter()
+    order, formed = _factor_closures(monkeypatch, ctx, c_primes, p_primes,
+                                     6**5 * math.factorial(5))
+    assert time.perf_counter() - t0 <= 1.0
+    assert order == 933_120
+    assert sum(map(len, formed)) <= 7_776 + 120
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (12, 3, 1), (6, 2, 2)])
+def test_non_normalizing_generators_are_caught(l, d, m):
+    # c_1' alone: the p_j' images move its image out of the group it generates
+    data = build_supplement(l, d, m)
+    with pytest.raises(VerificationError, match="normalize the Weyl image of C'"):
+        _verify_relative_weyl(data.ctx, data.c_primes[:1], data.p_primes,
+                              data.relative_weyl_order)
 
 
 def test_supplement_and_extmap_pass_at_l24():
