@@ -50,7 +50,7 @@ __all__ = [
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
     use and kept: the head basis and coordinates, the cyclic sums of C', P'
-    indexed for `decompose`, each element's action on H', and per head
+    indexed for `decompose`, each Weyl part's action on H', and per head
     character its inertia group and certified extension."""
 
     def __init__(self, data: SupplementData):
@@ -58,7 +58,7 @@ class CharacterTables:
         self.inertia: dict = {}  # sign vector -> (C', P'_lam)
         self.inertia_generators: dict = {}  # sign vector -> generators of P'_lam
         self.extensions: dict = {}  # sign vector -> certified ExtensionCharacter
-        self._head_actions: dict = {}
+        self._head_actions: dict = {}  # Weyl part -> head_action rows
 
     @cached_property
     def head_basis(self) -> list[MonomialElement]:
@@ -148,23 +148,24 @@ class CharacterTables:
 
     @cached_property
     def product_actions(self) -> Counter:
-        """How many of the |C'|·|P'| products act on H' by each action."""
-        g, data = self.data.ctx.group, self.data
-        return Counter(self.head_action(g.mul(c, p)) for c in data.c_closure.elements
+        """How many of the |C'|·|P'| products act on H' by each action, over
+        the Weyl parts rho(c) rho(p), which alone act: no product."""
+        lift, data = self.data.ctx.group.lift, self.data
+        return Counter(self.head_action(lift(c.weyl * p.weyl)) for c in data.c_closure.elements
                        for p in data.p_closure.elements)
 
     def head_action(self, x: MonomialElement) -> tuple:
         """The H'-coordinates of x b x^{-1} for each basis element b, the
-        Weyl action of x on the torus element b (`conj`, no product),
-        computed once per element and shared by every head character."""
-        rows = self._head_actions.get(x)
+        Weyl action of x on the torus element b (`conj`, no product): kept
+        per Weyl part, so c and c h_0 share it, for every head character."""
+        rows = self._head_actions.get(x.weyl)
         if rows is None:
             g = self.data.ctx.group
             coords = self.head_coordinates
             images = [g.conj(x, b) for b in self.head_basis]
             if any(hb not in coords for hb in images):
                 raise VerificationError("conjugation left the head subgroup", {"element": x})
-            rows = self._head_actions[x] = tuple(coords[hb] for hb in images)
+            rows = self._head_actions[x.weyl] = tuple(coords[hb] for hb in images)
         return rows
 
     def extension(self, lam: HPrimeCharacter) -> ExtensionCharacter:
@@ -228,7 +229,8 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
     sign vectors, and every c_i' must fix lam (a generator check, which the
     conjugation action being a homomorphism extends to C').  Whenever |V'|
     is within BRUTE_CAP, the stabilizer of lam among all |C'|·|P'| products
-    is also counted by brute force and must have |C'|·|P'_lam| elements.
+    is also counted by brute force, over their Weyl parts
+    (`product_actions`), and must have |C'|·|P'_lam| elements.
     Greedy generators of P'_lam go to `tables.inertia_generators`."""
     cached = tables.inertia.get(lam.signs)
     if cached is not None:

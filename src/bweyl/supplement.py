@@ -401,11 +401,12 @@ def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
     """Construct and fully verify the supplement for one parameter point.
 
     Checks, in order: the h/p/c element identities, the iota homomorphism
-    and injectivity properties, the Weyl images of the supplement
-    generators, the conjugation table, the central product structure of C',
-    the semidirect decomposition V' = C' x| P' with V' cap H = H', and the
-    relative Weyl group by the pair-block map and the orders of its two
-    factors, at every rank.  A supplement is built once per (l, d, m, q).
+    and injectivity properties (iota_1's by its kernel at every rank, see
+    `_verify_iota1`), the Weyl images of the supplement generators, the
+    conjugation table, the central product structure of C', the semidirect
+    decomposition V' = C' x| P' with V' cap H = H', and the relative Weyl
+    group by the pair-block map and the orders of its two factors, at every
+    rank.  A supplement is built once per (l, d, m, q).
     """
     key = (l, d, m, q)
     data = _supplement_cache.get(key)
@@ -445,45 +446,38 @@ def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
 
 
 def _verify_iota1(ctx: SupplementContext) -> None:
+    """iota_1 is an injective homomorphism on dom = <m_2, ..., m_{a_l}>, at
+    every rank, by three checks.  B_k is dom conjugated by v_l^k, k < d0.
+
+    - Homomorphism: "translated blocks commute" gives [B_0, B_k] = 1 on
+      generators, so on the groups; conjugating by v_l^j gives every pair
+      [B_j, B_{j+k}] = 1, and the factors of iota_1(x) iota_1(y) reorder
+      into iota_1(xy).
+    - Kernel inside ker rho: dom moves only block 0 = {1, ..., a_l}, and by
+      "block supports are pairwise disjoint" the k-th factor of
+      rho(iota_1(z)) moves only block k: on block 0 it is rho(z), so
+      iota_1(z) = 1 forces rho(z) = 1.
+    - Torus kernel: dom cap ker rho = <m_i^2 : 2 <= i <= a_l>, of order
+      2^(a_l - 1) (Tits, Normalisateurs de tores I, 1966), where iota_1 is
+      x -> sum_{k < d0} w_l^k x over F_2: "iota_1 has trivial torus
+      kernel" shows it injective there."""
     g = ctx.group
     gens = [g.simple_lift(i) for i in range(2, ctx.a_l + 1)]
-    for i, x in enumerate(gens):
-        _expect(
-            ctx.iota1(x) == ctx.p[i + 1],
-            "iota_1 sends the simple lift to p",
-            {"index": i + 2},
-        )
-    for x in gens:
-        for y in gens:
-            _expect(
-                ctx.iota1(g.mul(x, y)) == g.mul(ctx.iota1(x), ctx.iota1(y)),
-                "iota_1 multiplicative on generator pairs",
-                {"x": x.weyl.images, "y": y.weyl.images},
-            )
-    # block subgroups commute and have disjoint Weyl supports
     for k, (vk, _) in enumerate(ctx._twist_powers, start=1):
         for x in gens:
             xc = ctx.pconj(x, vk)
             for y in gens:
-                _expect(
-                    g.mul(y, xc) == g.mul(xc, y),
-                    "translated blocks commute",
-                    {"k": k},
-                )
-    supports = []
-    base = set(range(1, ctx.a_l + 1))
+                _expect(g.mul(y, xc) == g.mul(xc, y), "translated blocks commute", {"k": k})
     u = ctx.w_l.unsigned()
-    cur = base
-    for _ in range(ctx.d0):
-        supports.append(frozenset(cur))
-        cur = {u[i - 1] for i in cur}
+    supports = [frozenset(range(1, ctx.a_l + 1))]
+    for _ in range(1, ctx.d0):
+        supports.append(frozenset(u[i - 1] for i in supports[-1]))
     _expect(
         sum(len(s) for s in supports) == len(frozenset().union(*supports)),
         "block supports are pairwise disjoint",
         {"supports": supports},
     )
-    # torus-kernel triviality of iota_1 over F_2 on the block span: the
-    # images sum_{k < d0} w^k unit_i, i = 2..a_l, are independent
+    # the images sum_{k < d0} w^k unit_i, i = 2..a_l, are independent
     cols = _f2_masks(ctx.group.weyl_torus_matrix(ctx.w_l))
     image = []
     for i in range(1, ctx.a_l):
@@ -492,20 +486,18 @@ def _verify_iota1(ctx: SupplementContext) -> None:
             acc ^= v
             v = reduce(xor, (c for j, c in enumerate(cols) if v >> j & 1), 0)
         image.append(acc)
-    _expect(
-        _f2_rank(image) == ctx.a_l - 1,
-        "iota_1 has trivial torus kernel",
-        {"l": ctx.l, "d": ctx.d},
-    )
-    small = 2 ** (ctx.a_l - 1) * math.factorial(ctx.a_l)
-    if small <= 2048:
-        dom = GeneratedSubgroup.generate(g, gens, budget=2 * small)
-        img = {ctx.iota1(x) for x in dom.elements}
-        _expect(
-            len(dom) == small and len(img) == len(dom),
-            "iota_1 injective by closure comparison",
-            {"domain": len(dom), "image": len(img)},
-        )
+    _expect(_f2_rank(image) == ctx.a_l - 1, "iota_1 has trivial torus kernel",
+            {"l": ctx.l, "d": ctx.d})
+    for i, x in enumerate(gens):
+        _expect(ctx.iota1(x) == ctx.p[i + 1], "iota_1 sends the simple lift to p",
+                {"index": i + 2})
+    for x in gens:
+        for y in gens:
+            _expect(
+                ctx.iota1(g.mul(x, y)) == g.mul(ctx.iota1(x), ctx.iota1(y)),
+                "iota_1 multiplicative on generator pairs",
+                {"x": x.weyl.images, "y": y.weyl.images},
+            )
 
 
 def _verify_iota2(ctx: SupplementContext, p_primes: list) -> None:

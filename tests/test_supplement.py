@@ -14,6 +14,7 @@ from bweyl.sperm import (
 from bweyl.suites import SWEEP_POINTS, run_suite
 from bweyl.supplement import (
     SupplementContext,
+    _verify_iota1,
     _verify_relative_weyl,
     build_supplement,
     build_twist,
@@ -83,8 +84,6 @@ def test_fixed_torsion_is_h0_times_h1h2():
 @pytest.mark.parametrize("parity", [1, 2])
 def test_hl_rank_is_a_l(d0, t_l, parity):
     l = 2 * d0 * t_l
-    if l > 10:
-        pytest.skip("covered by the acceptance sweep")
     ctx = SupplementContext(l, parity * d0, 0)
     assert torsion_two_subgroup_fixed_rank(ctx.group, l, ctx.q, ctx.v_l) == ctx.a_l
 
@@ -128,6 +127,42 @@ def test_iota1_sends_simple_to_p():
     assert ctx.iota1(ctx.group.simple_lift(2)) == ctx.p[1]
     ctx = SupplementContext(6, 3, 0)
     assert ctx.iota1(ctx.group.simple_lift(2)) == ctx.p[1]
+
+
+# sweep points whose iota_1 domain <m_2, ..., m_{a_l}> is small enough to close
+IOTA1_CLOSABLE = sorted({(2 * d0 * t_l, d, m) for d0, t_l, m, d in SWEEP_POINTS
+                         if 2 ** (2 * t_l - 1) * math.factorial(2 * t_l) <= 2048})
+
+
+@pytest.mark.parametrize("l,d,m", IOTA1_CLOSABLE)
+def test_iota1_injective_by_closure(l, d, m):
+    # reference for the kernel certificate of _verify_iota1: the domain has
+    # the order 2^(a_l - 1) a_l! its torus kernel <m_i^2> gives it, and
+    # iota_1 takes distinct values on all of it
+    ctx = SupplementContext(l, d, m)
+    g = ctx.group
+    order = 2 ** (ctx.a_l - 1) * math.factorial(ctx.a_l)
+    dom = GeneratedSubgroup.generate(
+        g, [g.simple_lift(i) for i in range(2, ctx.a_l + 1)], budget=order)
+    assert len(dom) == order
+    assert len({ctx.iota1(x) for x in dom.elements}) == order
+
+
+def test_iota1_with_an_untranslated_block_is_rejected():
+    # the first conjugator of iota_1 replaced by 1: block 1 is block 0,
+    # whose generators do not commute
+    ctx = SupplementContext(12, 3, 0)
+    g = ctx.group
+    ctx._twist_powers = [(g.identity, g.identity)] + ctx._twist_powers[1:]
+    with pytest.raises(VerificationError, match="translated blocks commute"):
+        _verify_iota1(ctx)
+
+
+def test_iota1_with_a_torus_kernel_is_rejected(monkeypatch):
+    ctx = SupplementContext(12, 3, 0)
+    monkeypatch.setattr(supplement, "_f2_rank", lambda vectors: ctx.a_l - 2)
+    with pytest.raises(VerificationError, match="iota_1 has trivial torus kernel"):
+        _verify_iota1(ctx)
 
 
 def test_twisted_frobenius_costs_two_products(monkeypatch):
