@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iproduct
+from operator import mul
 
 from . import BudgetExceededError, VerificationError
 from .sperm import broken_edge, orbit
@@ -49,13 +50,14 @@ __all__ = [
 
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
-    use and kept: the head basis and coordinates, the cyclic sums of C', P'
-    indexed for `decompose`, each Weyl part's action on H', and per head
-    character its inertia group and certified extension."""
+    use and kept: the head basis and coordinates, P' indexed for
+    `decompose`, each Weyl part's action on H', and per head character its
+    inertia group and certified extension.  C' is read through its normal
+    form, `SupplementContext.cyclic_sum`, and never enumerated."""
 
     def __init__(self, data: SupplementData):
         self.data = data
-        self.inertia: dict = {}  # sign vector -> (C', P'_lam)
+        self.inertia: dict = {}  # sign vector -> P'_lam
         self.inertia_generators: dict = {}  # sign vector -> generators of P'_lam
         self.extensions: dict = {}  # sign vector -> certified ExtensionCharacter
         self._head_actions: dict = {}  # Weyl part -> head_action rows
@@ -90,23 +92,6 @@ class CharacterTables:
         return coords
 
     @cached_property
-    def cyclic_sums(self) -> dict:
-        """For every element of C', the sum of its exponents over the c_i',
-        modulo 4*d0 (well defined by the central product structure)."""
-        data = self.data
-        g = data.ctx.group
-        mod = 4 * data.ctx.d0
-
-        def step(v, c):
-            return (v + 1) % mod
-
-        coords = orbit({g.identity: 0}, data.c_primes, g.mul,
-                       len(data.c_closure.elements), step)
-        if broken_edge(coords, data.c_primes, g.mul, step) is not None:
-            raise VerificationError("cyclic part has hidden relations", {})
-        return coords
-
-    @cached_property
     def _block_of_point(self) -> dict:
         """Each point mapped to the least point of its orbit under the Weyl
         parts of the c_i', signs forgotten."""
@@ -137,7 +122,7 @@ class CharacterTables:
         found = None
         for p, p_inv in self._p_by_blocks.get(self._blocks_moved(x), ()):
             c = g.mul(x, p_inv)
-            if c in self.cyclic_sums:
+            if self.data.ctx.cyclic_sum(c) is not None:
                 if found is not None:
                     raise VerificationError(
                         "supplement element has two decompositions as c * p",
@@ -149,10 +134,14 @@ class CharacterTables:
     @cached_property
     def product_actions(self) -> Counter:
         """How many of the |C'|·|P'| products act on H' by each action, over
-        the Weyl parts rho(c) rho(p), which alone act: no product."""
-        lift, data = self.data.ctx.group.lift, self.data
-        return Counter(self.head_action(lift(c.weyl * p.weyl)) for c in data.c_closure.elements
-                       for p in data.p_closure.elements)
+        the Weyl parts rho(c) rho(p), which alone act: no product.  The
+        (2 d0)^t Weyl parts of C', from the powers of its normal form, are
+        each the image of c and c h_0, so each counts twice."""
+        ctx, data = self.data.ctx, self.data
+        powers = [[u.weyl for _, u in table.values()] for table in ctx.c_powers]
+        counts = Counter(self.head_action(ctx.group.lift(reduce(mul, ws) * p.weyl))
+                         for ws in iproduct(*powers) for p in data.p_closure.elements)
+        return Counter({rows: 2 * n for rows, n in counts.items()})
 
     def head_action(self, x: MonomialElement) -> tuple:
         """The H'-coordinates of x b x^{-1} for each basis element b, the
@@ -224,14 +213,15 @@ def _generating_sequence(elements, mul, identity, budget: int) -> list:
 BRUTE_CAP = 3000
 
 
-def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
-    """(C', P'_lam).  P'_lam filters the symmetric part by the action on
-    sign vectors, and every c_i' must fix lam (a generator check, which the
-    conjugation action being a homomorphism extends to C').  Whenever |V'|
-    is within BRUTE_CAP, the stabilizer of lam among all |C'|·|P'| products
-    is also counted by brute force, over their Weyl parts
-    (`product_actions`), and must have |C'|·|P'_lam| elements.
-    Greedy generators of P'_lam go to `tables.inertia_generators`."""
+def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list:
+    """P'_lam, the inertia group of lam being C' x| P'_lam.  P'_lam filters
+    the symmetric part by the action on sign vectors, and every c_i' must
+    fix lam (a generator check, which the conjugation action being a
+    homomorphism extends to C').  Whenever |V'| is within BRUTE_CAP, the
+    stabilizer of lam among all |C'|·|P'| products is also counted by brute
+    force, over their Weyl parts (`product_actions`), and must have
+    |C'|·|P'_lam| elements.  Greedy generators of P'_lam go to
+    `tables.inertia_generators`."""
     cached = tables.inertia.get(lam.signs)
     if cached is not None:
         return cached
@@ -251,16 +241,16 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter):
     if data.v_prime_order <= BRUTE_CAP:
         stab_size = sum(n for rows, n in tables.product_actions.items()
                         if _act_on_signs(rows, lam.signs) == lam.signs)
-        if stab_size != len(data.c_closure.elements) * len(p_stab):
+        if stab_size != data.c_order * len(p_stab):
             raise VerificationError(
                 "inertia group is not the expected semidirect product",
                 {"signs": lam.signs, "brute": stab_size,
-                 "expected": len(data.c_closure.elements) * len(p_stab)},
+                 "expected": data.c_order * len(p_stab)},
             )
     tables.inertia_generators[lam.signs] = _generating_sequence(
         p_stab, g.mul, g.identity, len(p_stab))
-    result = tables.inertia[lam.signs] = (data.c_closure, p_stab)
-    return result
+    tables.inertia[lam.signs] = p_stab
+    return p_stab
 
 
 # -- extensions ------------------------------------------------------------------
@@ -353,7 +343,7 @@ class ExtensionCharacter:
         """theta(c) for c in C': theta_exp times the cyclic sum of c, as an
         exponent modulo `modulus`."""
         scale = self.modulus // (4 * self.tables.data.ctx.d0)
-        return self.theta_exp * self.tables.cyclic_sums[c] * scale % self.modulus
+        return self.theta_exp * self.tables.data.ctx.cyclic_sum(c) * scale % self.modulus
 
     def value(self, x: MonomialElement) -> int:
         c, p = self.tables.decompose(x) or (None, None)
@@ -369,8 +359,7 @@ def extend_character(tables: CharacterTables, lam: HPrimeCharacter) -> Extension
     data = tables.data
     g = data.ctx.group
     d0 = data.ctx.d0
-    _, p_stab = inertia_decomposition(tables, lam)
-    tables.cyclic_sums  # certifies theta before the symmetric part is solved
+    p_stab = inertia_decomposition(tables, lam)
     # theta: value on every c_i' is a fixed root with square-chain matching
     # lam(h_0); h_0 sits at cyclic sum 2*d0
     theta_exp = lam.value(data.ctx.h0)
@@ -419,12 +408,13 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
       theta-value of c_i'; conjugation by s, and so by all of P'_lam, is
       then an automorphism of C' that theta cannot tell from the identity.
 
-    theta is theta_exp times the cyclic sum, which `cyclic_sums` certified
-    on every Cayley edge of C'.  Returns the number of relations checked."""
+    theta is theta_exp times the cyclic sum of C''s normal form, a
+    homomorphism on C' since `_verify_c_structure` certified that normal
+    form unique.  Returns the number of relations checked."""
     data = tables.data
     g = data.ctx.group
-    csum = tables.cyclic_sums
-    _, p_stab = inertia_decomposition(tables, ext.lam)
+    csum = data.ctx.cyclic_sum
+    p_stab = inertia_decomposition(tables, ext.lam)
     gens = tables.inertia_generators[ext.lam.signs]
 
     def fail(**pair):
@@ -450,7 +440,7 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
     for s in gens:
         for c in data.c_primes:
             image = g.conj(s, c)
-            if image not in csum or ext.theta(image) != ext.theta(c):
+            if csum(image) is None or ext.theta(image) != ext.theta(c):
                 fail(p=s, c=c)
     return 2 + len(gens) + len(p_stab) * len(gens) + len(gens) * len(data.c_primes)
 

@@ -262,7 +262,7 @@ def cmd_group(args) -> int:
                    "l": l, "rank": data.ctx.n},
         "orders": {
             "V_prime": data.v_prime_order,
-            "C_prime": len(data.c_closure.elements),
+            "C_prime": data.c_order,
             "P_prime": len(data.p_closure.elements),
             "H_prime": len(data.h_prime.elements),
             "relative_weyl": data.relative_weyl_order,

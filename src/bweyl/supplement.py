@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import xor
+from itertools import accumulate
+from operator import mul, xor
 
 from . import VerificationError
 from .roots import levi_root_subset
@@ -95,6 +96,8 @@ class SupplementContext:
                 {"l": self.l, "d": self.d, "orbits": self.orbits},
             )
         self.h0 = self.group.h_short(1, 2)
+        self._c_exponents_of: dict = {}  # Weyl part -> c_exponents
+        self._c_by_exponents: dict = {}  # (k_1, ..., k_t) -> (c, c h_0)
 
     # -- twisted Frobenius ----------------------------------------------------
 
@@ -269,6 +272,39 @@ class SupplementContext:
             for i in range(1, self.t_l + 1)
         ]
 
+    @cached_property
+    def c_powers(self) -> list[dict]:
+        """Per c_i', (k, (c_i')^k) for k < 2 d0, keyed by where the Weyl
+        part of the power sends 2i-1: C''s normal form reads k_i there."""
+        g = self.group
+        return [{u.weyl(2 * i - 1): (k, u) for k, u in enumerate(
+                 accumulate([c] * (2 * self.d0 - 1), g.mul, initial=g.identity))}
+                for i, c in enumerate(self.c_primes, start=1)]
+
+    def c_exponents(self, w: SignedPermutation) -> tuple | None:
+        """The (k_i, (c_i')^{k_i}) with w = prod rho(c_i')^{k_i}, each k_i
+        read off where w sends 2i-1; None when w is no such product.
+        Signed-permutation products only, once per w."""
+        if w not in self._c_exponents_of:
+            found = tuple(table.get(w(2 * i - 1)) for i, table in enumerate(self.c_powers, start=1))
+            self._c_exponents_of[w] = None if None in found or reduce(
+                mul, [u.weyl for _, u in found], SignedPermutation.identity(self.n)) != w else found
+        return self._c_exponents_of[w]
+
+    def cyclic_sum(self, x: MonomialElement) -> int | None:
+        """sum k_i + 2 d0 e mod 4 d0 for x = prod (c_i')^{k_i} h_0^e in C',
+        its normal form (unique by `_verify_c_structure`); None outside C'.
+        c and c h_0 are formed once per exponent vector."""
+        found = self.c_exponents(x.weyl)
+        if found is None:
+            return None
+        ks = tuple(k for k, _ in found)
+        if ks not in self._c_by_exponents:
+            c = reduce(self.group.mul, [u for k, u in found if k] or [self.group.identity])
+            self._c_by_exponents[ks] = (c, self.group.mul(c, self.h0))
+        pair = self._c_by_exponents[ks]
+        return (sum(ks) + 2 * self.d0 * pair.index(x)) % (4 * self.d0) if x in pair else None
+
 
 def check_frobenius_conventions(ctx: SupplementContext) -> dict:
     """Fixed-point rank of the order-2 torus under both possible twisted
@@ -384,7 +420,7 @@ class SupplementData:
     ctx: SupplementContext
     c_primes: list
     p_primes: list
-    c_closure: GeneratedSubgroup
+    c_order: int
     p_closure: GeneratedSubgroup
     h_prime: GeneratedSubgroup
     v_prime_order: int
@@ -406,7 +442,11 @@ def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
     conjugation table, the central product structure of C', the semidirect
     decomposition V' = C' x| P' with V' cap H = H', and the relative Weyl
     group by the pair-block map and the orders of its two factors, at every
-    rank.  A supplement is built once per (l, d, m, q).
+    rank.  C' is never closed: generator checks certify its order and its
+    meet with the torus (`_verify_c_structure`), and its normal form gives
+    membership and cyclic sums (`SupplementContext.cyclic_sum`).  P' is
+    closed once, as the iota_2 image of its domain (`_verify_iota2`).  A
+    supplement is built once per (l, d, m, q).
     """
     key = (l, d, m, q)
     data = _supplement_cache.get(key)
@@ -422,25 +462,16 @@ def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
     _verify_iota1(ctx)
     c_primes = ctx.c_primes
     p_primes = ctx.p_primes
-    _verify_iota2(ctx, p_primes)
+    p_closure = _verify_iota2(ctx, p_primes)
     _verify_weyl_images(ctx, c_primes, p_primes)
     _verify_conjugation_table(ctx, c_primes, p_primes)
-    c_closure = GeneratedSubgroup.generate(
-        g, c_primes, budget=8 * (2 * ctx.d0) ** ctx.t_l
-    )
-    _verify_c_structure(ctx, c_primes, c_closure)
-    p_closure = GeneratedSubgroup.generate(g, p_primes, budget=64 * math.factorial(ctx.t_l))
-    h_prime = GeneratedSubgroup.generate(
-        g,
-        [ctx.h0] + [g.mul(pp, pp) for pp in p_primes],
-        budget=2 ** (ctx.t_l + 1),
-    )
-    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime)
+    c_order = _verify_c_structure(ctx, c_primes)
+    h_prime = GeneratedSubgroup.generate(g, [ctx.h0] + [g.mul(pp, pp) for pp in p_primes],
+                                         budget=2 ** (ctx.t_l + 1))
+    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, h_prime)
     rel_order = _verify_relative_weyl(ctx, c_primes, p_primes, v_prime_order // len(h_prime))
-    data = SupplementData(
-        ctx, c_primes, p_primes, c_closure, p_closure, h_prime,
-        v_prime_order, rel_order,
-    )
+    data = SupplementData(ctx, c_primes, p_primes, c_order, p_closure, h_prime,
+                          v_prime_order, rel_order)
     _supplement_cache[key] = data
     return data
 
@@ -472,11 +503,8 @@ def _verify_iota1(ctx: SupplementContext) -> None:
     supports = [frozenset(range(1, ctx.a_l + 1))]
     for _ in range(1, ctx.d0):
         supports.append(frozenset(u[i - 1] for i in supports[-1]))
-    _expect(
-        sum(len(s) for s in supports) == len(frozenset().union(*supports)),
-        "block supports are pairwise disjoint",
-        {"supports": supports},
-    )
+    _expect(sum(len(s) for s in supports) == len(frozenset().union(*supports)),
+            "block supports are pairwise disjoint", {"supports": supports})
     # the images sum_{k < d0} w^k unit_i, i = 2..a_l, are independent
     cols = _f2_masks(ctx.group.weyl_torus_matrix(ctx.w_l))
     image = []
@@ -491,48 +519,38 @@ def _verify_iota1(ctx: SupplementContext) -> None:
     for i, x in enumerate(gens):
         _expect(ctx.iota1(x) == ctx.p[i + 1], "iota_1 sends the simple lift to p",
                 {"index": i + 2})
-    for x in gens:
-        for y in gens:
-            _expect(
-                ctx.iota1(g.mul(x, y)) == g.mul(ctx.iota1(x), ctx.iota1(y)),
-                "iota_1 multiplicative on generator pairs",
-                {"x": x.weyl.images, "y": y.weyl.images},
-            )
 
 
-def _verify_iota2(ctx: SupplementContext, p_primes: list) -> None:
+def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
+    """iota_2 is an injective homomorphism on dom = <p_1, ..., p_{t_l - 1}>;
+    returns P' = <p_i'> as the iota_2 image of dom's closure, in P''s own
+    BFS order, and {1} for t_l < 2.
+
+    iota_2(x) = x^{g_1} x^{g_2}, so iota_2(xy) = iota_2(x) iota_2(y) says
+    exactly [x^{g_2}, y^{g_1}] = 1: "iota_2 multiplicative on generator
+    pairs" makes dom^{g_2} and dom^{g_1} commute elementwise, and iota_2 is
+    then a homomorphism on all of dom.  Its image is generated by the
+    p_i' = iota_2(p_i), and it is injective when the image has |dom|
+    elements.  As x s -> iota_2(x) p_i' for each generator s = p_i, the
+    image of dom's BFS order is the BFS order of P' from the p_i'."""
     g = ctx.group
     if ctx.t_l < 2:
-        return
+        return GeneratedSubgroup((g.identity,))
     dom_gens = [ctx.p[i] for i in range(1, ctx.t_l)]
     for x in dom_gens:
         for y in dom_gens:
-            _expect(
-                ctx.iota2(g.mul(x, y)) == g.mul(ctx.iota2(x), ctx.iota2(y)),
-                "iota_2 multiplicative on generator pairs",
-                {},
-            )
-    dom = GeneratedSubgroup.generate(
-        g, dom_gens, budget=64 * math.factorial(ctx.t_l)
-    )
-    image = {ctx.iota2(x) for x in dom.elements}
-    _expect(
-        len(image) == len(dom),
-        "iota_2 injective by closure comparison",
-        {"domain": len(dom), "image": len(image)},
-    )
+            _expect(ctx.iota2(g.mul(x, y)) == g.mul(ctx.iota2(x), ctx.iota2(y)),
+                    "iota_2 multiplicative on generator pairs", {})
+    dom = GeneratedSubgroup.generate(g, dom_gens, budget=64 * math.factorial(ctx.t_l))
+    image = tuple(ctx.iota2(x) for x in dom.elements)
+    _expect(len(set(image)) == len(dom), "iota_2 injective by closure comparison",
+            {"domain": len(dom), "image": len(set(image))})
     expected = 2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l)
     _expect(len(dom) == expected, "iota_2 domain order", {"order": len(dom)})
     for i, pp in enumerate(p_primes, start=1):
         sq = g.mul(pp, pp)
-        expected_sq = g.prod(
-            [ctx.h[2 * i - 1], ctx.h[2 * i], ctx.h[2 * i + 1], ctx.h[2 * i + 2]]
-        )
-        _expect(
-            sq == expected_sq,
-            "(p_i')^2 == h_{2i-1} h_{2i} h_{2i+1} h_{2i+2}",
-            {"i": i, "got": sq},
-        )
+        _expect(sq == g.prod([ctx.h[2 * i - 1], ctx.h[2 * i], ctx.h[2 * i + 1], ctx.h[2 * i + 2]]),
+                "(p_i')^2 == h_{2i-1} h_{2i} h_{2i+1} h_{2i+2}", {"i": i, "got": sq})
     for i in range(len(p_primes) - 1):
         lhs = g.prod([p_primes[i], p_primes[i + 1], p_primes[i]])
         rhs = g.prod([p_primes[i + 1], p_primes[i], p_primes[i + 1]])
@@ -542,6 +560,7 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> None:
     g1, g2 = ctx.g1_g2
     _expect(ctx.is_frob_fixed(g1), "g_1 fixed by twisted Frobenius", {})
     _expect(ctx.is_frob_fixed(g2), "g_2 fixed by twisted Frobenius", {})
+    return GeneratedSubgroup(image)
 
 
 def _verify_weyl_images(ctx, c_primes, p_primes) -> None:
@@ -582,72 +601,63 @@ def _verify_conjugation_table(ctx, c_primes, p_primes) -> None:
             )
 
 
-def _verify_c_structure(ctx, c_primes, c_closure) -> None:
+def _verify_c_structure(ctx, c_primes) -> int:
+    """|C'| = 2 (2 d0)^t and C' cap ker rho = <h_0>, with no element of C'
+    enumerated; returns |C'|.
+
+    By "C' abelian", "(c_i')^{2 d0} == h_0" and "c_i' has order 4 d0" (so
+    h_0 has order 2), every x in C' is prod (c_i')^{k_i} h_0^e with
+    0 <= k_i < 2 d0 and e in {0, 1}.  The 2 d0 powers of rho(c_i') send 2i-1
+    to distinct points, so 2i-1 lies in the Weyl support of c_i'; these
+    supports are pairwise disjoint, so rho(x) sends 2i-1 where
+    rho(c_i')^{k_i} does.  So rho(x) determines every k_i, and x then
+    determines e, h_0 being a torus element other than 1: this normal form
+    is unique, |C'| = 2 (2 d0)^t, and rho(x) = 1 forces every k_i to 0, so
+    C' cap ker rho = <h_0>.  `SupplementContext.cyclic_sum` reads it
+    (collection to a normal form in the abelian case: Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 8)."""
     g = ctx.group
     for i, a in enumerate(c_primes):
         for b in c_primes[i + 1:]:
             _expect(g.mul(a, b) == g.mul(b, a), "C' abelian", {"i": i + 1})
-        _expect(
-            g.power(a, 2 * ctx.d0) == ctx.h0,
-            "(c_i')^{2 d0} == h_0",
-            {"i": i + 1},
-        )
+        _expect(g.power(a, 2 * ctx.d0) == ctx.h0, "(c_i')^{2 d0} == h_0", {"i": i + 1})
         _expect(g.order(a) == 4 * ctx.d0, "c_i' has order 4 d0", {"i": i + 1})
-    expected = 2 * (2 * ctx.d0) ** ctx.t_l
-    _expect(
-        len(c_closure) == expected,
-        "C' is the central product over <h_0>",
-        {"order": len(c_closure), "expected": expected},
-    )
-    kernel = [x for x in c_closure.elements if x.weyl.is_identity()]
-    _expect(
-        sorted(kernel) == sorted([g.identity, ctx.h0]),
-        "C' meets the torus in <h_0>",
-        {"kernel_size": len(kernel)},
-    )
+    supports = [[j for j in range(1, ctx.n + 1) if a.weyl(j) != j] for a in c_primes]
+    _expect(sum(map(len, supports)) == len(set().union(*supports)),
+            "C' is the central product over <h_0>", {"supports": supports})
+    one = SignedPermutation.identity(ctx.n)
+    for i, a in enumerate(c_primes, start=1):
+        images = {u(2 * i - 1) for u in accumulate([a.weyl] * (2 * ctx.d0 - 1), mul, initial=one)}
+        _expect(len(images) == 2 * ctx.d0, "C' meets the torus in <h_0>", {"i": i})
+    return 2 * (2 * ctx.d0) ** len(c_primes)
 
 
-def _verify_semidirect(ctx, c_primes, p_primes, c_closure, p_closure, h_prime) -> int:
+def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, h_prime) -> int:
+    """V' = C' x| P' and V' cap H = H'; returns |V'|.  Every check runs over
+    P' and the generators, C' by its normal form (`SupplementContext`)."""
     g = ctx.group
-    c_set = set(c_closure.elements)
-    p_set = set(p_closure.elements)
-    _expect(c_set & p_set == {g.identity}, "C' cap P' == 1", {})
+    p_elements = p_closure.elements
+    _expect(all(p == g.identity or ctx.cyclic_sum(p) is None for p in p_elements),
+            "C' cap P' == 1", {})
     expected_p = 2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l)
-    _expect(len(p_set) == expected_p, "P' order", {"order": len(p_set)})
+    _expect(len(p_elements) == expected_p, "P' order", {"order": len(p_elements)})
     for c in c_primes:
         for pp in p_primes:
-            _expect(
-                ctx.pconj(c, pp) in c_set, "P' normalizes C'", {}
-            )
-    v_prime_order = len(c_set) * len(p_set)
+            _expect(ctx.cyclic_sum(ctx.pconj(c, pp)) is not None, "P' normalizes C'", {})
+    v_prime_order = c_order * len(p_elements)
     expected_v = 2 * (2 * ctx.d0) ** ctx.t_l * expected_p
-    _expect(
-        v_prime_order == expected_v,
-        "V' order from the semidirect decomposition",
-        {"order": v_prime_order, "expected": expected_v},
-    )
+    _expect(v_prime_order == expected_v, "V' order from the semidirect decomposition",
+            {"order": v_prime_order, "expected": expected_v})
     # V' cap H == H': both sides via the rho-kernels of the two factors
-    p_kernel = [x for x in p_closure.elements if x.weyl.is_identity()]
-    intersection = {
-        g.mul(c, p)
-        for c in (g.identity, ctx.h0)
-        for p in p_kernel
-    }
+    intersection = {g.mul(c, p) for c in (g.identity, ctx.h0) for p in p_elements
+                    if p.weyl.is_identity()}
     h_set = set(h_prime.elements)
-    _expect(
-        intersection == h_set and all(g.in_torsion_two(x) for x in h_set),
-        "V' cap H == H'",
-        {"lhs": len(intersection), "rhs": len(h_set)},
-    )
+    _expect(intersection == h_set and all(g.in_torsion_two(x) for x in h_set), "V' cap H == H'",
+            {"lhs": len(intersection), "rhs": len(h_set)})
     _expect(len(h_set) == 2**ctx.t_l, "H' is elementary abelian of rank t_l", {})
     # rho(C') cap rho(P') is trivial, so the kernels assemble the intersection
-    rho_c = {x.weyl for x in c_closure.elements}
-    rho_p = {x.weyl for x in p_closure.elements}
-    _expect(
-        rho_c & rho_p == {g.identity.weyl},
-        "Weyl images of C' and P' meet trivially",
-        {},
-    )
+    _expect(all(p.weyl.is_identity() or ctx.c_exponents(p.weyl) is None for p in p_elements),
+            "Weyl images of C' and P' meet trivially", {})
     return v_prime_order
 
 

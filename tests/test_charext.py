@@ -27,6 +27,7 @@ from bweyl.sperm import broken_edge, orbit
 from bweyl.suites import SWEEP_POINTS, suite_charext
 from bweyl.supplement import build_supplement
 from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
+from test_supplement import c_prime_closure, reference_cyclic_sums
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def test_character_values_are_signs(tables_t2):
 
 def test_inertia_trivial_character(tables_t2):
     lam = irr_of_hprime(tables_t2)[0]
-    _, p_stab = inertia_decomposition(tables_t2, lam)
+    p_stab = inertia_decomposition(tables_t2, lam)
     assert len(p_stab) == len(tables_t2.data.p_closure.elements)
 
 
@@ -66,7 +67,7 @@ def test_inertia_orbit_structure(tables_t3):
     # at t_l = 3 the symmetric part moves some sign patterns
     sizes = set()
     for lam in irr_of_hprime(tables_t3):
-        _, p_stab = inertia_decomposition(tables_t3, lam)
+        p_stab = inertia_decomposition(tables_t3, lam)
         sizes.add(len(p_stab))
     assert len(sizes) > 1  # some characters have proper inertia
 
@@ -86,9 +87,9 @@ def test_extension_primitive_fourth_root(tables_t1):
 def test_trivial_extension_is_trivial(tables_t1):
     lam = irr_of_hprime(tables_t1)[0]
     ext = extend_character(tables_t1, lam)
-    for c in tables_t1.data.c_closure.elements:
+    for c in c_prime_closure(tables_t1.data).elements:
         assert ext.value(c) == 0
-    for p in inertia_decomposition(tables_t1, lam)[1]:
+    for p in inertia_decomposition(tables_t1, lam):
         assert ext.value(p) == 0
 
 
@@ -97,12 +98,12 @@ def test_value_table_matches_decomposition(tables_t3):
     g = data.ctx.group
     lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
     ext = extend_character(tables_t3, lam)
-    _, p_stab = inertia_decomposition(tables_t3, lam)
+    p_stab = inertia_decomposition(tables_t3, lam)
     assert len(p_stab) < len(data.p_closure.elements)
     scale = ext.modulus // (4 * data.ctx.d0)
-    for c in data.c_closure.elements:
+    for c, csum in reference_cyclic_sums(data).items():
         for p in p_stab:
-            want = (ext.theta_exp * tables_t3.cyclic_sums[c] * scale
+            want = (ext.theta_exp * csum * scale
                     + ext.mu[p]) % ext.modulus
             assert ext.value(g.mul(c, p)) == want
     outside = next(p for p in data.p_closure.elements if p not in p_stab)
@@ -145,7 +146,7 @@ def _nontrivial_extension(tables):
 def test_multiplicativity_rejects_corrupted_mu(tables_t2):
     ext = _nontrivial_extension(tables_t2)
     g = tables_t2.data.ctx.group
-    p = next(p for p in inertia_decomposition(tables_t2, ext.lam)[1]
+    p = next(p for p in inertia_decomposition(tables_t2, ext.lam)
              if p != g.identity)
     corrupt = dataclasses.replace(
         ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
@@ -230,7 +231,7 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(tables_t2):
     extra = {g.mul(p, h0): (ext.mu[p] + ext.value(h0)) % ext.modulus for p in ext.mu}
     assert not set(extra) & set(ext.mu)
     corrupt = dataclasses.replace(ext, tables=tables, lam=lam, mu={**ext.mu, **extra})
-    assert set(corrupt.mu) == set(inertia_decomposition(tables, lam)[1])
+    assert set(corrupt.mu) == set(inertia_decomposition(tables, lam))
     with pytest.raises(VerificationError, match="two decompositions") as err:
         check_multiplicative(tables, corrupt)
     assert {c for c, _ in err.value.counterexample["decompositions"]} == {g.identity, h0}
@@ -278,7 +279,8 @@ def test_product_actions_match_the_products(d0, t_l, m, d):
     # count over the Weyl parts rho(c) rho(p)
     tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
     g = tables.data.ctx.group
-    reference = Counter(tables.head_action(g.mul(c, p)) for c in tables.data.c_closure.elements
+    reference = Counter(tables.head_action(g.mul(c, p))
+                        for c in c_prime_closure(tables.data).elements
                         for p in tables.data.p_closure.elements)
     assert tables.product_actions == reference
     assert sum(reference.values()) == tables.data.v_prime_order
@@ -321,7 +323,7 @@ def test_values_read_the_decomposition(tables_t3):
                 inside += 1
             except ValueError:
                 pass
-        assert inside == len(tables.data.c_closure.elements) * len(ext.mu)
+        assert inside == len(c_prime_closure(tables.data).elements) * len(ext.mu)
         assert ext.tables is tables
     outside = g.simple_lift(3)
     assert tables.decompose(outside) is None
@@ -335,7 +337,7 @@ def _reference_decomposition(tables):
     |C'|·|P'| products; two equal products make it ambiguous."""
     g = tables.data.ctx.group
     decomp = {}
-    for c in tables.data.c_closure.elements:
+    for c in c_prime_closure(tables.data).elements:
         for p in tables.data.p_closure.elements:
             x = g.mul(c, p)
             if decomp.setdefault(x, (c, p)) != (c, p):
@@ -353,7 +355,7 @@ def _all_pairs_verdict(tables, ext):
     keeps the theta-value of every c_i'."""
     data = tables.data
     g = data.ctx.group
-    _, p_stab = inertia_decomposition(tables, ext.lam)
+    p_stab = inertia_decomposition(tables, ext.lam)
     if set(ext.mu) != set(p_stab):
         return False
     decomp = _reference_decomposition(tables)
@@ -364,8 +366,9 @@ def _all_pairs_verdict(tables, ext):
             pq = g.mul(p, q)
             if pq not in ext.mu or (ext.mu[pq] - ext.mu[p] - ext.mu[q]) % ext.modulus:
                 return False
+    c_set = reference_cyclic_sums(data)
     return all(
-        g.conj(p, c) in tables.cyclic_sums and ext.theta(g.conj(p, c)) == ext.theta(c)
+        g.conj(p, c) in c_set and ext.theta(g.conj(p, c)) == ext.theta(c)
         for p in p_stab for c in data.c_primes
     )
 
@@ -383,14 +386,14 @@ def _cayley_edge_verdict(tables, ext):
     its generator, and 1 has value 0."""
     data = tables.data
     g = data.ctx.group
-    _, p_stab = inertia_decomposition(tables, ext.lam)
+    p_stab = inertia_decomposition(tables, ext.lam)
     gens, span = [], {g.identity}
     for p in p_stab:
         if p not in span:
             gens.append(p)
             span = set(GeneratedSubgroup.generate(g, gens).elements)
     moves = list(data.c_primes) + gens
-    products = [g.mul(c, p) for c in data.c_closure.elements for p in p_stab]
+    products = [g.mul(c, p) for c in c_prime_closure(data).elements for p in p_stab]
     table = {x: ext.value(x) for x in products}
     if table.get(g.identity) != 0:
         return False
@@ -418,7 +421,7 @@ def test_exact_multiplicativity_matches_cayley_edges(point):
         assert (_exact_verdict(tables, ext) is _cayley_edge_verdict(tables, ext)
                 is _all_pairs_verdict(tables, ext) is True)
         # one mu value off: every verdict rejects it
-        p = inertia_decomposition(tables, lam)[1][-1]
+        p = inertia_decomposition(tables, lam)[-1]
         corrupt = dataclasses.replace(
             ext, mu={**ext.mu, p: (ext.mu[p] + 1) % ext.modulus})
         assert (_exact_verdict(tables, corrupt) is _cayley_edge_verdict(tables, corrupt)
@@ -435,7 +438,7 @@ def test_decomposition_and_derived_subgroup_match_the_references(point):
     assert tables.decompose(g.simple_lift(g.n)) is None
     for lam in irr_of_hprime(tables):
         ext = tables.extension(lam)
-        _, p_stab = inertia_decomposition(tables, lam)
+        p_stab = inertia_decomposition(tables, lam)
         modulus, chars = _linear_characters(p_stab, tables.inertia_generators[lam.signs],
                                             g.mul, g.identity, g.inv, 4 * tables.data.ctx.d0)
         assert modulus == ext.modulus
@@ -526,12 +529,12 @@ def extension_report(tables):
     per_character = []
     for lam in irr_of_hprime(tables):
         ext = extend_character(tables, lam)
-        _, p_stab = inertia_decomposition(tables, lam)
+        p_stab = inertia_decomposition(tables, lam)
         p_set = set(p_stab)
         gens = list(data.c_primes) + [p for p in data.p_primes if p in p_set]
         per_character.append({
             "signs": list(lam.signs),
-            "inertia_order": len(data.c_closure.elements) * len(p_stab),
+            "inertia_order": len(c_prime_closure(data).elements) * len(p_stab),
             "value_modulus": ext.modulus,
             "values_on_generators": [
                 {"torus": list(x.torus), "weyl": list(x.weyl.images),
@@ -586,12 +589,13 @@ def test_linear_characters_runaway_order_is_a_budget_error():
 # c * p decomposition found on demand, the value modulus taken from the
 # abelianization's generators rather than the order of every element,
 # iota_1's injectivity certified by its kernel rather than by closing its
-# domain, and the brute-force inertia count over Weyl parts (3,527 before
-# the last two)
-CHAREXT_3203_MUL_CEILING = 1511
+# domain, the brute-force inertia count over Weyl parts (3,527 before the
+# last two), C' read by its normal form rather than closed, P' closed once
+# and no iota_1 products on generator pairs (1,511 before the last three)
+CHAREXT_3203_MUL_CEILING = 910
 # the same at (1, 4, 0, 1), where all-pairs checks and a stored map of V'
-# took about 0.8 M products in charext alone
-CHAREXT_1401_MUL_CEILING = 34362
+# took about 0.8 M products in charext alone (34,362 before the normal form)
+CHAREXT_1401_MUL_CEILING = 33317
 
 
 def _cold_charext_mul_calls(monkeypatch, point):

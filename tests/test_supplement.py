@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -7,6 +8,7 @@ from bweyl import VerificationError, supplement
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
+    broken_edge,
     closure as perm_closure,
     orbit,
     relative_weyl_centralizer,
@@ -14,6 +16,7 @@ from bweyl.sperm import (
 from bweyl.suites import SWEEP_POINTS, run_suite
 from bweyl.supplement import (
     SupplementContext,
+    _verify_c_structure,
     _verify_iota1,
     _verify_relative_weyl,
     build_supplement,
@@ -32,6 +35,34 @@ from bweyl.tits import (
 SWEEP_SMALL = [
     (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (3, 1, 0), (3, 1, 1),
 ]
+
+
+def c_prime_closure(data):
+    """Reference: C' closed in the extended Weyl group, in BFS order."""
+    return _closure(data.ctx.group, tuple(data.c_primes), 8 * (2 * data.ctx.d0) ** data.ctx.t_l)
+
+
+def reference_cyclic_sums(data):
+    """Reference: every element of C' labelled along the BFS orbit of 1,
+    each c_i' adding 1 mod 4 d0, and the labels checked on every Cayley
+    edge."""
+    return _cyclic_sums(data.ctx.group, tuple(data.c_primes), 4 * data.ctx.d0)
+
+
+# each reference is formed once per group and generators, for the whole test run
+@functools.cache
+def _closure(group, gens, budget):
+    return GeneratedSubgroup.generate(group, gens, budget=budget)
+
+
+@functools.cache
+def _cyclic_sums(group, gens, mod):
+    def step(v, c):
+        return (v + 1) % mod
+
+    sums = orbit({group.identity: 0}, gens, group.mul, 8 * (mod // 2) ** len(gens), step)
+    assert broken_edge(sums, gens, group.mul, step) is None
+    return sums
 
 
 def test_build_twist_examples():
@@ -231,13 +262,13 @@ def test_build_supplement_sweep_small(d0, t_l, m, parity):
     data = build_supplement(l, parity * d0, m)
     assert data.v_prime_order == 2 * (2 * d0) ** t_l * 2 ** (t_l - 1) * math.factorial(t_l)
     assert len(data.h_prime.elements) == 2**t_l
-    assert len(data.c_closure) == 2 * (2 * d0) ** t_l
+    assert data.c_order == len(c_prime_closure(data)) == 2 * (2 * d0) ** t_l
 
 
 def test_supplement_examples():
     data = build_supplement(2, 1, 0)
     assert data.v_prime_order == 4
-    assert len(data.c_closure) == 4
+    assert data.c_order == len(c_prime_closure(data)) == 4
     assert len(data.p_closure.elements) == 1
     data = build_supplement(4, 1, 0)
     assert data.v_prime_order == 32  # 2 * (2 d0)^t * 2^(t-1) * t!
@@ -246,6 +277,116 @@ def test_supplement_examples():
     data = build_supplement(6, 3, 0)
     g = data.ctx.group
     assert g.power(data.c_primes[0], 2 * 3) == data.ctx.h0
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(3, 4, 0, 3)])
+def test_normal_form_matches_the_closure_of_c_prime(d0, t_l, m, d):
+    # the reference: C' closed in the extended Weyl group, labelled by the
+    # BFS orbit of 1; and P' closed from the p_i'
+    data = build_supplement(2 * d0 * t_l, d, m)
+    ctx, g = data.ctx, data.ctx.group
+    closure = c_prime_closure(data)
+    assert len(closure) == data.c_order == 2 * (2 * d0) ** t_l
+    assert {c for c in closure.elements if c.weyl.is_identity()} == {g.identity, ctx.h0}
+    sums = reference_cyclic_sums(data)
+    assert list(sums) == list(closure.elements)
+    assert all(ctx.cyclic_sum(c) == s for c, s in sums.items())
+    # rho(c_1') with one sign flipped off the points 2i-1 the exponents are
+    # read at: the two block cycles of c_1' then turn by different powers
+    c1 = data.c_primes[0].weyl
+    flip = SignedPermutation.from_mapping(ctx.n, {2: -2})
+    assert [k for k, _ in ctx.c_exponents(c1)] == [1] + [0] * (t_l - 1)
+    assert ctx.c_exponents(c1 * flip) is None
+    p_closure = GeneratedSubgroup.generate(g, data.p_primes, budget=len(data.p_closure))
+    assert data.p_closure.elements == p_closure.elements
+    moved = [p for p in p_closure.elements if p != g.identity]
+    assert all(ctx.cyclic_sum(p) is None for p in moved)
+    # c * p for every c in C' and every p != 1 in P'; at (3, 4, 0, 3), in
+    # place of those 2,592 x 191 products, every c against the p_i' and
+    # every p against the c_i' and h_0
+    if data.v_prime_order <= 100_000:
+        pairs = [(c, p) for c in closure.elements for p in moved]
+    else:
+        pairs = ([(c, p) for c in closure.elements for p in data.p_primes]
+                 + [(c, p) for c in data.c_primes + [ctx.h0] for p in moved])
+    assert all(ctx.cyclic_sum(g.mul(c, p)) is None for c, p in pairs)
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (12, 3, 1), (6, 2, 2)])
+def test_normal_form_reading_exponents_off_by_one_is_caught(monkeypatch, l, d, m):
+    # every k_i read one too high: no conjugate p_j' c_i' p_j'^{-1} is
+    # recognized as an element of C'
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    powers = SupplementContext.c_powers.func
+
+    def shifted(self):
+        return [dict(zip(table, list(table.values())[1:] + list(table.values())[:1]))
+                for table in powers(self)]
+
+    monkeypatch.setattr(SupplementContext, "c_powers", property(shifted))
+    with pytest.raises(VerificationError, match="P' normalizes C'"):
+        build_supplement(l, d, m)
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (12, 3, 1), (6, 6, 0)])
+def test_overlapping_c_prime_supports_are_caught(l, d, m):
+    # c_1' and its inverse commute and have the order and 2 d0-th power of
+    # c_i', but together they generate 4 d0 elements, not 2 (2 d0)^2
+    data = build_supplement(l, d, m)
+    ctx, g = data.ctx, data.ctx.group
+    bad = [data.c_primes[0], g.inv(data.c_primes[0])]
+    assert len(GeneratedSubgroup.generate(g, bad)) == 4 * ctx.d0
+    with pytest.raises(VerificationError, match="C' is the central product over <h_0>"):
+        _verify_c_structure(ctx, bad)
+    assert _verify_c_structure(ctx, data.c_primes) == data.c_order
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (4, 2, 1), (6, 1, 0)])
+def test_c_prime_meeting_the_torus_beyond_h0_is_caught(l, d, m):
+    # c_1' and a torus element x off its support with x^2 = h_0, at d0 = 1:
+    # every premise but the last holds, and the group they generate has the
+    # order 2 (2 d0)^2 but meets the torus in <h_0, x>
+    data = build_supplement(l, d, m)
+    ctx, g = data.ctx, data.ctx.group
+    bad = [data.c_primes[0], g.h_short(3, 1)]
+    closure = GeneratedSubgroup.generate(g, bad).elements
+    assert len(closure) == 8 and sum(x.weyl.is_identity() for x in closure) == 4
+    with pytest.raises(VerificationError, match="C' meets the torus in <h_0>"):
+        _verify_c_structure(ctx, bad)
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS)
+def test_c_prime_times_a_torus_element_is_rejected(d0, t_l, m, d):
+    data = build_supplement(2 * d0 * t_l, d, m)
+    ctx, g = data.ctx, data.ctx.group
+    c1 = data.c_primes[0]
+    closure = set(c_prime_closure(data).elements)
+    for t in (g.torus((0, 2) + (0,) * (g.n - 2)), g.h_short(1, 1), ctx.h[1]):
+        assert t not in (g.identity, ctx.h0)
+        x = g.mul(c1, t)
+        assert x not in closure and ctx.cyclic_sum(x) is None
+    assert ctx.cyclic_sum(g.mul(c1, ctx.h0)) == 2 * d0 + 1
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", [(3, 5, 0, 3), (5, 4, 0, 5)])
+def test_reach_supplements_never_close_c_prime(monkeypatch, d0, t_l, m, d):
+    # built cold, and dropped with the monkeypatched cache
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    calls = []
+    generate = GeneratedSubgroup.generate
+
+    def recording(group, generators, budget=1_000_000):
+        calls.append(list(generators))
+        return generate(group, calls[-1], budget)
+
+    monkeypatch.setattr(GeneratedSubgroup, "generate", staticmethod(recording))
+    data = build_supplement(2 * d0 * t_l, d, m)
+    assert calls and not any(set(gens) & set(data.c_primes) for gens in calls)
+    p_order = 2 ** (t_l - 1) * math.factorial(t_l)
+    assert data.c_order == 2 * (2 * d0) ** t_l
+    assert len(data.p_closure) == p_order
+    assert data.v_prime_order == data.c_order * p_order
+    assert data.relative_weyl_order == (2 * d0) ** t_l * math.factorial(t_l)
 
 
 def test_c1_properties_examples():
