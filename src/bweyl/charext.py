@@ -13,18 +13,16 @@ What charext derives from one supplement lives in a `CharacterTables` the
 caller makes and passes; `suite_charext` makes one per point, so the tables
 die with the suite call.
 
-Also holds the wreath-product character-degree combinatorics used to
-cross-check relative Weyl group structure.
+Also holds the wreath-product character degrees behind the `wreath`
+suite; they cross-check no relative-Weyl structure.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
-from operator import mul
 
 from . import BudgetExceededError, VerificationError
 from .sperm import broken_edge, orbit
@@ -51,9 +49,10 @@ __all__ = [
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
     use and kept: the head basis and coordinates, P' indexed for
-    `decompose`, each Weyl part's action on H', and per head character its
-    inertia group and certified extension.  C' is read through its normal
-    form, `SupplementContext.cyclic_sum`, and never enumerated."""
+    `decompose`, each Weyl part's action on H', the orbits of the head
+    characters, and per head character its inertia group and certified
+    extension.  C' is read through its normal form,
+    `SupplementContext.cyclic_sum`, and never enumerated."""
 
     def __init__(self, data: SupplementData):
         self.data = data
@@ -131,18 +130,6 @@ class CharacterTables:
                 found = (c, p)
         return found
 
-    @cached_property
-    def product_actions(self) -> Counter:
-        """How many of the |C'|·|P'| products act on H' by each action, over
-        the Weyl parts rho(c) rho(p), which alone act: no product.  The
-        (2 d0)^t Weyl parts of C', from the powers of its normal form, are
-        each the image of c and c h_0, so each counts twice."""
-        ctx, data = self.data.ctx, self.data
-        powers = [[u.weyl for _, u in table.values()] for table in ctx.c_powers]
-        counts = Counter(self.head_action(ctx.group.lift(reduce(mul, ws) * p.weyl))
-                         for ws in iproduct(*powers) for p in data.p_closure.elements)
-        return Counter({rows: 2 * n for rows, n in counts.items()})
-
     def head_action(self, x: MonomialElement) -> tuple:
         """The H'-coordinates of x b x^{-1} for each basis element b, the
         Weyl action of x on the torus element b (`conj`, no product): kept
@@ -156,6 +143,26 @@ class CharacterTables:
                 raise VerificationError("conjugation left the head subgroup", {"element": x})
             rows = self._head_actions[x.weyl] = tuple(coords[hb] for hb in images)
         return rows
+
+    @cached_property
+    def orbits(self) -> list[dict]:
+        """The orbits of the head characters' sign vectors under the p_i',
+        in the order of their least members, each sign vector labelled with
+        its mover: the generators along its BFS path, the last step
+        leftmost.  The c_i' fix every character (`inertia_decomposition`
+        checks it), so these are the orbits of V'."""
+        g = self.data.ctx.group
+        rank = len(self.head_basis)
+
+        def act(signs, x):
+            return _act_on_signs(self.head_action(x), signs)
+
+        orbits = []
+        for signs in iproduct((0, 1), repeat=rank):
+            if not any(signs in orb for orb in orbits):
+                orbits.append(orbit({signs: g.identity}, self.data.p_primes, act, 2**rank,
+                                    step=lambda mover, x: g.mul(x, mover)))
+        return orbits
 
     def extension(self, lam: HPrimeCharacter) -> ExtensionCharacter:
         """lam's extension, from `extend_character`, certified by
@@ -209,19 +216,19 @@ def _generating_sequence(elements, mul, identity, budget: int) -> list:
 # -- inertia -------------------------------------------------------------------
 
 
-# |V'| up to which the inertia groups are also counted by brute force
-BRUTE_CAP = 3000
-
-
 def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list:
-    """P'_lam, the inertia group of lam being C' x| P'_lam.  P'_lam filters
-    the symmetric part by the action on sign vectors, and every c_i' must
-    fix lam (a generator check, which the conjugation action being a
-    homomorphism extends to C').  Whenever |V'| is within BRUTE_CAP, the
-    stabilizer of lam among all |C'|·|P'| products is also counted by brute
-    force, over their Weyl parts (`product_actions`), and must have
-    |C'|·|P'_lam| elements.  Greedy generators of P'_lam go to
-    `tables.inertia_generators`."""
+    """P'_lam, the inertia group of lam being C' x| P'_lam, certified by
+    orbit-stabilizer (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, 4.1):
+
+    - x acts on sign vectors through its Weyl part (`head_action`), and
+      taking Weyl parts is a homomorphism, so lam -> lam^x is an action;
+    - every c_i' must fix lam, so C' does, and Stab_V'(lam) = C' x| P'_lam;
+    - P'_lam filters P' by the action, every element kept fixes lam, and
+      |P'_lam| = |P'| / |lam^P'|, the orbit read from `tables.orbits`; so
+      a filter of that many elements is all of P'_lam.
+
+    Greedy generators of P'_lam go to `tables.inertia_generators`."""
     cached = tables.inertia.get(lam.signs)
     if cached is not None:
         return cached
@@ -238,15 +245,13 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list
                 "the cyclic part does not fix a head character",
                 {"signs": lam.signs},
             )
-    if data.v_prime_order <= BRUTE_CAP:
-        stab_size = sum(n for rows, n in tables.product_actions.items()
-                        if _act_on_signs(rows, lam.signs) == lam.signs)
-        if stab_size != data.c_order * len(p_stab):
-            raise VerificationError(
-                "inertia group is not the expected semidirect product",
-                {"signs": lam.signs, "brute": stab_size,
-                 "expected": data.c_order * len(p_stab)},
-            )
+    orbit_size = len(next(orb for orb in tables.orbits if lam.signs in orb))
+    if len(p_stab) * orbit_size != len(data.p_closure):
+        raise VerificationError(
+            "inertia group is not the expected semidirect product",
+            {"signs": lam.signs, "stabilizer": len(p_stab), "orbit": orbit_size,
+             "p_order": len(data.p_closure)},
+        )
     tables.inertia_generators[lam.signs] = _generating_sequence(
         p_stab, g.mul, g.identity, len(p_stab))
     tables.inertia[lam.signs] = p_stab
@@ -449,30 +454,22 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
 
 
 def verify_equivariance(tables: CharacterTables) -> dict:
-    """Build the extension map on orbit representatives, transport along a
-    fixed transversal, and check V'-equivariance on generators, probing
-    the c_i' and the generators of P'_nu, which pin a linear character of
-    V'_nu.  Field automorphisms centralize the supplement here, so the
-    outer action is trivial; nontrivial outer actions are reported as
-    unexercised."""
+    """Build the extension map on orbit representatives, the least members
+    of `tables.orbits`, transport along its movers, and check
+    V'-equivariance on generators, probing the c_i' and the generators of
+    P'_nu, which pin a linear character of V'_nu.  Field automorphisms
+    centralize the supplement here, so the outer action is trivial;
+    nontrivial outer actions are reported as unexercised."""
     data = tables.data
     g = data.ctx.group
     chars = irr_of_hprime(tables)
     gens = [data.c_primes[0]] + list(data.p_primes)
-
     by_signs = {lam.signs: lam for lam in chars}
+    orbits = tables.orbits
 
     def act(signs, x):
         return _act_on_signs(tables.head_action(x), signs)
 
-    # orbits under the generated action, each sign vector labelled with its
-    # mover: the generators along its BFS path, the last step leftmost
-    orbits = []
-    for signs in sorted(by_signs):
-        if any(signs in orb for orb in orbits):
-            continue
-        orbits.append(orbit({signs: g.identity}, gens, act, len(chars),
-                            step=lambda mover, x: g.mul(x, mover)))
     # each sign vector maps to its representative's extension and the
     # transporter x = mover^{-1}, the extension being y -> ext(x y x^{-1})
     extension_of = {}
@@ -559,14 +556,19 @@ def standard_tableaux_count(shape: tuple) -> int:
     return math.factorial(n) // hooks
 
 
-def wreath_character_degrees(m: int, t: int, budget: int = 10_000_000) -> list[int]:
+# the largest wreath product order `wreath_character_degrees` accepts
+WREATH_ORDER_CAP = 10_000_000
+
+
+def wreath_character_degrees(m: int, t: int) -> list[int]:
     """Degrees of the irreducible characters of the wreath product of a
     cyclic group of order m by the symmetric group on t points, indexed by
-    m-multipartitions of t."""
+    m-multipartitions of t.  The `wreath` suite checks that their squares
+    sum to the group order."""
     if m < 1 or t < 1:
         raise ValueError("need m, t >= 1")
-    if m**t * math.factorial(t) > budget:
-        raise ValueError("group order exceeds the budget")
+    if m**t * math.factorial(t) > WREATH_ORDER_CAP:
+        raise ValueError("group order exceeds the cap")
     degrees = []
     for mp in multipartitions(m, t):
         deg = math.factorial(t)
@@ -575,10 +577,4 @@ def wreath_character_degrees(m: int, t: int, budget: int = 10_000_000) -> list[i
         for comp in mp:
             deg *= standard_tableaux_count(comp)
         degrees.append(deg)
-    order = m**t * math.factorial(t)
-    if sum(d * d for d in degrees) != order:
-        raise VerificationError(
-            "degree squares do not sum to the group order",
-            {"m": m, "t": t},
-        )
     return sorted(degrees)

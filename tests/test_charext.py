@@ -251,12 +251,10 @@ def test_cyclic_part_moving_a_head_character_is_rejected(tables_t3):
         inertia_decomposition(tables, lam)
 
 
-def test_inertia_disagreeing_with_brute_force_is_rejected(tables_t3, monkeypatch):
+def test_inertia_disagreeing_with_its_orbit_is_rejected(tables_t3, monkeypatch):
     tables = CharacterTables(tables_t3.data)
-    assert tables.data.v_prime_order <= charext.BRUTE_CAP
     g = tables.data.ctx.group
     moved = set(tables.data.p_closure.elements) - {g.identity}
-    tables.product_actions  # the brute-force count, formed before the corruption
     head_action = tables.head_action
 
     def corrupt(x):
@@ -273,17 +271,45 @@ def test_inertia_disagreeing_with_brute_force_is_rejected(tables_t3, monkeypatch
         inertia_decomposition(tables, lam)
 
 
-@pytest.mark.parametrize("d0,t_l,m,d", [(3, 2, 0, 3), (1, 2, 0, 1), (1, 2, 1, 2)])
-def test_product_actions_match_the_products(d0, t_l, m, d):
-    # reference: the head action of every c * p formed with mul, against the
-    # count over the Weyl parts rho(c) rho(p)
+def test_inertia_filter_keeping_only_the_torus_is_rejected(monkeypatch):
+    # |V'| = 6144: the size of P'_lam is checked at every point, however large
+    tables = CharacterTables(build_supplement(8, 1, 0))
+    assert tables.data.v_prime_order == 6144
+    head_action = tables.head_action
+    non_torus = {p for p in tables.data.p_closure.elements if not p.weyl.is_identity()}
+
+    def corrupt(x):
+        # every element of P' off the torus claims to move lam = (1, 0, 0, 0)
+        rows = head_action(x)
+        return ((0,) * len(rows),) + rows[1:] if x in non_torus else rows
+
+    monkeypatch.setattr(tables, "head_action", corrupt)
+    lam = charext.HPrimeCharacter((1, 0, 0, 0), tables)
+    with pytest.raises(VerificationError,
+                       match="not the expected semidirect product"):
+        inertia_decomposition(tables, lam)
+
+
+# the points with |V'| = 2 (2 d0)^t_l * 2^(t_l - 1) t_l! at most 3000
+BRUTE_FORCE_POINTS = [(d0, t_l, m, d) for d0, t_l, m, d in SWEEP_POINTS
+                      if (4 * d0) ** t_l * math.factorial(t_l) <= 3000]
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", BRUTE_FORCE_POINTS)
+def test_inertia_matches_the_brute_force_stabilizer(d0, t_l, m, d):
+    # reference: the head action of every c * p formed with mul, and for each
+    # lam the c * p that fix it counted
     tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
-    g = tables.data.ctx.group
-    reference = Counter(tables.head_action(g.mul(c, p))
-                        for c in c_prime_closure(tables.data).elements
-                        for p in tables.data.p_closure.elements)
-    assert tables.product_actions == reference
-    assert sum(reference.values()) == tables.data.v_prime_order
+    data = tables.data
+    g = data.ctx.group
+    actions = Counter(tables.head_action(g.mul(c, p))
+                      for c in c_prime_closure(data).elements
+                      for p in data.p_closure.elements)
+    assert sum(actions.values()) == data.v_prime_order
+    for lam in irr_of_hprime(tables):
+        stabilizer = sum(n for rows, n in actions.items()
+                         if _act_on_signs(rows, lam.signs) == lam.signs)
+        assert stabilizer == data.c_order * len(inertia_decomposition(tables, lam))
 
 
 def test_conjugation_leaving_the_head_is_rejected(tables_t3):
@@ -570,7 +596,7 @@ def test_extension_report_schema(tables_t2):
 
 def test_wreath_budget():
     with pytest.raises(ValueError):
-        wreath_character_degrees(10, 10, budget=100)
+        wreath_character_degrees(10, 10)
 
 
 def test_linear_characters_runaway_order_is_a_budget_error():

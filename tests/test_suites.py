@@ -165,6 +165,17 @@ def test_wreath_suite():
     assert suite_wreath(m_max=3, t_max=3).passed
 
 
+def test_wreath_degrees_off_their_order_are_a_failed_check(monkeypatch):
+    from bweyl import charext
+
+    # every tableau count 1: wrong only for the shape (2, 1), so at t = 3
+    monkeypatch.setattr(charext, "standard_tableaux_count", lambda shape: 1)
+    report = suite_wreath(m_max=2, t_max=3)
+    [check] = report.checks
+    assert check.check_id == "sum-of-squares" and not report.passed
+    assert check.counterexample == {"failures": [(1, 3), (2, 3)]}
+
+
 def test_mutation_suite():
     report = suite_mutation(rank=2)
     assert report.passed
