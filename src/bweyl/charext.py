@@ -48,11 +48,13 @@ __all__ = [
 
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
-    use and kept: the head basis and coordinates, P' indexed for
-    `decompose`, each Weyl part's action on H', the orbits of the head
-    characters, and per head character its inertia group and certified
-    extension.  C' is read through its normal form,
-    `SupplementContext.cyclic_sum`, and never enumerated."""
+    use and kept: P' indexed for `decompose`, each Weyl part's action on H',
+    the orbits of the head characters, and per head character its inertia
+    group and certified extension.  The head basis and the coordinates of
+    H' are read from the supplement (`SupplementContext.head_basis`,
+    `SupplementData.head_coordinates`, certified by `build_supplement`),
+    and C' through its normal form, `SupplementContext.cyclic_sum`: neither
+    is closed here."""
 
     def __init__(self, data: SupplementData):
         self.data = data
@@ -60,35 +62,6 @@ class CharacterTables:
         self.inertia_generators: dict = {}  # sign vector -> generators of P'_lam
         self.extensions: dict = {}  # sign vector -> certified ExtensionCharacter
         self._head_actions: dict = {}  # Weyl part -> head_action rows
-
-    @cached_property
-    def head_basis(self) -> list[MonomialElement]:
-        """(h_0, p_1'^2, ...), the basis of the elementary abelian head."""
-        g = self.data.ctx.group
-        return [self.data.ctx.h0] + [g.mul(p, p) for p in self.data.p_primes]
-
-    @cached_property
-    def head_coordinates(self) -> dict:
-        """Coordinates of every H' element over the basis, certified by
-        checking every edge of the labelled orbit."""
-        g = self.data.ctx.group
-        basis = self.head_basis
-        moves = range(len(basis))
-        size = len(self.data.h_prime.elements)
-
-        def act(x, i):
-            return g.mul(x, basis[i])
-
-        def step(cx, i):
-            return tuple((c + (1 if j == i else 0)) % 2 for j, c in enumerate(cx))
-
-        coords = orbit({g.identity: (0,) * len(basis)}, moves, act, size, step)
-        bad = broken_edge(coords, moves, act, step)
-        if bad is not None:
-            raise VerificationError("head subgroup has hidden relations", {"element": bad})
-        if len(coords) != size:
-            raise VerificationError("head coordinates missed elements", {})
-        return coords
 
     @cached_property
     def _block_of_point(self) -> dict:
@@ -137,8 +110,8 @@ class CharacterTables:
         rows = self._head_actions.get(x.weyl)
         if rows is None:
             g = self.data.ctx.group
-            coords = self.head_coordinates
-            images = [g.conj(x, b) for b in self.head_basis]
+            coords = self.data.head_coordinates
+            images = [g.conj(x, b) for b in self.data.ctx.head_basis]
             if any(hb not in coords for hb in images):
                 raise VerificationError("conjugation left the head subgroup", {"element": x})
             rows = self._head_actions[x.weyl] = tuple(coords[hb] for hb in images)
@@ -152,7 +125,7 @@ class CharacterTables:
         leftmost.  The c_i' fix every character (`inertia_decomposition`
         checks it), so these are the orbits of V'."""
         g = self.data.ctx.group
-        rank = len(self.head_basis)
+        rank = len(self.data.ctx.head_basis)
 
         def act(signs, x):
             return _act_on_signs(self.head_action(x), signs)
@@ -179,21 +152,20 @@ class CharacterTables:
 class HPrimeCharacter:
     """A sign character of the elementary abelian head, given by its sign
     exponents on the basis (h_0, p_1'^2, ...) (0 for +1, 1 for -1); values
-    are read through the head coordinates of its tables."""
+    are read through the head coordinates of its tables' supplement."""
 
     signs: tuple
     tables: CharacterTables = field(compare=False, repr=False)
 
     def value(self, h: MonomialElement) -> int:
         """The sign exponent of h in H'."""
-        coords = self.tables.head_coordinates[h]
+        coords = self.tables.data.head_coordinates[h]
         return sum(s * c for s, c in zip(self.signs, coords)) % 2
 
 
 def irr_of_hprime(tables: CharacterTables) -> list[HPrimeCharacter]:
     """All 2^rank sign characters, ordered by sign vector."""
-    tables.head_coordinates  # certifies the basis before any character exists
-    rank = len(tables.head_basis)
+    rank = len(tables.data.ctx.head_basis)
     return [HPrimeCharacter(signs, tables) for signs in iproduct((0, 1), repeat=rank)]
 
 
@@ -375,7 +347,7 @@ def extend_character(tables: CharacterTables, lam: HPrimeCharacter) -> Extension
     # P' must get their lam-values
     valid = [chi for chi in chars
              if all(chi[h] == lam.value(h) * modulus // 2
-                    for h in data.h_prime.elements if h in chi)]
+                    for h in data.head_coordinates if h in chi)]
     if not valid:
         raise VerificationError(
             "no extension of the head character exists on the symmetric part",
@@ -388,7 +360,7 @@ def extend_character(tables: CharacterTables, lam: HPrimeCharacter) -> Extension
 
 
 def _check_restriction(ext: ExtensionCharacter) -> None:
-    for h in ext.tables.data.h_prime.elements:
+    for h in ext.tables.data.head_coordinates:
         got = ext.value(h)
         if got != (ext.lam.value(h) * ext.modulus // 2) % ext.modulus:
             raise VerificationError(

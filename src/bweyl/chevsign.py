@@ -233,14 +233,12 @@ def twisted_frobenius_power(
     group: ExtendedWeylGroup,
     table: SignTable,
     term: FormalRootTerm,
-    q: int,
     twist: MonomialElement,
     power: int,
 ) -> FormalRootTerm:
-    """(Ad(twist) o F_q)^power applied to a formal term: the field power maps
-    x_a(u) to x_a(u^q) and fixes the sign (q odd), then the twist conjugates."""
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
+    """(Ad(twist) o F_q)^power applied to a formal term, q odd: the field
+    power maps x_a(u) to x_a(u^q) and fixes the sign, then the twist
+    conjugates."""
     out = term
     for _ in range(power):
         out = conjugate(group, table, twist, replace(out, frob_exponent=out.frob_exponent + 1))
@@ -262,16 +260,16 @@ def _levi_factor_terms(ctx: SupplementContext, i: int, table: SignTable):
         t = FormalRootTerm(start)
         for j in range(ctx.d0):
             terms.append(
-                twisted_frobenius_power(g, table, t, ctx.q, ctx.v_l, j)
+                twisted_frobenius_power(g, table, t, ctx.v_l, j)
             )
     return terms
 
 
-def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
+def verify_commutator_lemmas(l: int, d: int, m: int) -> dict:
     """[L_i, c_j'] = 1 for i != j and [B_m-block, V'] = 1, at the level of
     formal root terms.  Returns a summary; raises with a counterexample on
     any failed conjugation."""
-    data = build_supplement(l, d, m, q)
+    data = build_supplement(l, d, m)
     ctx = data.ctx
     g = ctx.group
     table = build_sign_table(ctx.n)
@@ -289,9 +287,7 @@ def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
                         {"i": i, "j": j, "term": t, "got": got},
                     )
                 checked += 1
-    vprime_gens = [data.c_primes[0]] + list(data.p_primes) + [
-        g.mul(p, p) for p in data.p_primes
-    ]
+    vprime_gens = [data.c_primes[0]] + list(data.p_primes) + ctx.head_basis[1:]
     for a in b_block_roots(ctx.n, ctx.l + 1):
         t = FormalRootTerm(a)
         for x in vprime_gens:
@@ -317,16 +313,16 @@ def verify_commutator_lemmas(l: int, d: int, m: int, q: int = 3) -> dict:
     return {"l": l, "d": d, "m": m, "conjugations_checked": checked}
 
 
-def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3) -> dict:
+def verify_twist_power_sign(l: int, d: int, m: int = 0) -> dict:
     """F^{d0} on x_{e_1-e_2}(u) gives x_{eps (e_1-e_2)}(eps u^{q^{d0}}) with
     eps = +1 for odd d and -1 for even d."""
-    ctx = SupplementContext(l, d, m, q)
+    ctx = SupplementContext(l, d, m)
     g, d0, n = ctx.group, ctx.d0, ctx.n
     table = build_sign_table(n)
     eps = 1 if d % 2 else -1
     base_root = tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(n))
     term = FormalRootTerm(base_root)
-    got = twisted_frobenius_power(g, table, term, q, ctx.v_l, d0)
+    got = twisted_frobenius_power(g, table, term, ctx.v_l, d0)
     expected = FormalRootTerm(
         tuple(eps * x for x in base_root), eps, d0
     )
@@ -336,7 +332,7 @@ def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3) -> dict:
             {"l": l, "d": d, "got": got, "expected": expected},
         )
     # applying it twice returns to the original root with sign +1
-    round_trip = twisted_frobenius_power(g, table, term, q, ctx.v_l, 2 * d0)
+    round_trip = twisted_frobenius_power(g, table, term, ctx.v_l, 2 * d0)
     if round_trip != FormalRootTerm(base_root, 1, 2 * d0):
         raise VerificationError(
             "double twisted Frobenius power is not the identity on terms",
@@ -345,10 +341,10 @@ def verify_twist_power_sign(l: int, d: int, m: int = 0, q: int = 3) -> dict:
     return {"l": l, "d": d, "eps": eps}
 
 
-def verify_graph_action(l: int, d: int, m: int, q: int = 3) -> dict:
+def verify_graph_action(l: int, d: int, m: int) -> dict:
     """c_1' acts on the first rank-one factor exactly as v_l', and trivially
     on the B-block, verified on all formal generator terms."""
-    data = build_supplement(l, d, m, q)
+    data = build_supplement(l, d, m)
     ctx = data.ctx
     g = ctx.group
     table = build_sign_table(ctx.n)

@@ -264,7 +264,7 @@ def cmd_group(args) -> int:
             "V_prime": data.v_prime_order,
             "C_prime": data.c_order,
             "P_prime": len(data.p_closure.elements),
-            "H_prime": len(data.h_prime.elements),
+            "H_prime": len(data.head_coordinates),
             "relative_weyl": data.relative_weyl_order,
         },
         "generators": {

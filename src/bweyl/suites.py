@@ -352,7 +352,7 @@ def suite_supplement(d0: int, t_l: int, m: int, d: int) -> SuiteReport:
             "|V'| = 2 (2 d0)^t 2^(t-1) t!, |H'| = 2^t, "
             "|W_rel| = (2 d0)^t t!",
             data.v_prime_order == expected_v
-            and len(data.h_prime.elements) == 2**t_l
+            and len(data.head_coordinates) == 2**t_l
             and data.relative_weyl_order
             == (2 * d0) ** t_l * math.factorial(t_l),
             {"v_prime": data.v_prime_order},

@@ -10,7 +10,8 @@ identity is checked exactly; failures raise with a counterexample payload.
 
 A `SupplementContext` builds the group, v_l and h_0 at once and every other
 element on first use; `build_supplement` keeps one verified supplement per
-(l, d, m, q) for the process.
+(l, d, m) for the process.  The twisted Frobenius is the one of
+q = `FROBENIUS_Q`.
 
 Conjugation is written x^g = g x g^{-1} throughout.
 """
@@ -30,6 +31,7 @@ from .sperm import (
     _signed_block_cycle,
     centralizer,
     closure as perm_closure,
+    orbit,
     orbits_on_support,
     relative_weyl_centralizer,
     w_l_prime_parts,
@@ -54,6 +56,9 @@ __all__ = [
     "verify_extmap_hypotheses",
 ]
 
+# the q of the twisted Frobenius v F_q v^{-1} of every supplement
+FROBENIUS_Q = 3
+
 
 def build_twist(group: ExtendedWeylGroup, l: int, d: int) -> MonomialElement:
     """v_l = (m_1 ... m_l)^(2l/d); requires d | 2l."""
@@ -70,7 +75,6 @@ class SupplementContext:
     l: int
     d: int
     m: int
-    q: int = 3
     group: ExtendedWeylGroup = field(init=False)
     d0: int = field(init=False)
     t_l: int = field(init=False)
@@ -81,8 +85,6 @@ class SupplementContext:
         self.d0 = self.d if self.d % 2 else self.d // 2
         if self.l % (2 * self.d0) or self.l < 2:
             raise ValueError(f"l = {self.l} is not a multiple of 2*d0 = {2 * self.d0}")
-        if self.q % 2 == 0:
-            raise ValueError("q must be odd")
         self.t_l = self.l // (2 * self.d0)
         self.a_l = 2 * self.t_l
         self.n = self.l + self.m
@@ -102,7 +104,7 @@ class SupplementContext:
     # -- twisted Frobenius ----------------------------------------------------
 
     def frob(self, x: MonomialElement) -> MonomialElement:
-        return self.group.frobenius(x, self.q, self.v_l)
+        return self.group.frobenius(x, FROBENIUS_Q, self.v_l)
 
     def is_frob_fixed(self, x: MonomialElement) -> bool:
         return self.frob(x) == x
@@ -261,6 +263,11 @@ class SupplementContext:
         return [self.iota2(self.p[i]) for i in range(1, self.t_l)]
 
     @cached_property
+    def head_basis(self) -> list[MonomialElement]:
+        """(h_0, (p_1')^2, ..., (p_{t_l - 1}')^2), the basis of the head H'."""
+        return [self.h0] + [self.group.mul(p, p) for p in self.p_primes]
+
+    @cached_property
     def c1_prime(self) -> MonomialElement:
         g = self.group
         return g.mul(self.c1, self.pconj(self.c1, self.p[1])) if self.a_l >= 2 else self.c1
@@ -310,8 +317,8 @@ def check_frobenius_conventions(ctx: SupplementContext) -> dict:
     """Fixed-point rank of the order-2 torus under both possible twisted
     Frobenius conventions; a correct convention must produce rank a_l."""
     g = ctx.group
-    rank_left = torsion_two_subgroup_fixed_rank(g, ctx.l, ctx.q, ctx.v_l)
-    rank_right = torsion_two_subgroup_fixed_rank(g, ctx.l, ctx.q, g.inv(ctx.v_l))
+    rank_left = torsion_two_subgroup_fixed_rank(g, ctx.l, FROBENIUS_Q, ctx.v_l)
+    rank_right = torsion_two_subgroup_fixed_rank(g, ctx.l, FROBENIUS_Q, g.inv(ctx.v_l))
     return {
         "expected_rank": ctx.a_l,
         "conjugate_by_twist": rank_left,
@@ -422,7 +429,7 @@ class SupplementData:
     p_primes: list
     c_order: int
     p_closure: GeneratedSubgroup
-    h_prime: GeneratedSubgroup
+    head_coordinates: dict  # H' in BFS order -> coordinates over ctx.head_basis
     v_prime_order: int
     relative_weyl_order: int
 
@@ -433,26 +440,28 @@ class SupplementData:
 _supplement_cache: dict = {}
 
 
-def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
+def build_supplement(l: int, d: int, m: int) -> SupplementData:
     """Construct and fully verify the supplement for one parameter point.
 
     Checks, in order: the h/p/c element identities, the iota homomorphism
-    and injectivity properties (iota_1's by its kernel at every rank, see
-    `_verify_iota1`), the Weyl images of the supplement generators, the
-    conjugation table, the central product structure of C', the semidirect
-    decomposition V' = C' x| P' with V' cap H = H', and the relative Weyl
-    group by the pair-block map and the orders of its two factors, at every
-    rank.  C' is never closed: generator checks certify its order and its
-    meet with the torus (`_verify_c_structure`), and its normal form gives
-    membership and cyclic sums (`SupplementContext.cyclic_sum`).  P' is
-    closed once, as the iota_2 image of its domain (`_verify_iota2`).  A
-    supplement is built once per (l, d, m, q).
+    and injectivity properties (by iota_1's kernel and P''s order at every
+    rank, see `_verify_iota1` and `_verify_iota2`), the Weyl images of the
+    supplement generators, the conjugation table, the central product
+    structure of C', the semidirect decomposition V' = C' x| P' with
+    V' cap H = H', and the relative Weyl group by the pair-block map and the
+    orders of its two factors, at every rank.  C' is never closed: generator
+    checks certify its order and its meet with the torus
+    (`_verify_c_structure`), and its normal form gives membership and
+    cyclic sums (`SupplementContext.cyclic_sum`).  P' is closed once, over
+    the p_i'.  H' is closed once, over `SupplementContext.head_basis`, each
+    element labelled by its coordinates, which `_verify_semidirect`
+    certifies.  A supplement is built once per (l, d, m).
     """
-    key = (l, d, m, q)
+    key = (l, d, m)
     data = _supplement_cache.get(key)
     if data is not None:
         return data
-    ctx = SupplementContext(l, d, m, q)
+    ctx = SupplementContext(l, d, m)
     if ctx.d0 % 2 == 0:
         raise ValueError("the supplement construction needs odd d0")
     g = ctx.group
@@ -466,11 +475,15 @@ def build_supplement(l: int, d: int, m: int, q: int = 3) -> SupplementData:
     _verify_weyl_images(ctx, c_primes, p_primes)
     _verify_conjugation_table(ctx, c_primes, p_primes)
     c_order = _verify_c_structure(ctx, c_primes)
-    h_prime = GeneratedSubgroup.generate(g, [ctx.h0] + [g.mul(pp, pp) for pp in p_primes],
-                                         budget=2 ** (ctx.t_l + 1))
-    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, h_prime)
-    rel_order = _verify_relative_weyl(ctx, c_primes, p_primes, v_prime_order // len(h_prime))
-    data = SupplementData(ctx, c_primes, p_primes, c_order, p_closure, h_prime,
+    basis = ctx.head_basis
+    head_coordinates = orbit({g.identity: (0,) * len(basis)}, range(len(basis)),
+                             lambda x, i: g.mul(x, basis[i]), 2 ** (ctx.t_l + 1),
+                             lambda v, i: v[:i] + (1 - v[i],) + v[i + 1:])
+    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure,
+                                       head_coordinates)
+    rel_order = _verify_relative_weyl(ctx, c_primes, p_primes,
+                                      v_prime_order // len(head_coordinates))
+    data = SupplementData(ctx, c_primes, p_primes, c_order, p_closure, head_coordinates,
                           v_prime_order, rel_order)
     _supplement_cache[key] = data
     return data
@@ -523,16 +536,22 @@ def _verify_iota1(ctx: SupplementContext) -> None:
 
 def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
     """iota_2 is an injective homomorphism on dom = <p_1, ..., p_{t_l - 1}>;
-    returns P' = <p_i'> as the iota_2 image of dom's closure, in P''s own
-    BFS order, and {1} for t_l < 2.
+    returns P' = <p_i'>, closed over the p_i' in BFS order, and {1} for
+    t_l < 2.  dom is never closed.
 
-    iota_2(x) = x^{g_1} x^{g_2}, so iota_2(xy) = iota_2(x) iota_2(y) says
-    exactly [x^{g_2}, y^{g_1}] = 1: "iota_2 multiplicative on generator
-    pairs" makes dom^{g_2} and dom^{g_1} commute elementwise, and iota_2 is
-    then a homomorphism on all of dom.  Its image is generated by the
-    p_i' = iota_2(p_i), and it is injective when the image has |dom|
-    elements.  As x s -> iota_2(x) p_i' for each generator s = p_i, the
-    image of dom's BFS order is the BFS order of P' from the p_i'."""
+    - Homomorphism: iota_2(x) = x^{g_1} x^{g_2}, so iota_2(xy) =
+      iota_2(x) iota_2(y) says exactly [x^{g_2}, y^{g_1}] = 1: "iota_2
+      multiplicative on generator pairs" makes dom^{g_2} and dom^{g_1}
+      commute elementwise, and iota_2 is then a homomorphism on all of dom,
+      whose image is P' = <iota_2(p_i)>.
+    - |dom| = 2^(t_l - 1) t_l!: p_k = iota_1(m_{k+1}), and iota_1 is
+      injective (`_verify_iota1`), so dom is isomorphic to
+      <m_2, ..., m_{t_l}>.  That group maps onto S_{t_l} with kernel
+      <m_i^2>, of order 2^(t_l - 1) (Tits, Normalisateurs de tores I, 1966).
+    - Injective: "P' order" (`_verify_semidirect`) checks
+      |P'| = 2^(t_l - 1) t_l! = |dom|, so the kernel is trivial.  The
+      closure's budget is that order: a larger P' raises
+      BudgetExceededError."""
     g = ctx.group
     if ctx.t_l < 2:
         return GeneratedSubgroup((g.identity,))
@@ -541,12 +560,6 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
         for y in dom_gens:
             _expect(ctx.iota2(g.mul(x, y)) == g.mul(ctx.iota2(x), ctx.iota2(y)),
                     "iota_2 multiplicative on generator pairs", {})
-    dom = GeneratedSubgroup.generate(g, dom_gens, budget=64 * math.factorial(ctx.t_l))
-    image = tuple(ctx.iota2(x) for x in dom.elements)
-    _expect(len(set(image)) == len(dom), "iota_2 injective by closure comparison",
-            {"domain": len(dom), "image": len(set(image))})
-    expected = 2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l)
-    _expect(len(dom) == expected, "iota_2 domain order", {"order": len(dom)})
     for i, pp in enumerate(p_primes, start=1):
         sq = g.mul(pp, pp)
         _expect(sq == g.prod([ctx.h[2 * i - 1], ctx.h[2 * i], ctx.h[2 * i + 1], ctx.h[2 * i + 2]]),
@@ -560,7 +573,8 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
     g1, g2 = ctx.g1_g2
     _expect(ctx.is_frob_fixed(g1), "g_1 fixed by twisted Frobenius", {})
     _expect(ctx.is_frob_fixed(g2), "g_2 fixed by twisted Frobenius", {})
-    return GeneratedSubgroup(image)
+    return GeneratedSubgroup.generate(
+        g, p_primes, budget=2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l))
 
 
 def _verify_weyl_images(ctx, c_primes, p_primes) -> None:
@@ -632,9 +646,17 @@ def _verify_c_structure(ctx, c_primes) -> int:
     return 2 * (2 * ctx.d0) ** len(c_primes)
 
 
-def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, h_prime) -> int:
+def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, head_coordinates) -> int:
     """V' = C' x| P' and V' cap H = H'; returns |V'|.  Every check runs over
-    P' and the generators, C' by its normal form (`SupplementContext`)."""
+    P' and the generators, C' by its normal form (`SupplementContext`).
+
+    `head_coordinates` is H' closed over its basis b_1, ..., b_t
+    (`SupplementContext.head_basis`, t = t_l) in BFS order, x b_i labelled
+    by x's label plus the i-th unit vector over F_2.  "H' is elementary
+    abelian of rank t_l" puts H' in the order-2 torus, so the b_i are
+    commuting involutions, and makes |H'| = 2^t: v -> prod b_i^{v_i} is
+    then a homomorphism from F_2^t onto H', a bijection, and by induction
+    along the orbit every label is the coordinate vector of its element."""
     g = ctx.group
     p_elements = p_closure.elements
     _expect(all(p == g.identity or ctx.cyclic_sum(p) is None for p in p_elements),
@@ -648,13 +670,14 @@ def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, h_prime) -> 
     expected_v = 2 * (2 * ctx.d0) ** ctx.t_l * expected_p
     _expect(v_prime_order == expected_v, "V' order from the semidirect decomposition",
             {"order": v_prime_order, "expected": expected_v})
+    h_set = set(head_coordinates)
+    _expect(len(h_set) == 2**ctx.t_l and all(g.in_torsion_two(x) for x in h_set),
+            "H' is elementary abelian of rank t_l", {"order": len(h_set)})
     # V' cap H == H': both sides via the rho-kernels of the two factors
     intersection = {g.mul(c, p) for c in (g.identity, ctx.h0) for p in p_elements
                     if p.weyl.is_identity()}
-    h_set = set(h_prime.elements)
-    _expect(intersection == h_set and all(g.in_torsion_two(x) for x in h_set), "V' cap H == H'",
+    _expect(intersection == h_set, "V' cap H == H'",
             {"lhs": len(intersection), "rhs": len(h_set)})
-    _expect(len(h_set) == 2**ctx.t_l, "H' is elementary abelian of rank t_l", {})
     # rho(C') cap rho(P') is trivial, so the kernels assemble the intersection
     _expect(all(p.weyl.is_identity() or ctx.c_exponents(p.weyl) is None for p in p_elements),
             "Weyl images of C' and P' meet trivially", {})
@@ -703,21 +726,21 @@ def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order) -> int:
     return cg.order
 
 
-def verify_extmap_hypotheses(l: int, d: int, m: int, q: int = 3) -> dict:
+def verify_extmap_hypotheses(l: int, d: int, m: int) -> dict:
     """The group-theoretic extension-map hypotheses at the monomial level:
     the head subgroup meets the order-2 torus in H', H' centralizes every
     Levi root subgroup (checked through the root pairing), the supplement
     covers the relative Weyl quotient, and the index arithmetic matches."""
-    data = build_supplement(l, d, m, q)
+    data = build_supplement(l, d, m)
     ctx = data.ctx
     levi = levi_root_subset(ctx.n, ctx.m, ctx.d0, ctx.t_l)
     pairing_ok = all(
         root_character_eval(a, h) == 0
         for a in levi.roots
-        for h in data.h_prime.elements
+        for h in data.head_coordinates
     )
     _expect(pairing_ok, "H' centralizes all Levi root subgroups", {})
-    index = data.v_prime_order // len(data.h_prime.elements)
+    index = data.v_prime_order // len(data.head_coordinates)
     _expect(
         index == data.relative_weyl_order,
         "index of H' in V' equals the relative Weyl order",
@@ -726,7 +749,7 @@ def verify_extmap_hypotheses(l: int, d: int, m: int, q: int = 3) -> dict:
     return {
         "l": l, "d": d, "m": m,
         "v_prime_order": data.v_prime_order,
-        "h_prime_order": len(data.h_prime.elements),
+        "h_prime_order": len(data.head_coordinates),
         "relative_weyl_order": data.relative_weyl_order,
         "h_prime_central_in_levi": pairing_ok,
     }

@@ -25,7 +25,7 @@ from bweyl.charext import (
 )
 from bweyl.sperm import broken_edge, orbit
 from bweyl.suites import SWEEP_POINTS, suite_charext
-from bweyl.supplement import build_supplement
+from bweyl.supplement import SupplementContext, build_supplement
 from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
 from test_supplement import c_prime_closure, reference_cyclic_sums
 
@@ -49,12 +49,12 @@ def test_character_counts(tables_t1, tables_t3):
     assert len(irr_of_hprime(tables_t1)) == 2
     assert len(irr_of_hprime(tables_t3)) == 8
     trivial = irr_of_hprime(tables_t1)[0]
-    assert all(trivial.value(h) == 0 for h in tables_t1.data.h_prime.elements)
+    assert all(trivial.value(h) == 0 for h in tables_t1.data.head_coordinates)
 
 
 def test_character_values_are_signs(tables_t2):
     for lam in irr_of_hprime(tables_t2):
-        assert all(lam.value(h) in (0, 1) for h in tables_t2.data.h_prime.elements)
+        assert all(lam.value(h) in (0, 1) for h in tables_t2.data.head_coordinates)
 
 
 def test_inertia_trivial_character(tables_t2):
@@ -265,7 +265,7 @@ def test_inertia_disagreeing_with_its_orbit_is_rejected(tables_t3, monkeypatch):
 
     monkeypatch.setattr(tables, "head_action", corrupt)
     # lam(h_0) = -1 and trivial elsewhere: h_0 is central, so V' fixes lam
-    lam = charext.HPrimeCharacter((1,) + (0,) * (len(tables.head_basis) - 1), tables)
+    lam = charext.HPrimeCharacter((1,) + (0,) * (len(tables.data.ctx.head_basis) - 1), tables)
     with pytest.raises(VerificationError,
                        match="not the expected semidirect product"):
         inertia_decomposition(tables, lam)
@@ -497,12 +497,16 @@ def test_equivariance_rejects_an_extension_that_is_no_class_function(tables_t3):
         verify_equivariance(tables)
 
 
-def test_head_basis_with_hidden_relation_is_rejected():
-    # fresh tables over the cached supplement, with h_0 listed twice
-    tables = CharacterTables(build_supplement(4, 1, 0))
-    tables.head_basis = [tables.data.ctx.h0] + tables.head_basis
-    with pytest.raises(VerificationError, match="head subgroup has hidden relations"):
-        irr_of_hprime(tables)
+def test_head_basis_with_hidden_relation_is_rejected(monkeypatch):
+    # (p_1')^2 planted as h_0 in cold supplements: the head closes to half
+    # its 2^t_l elements
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    basis = SupplementContext.head_basis.func
+    monkeypatch.setattr(SupplementContext, "head_basis",
+                        property(lambda ctx: [ctx.h0, ctx.h0] + basis(ctx)[2:]))
+    for l, d, m in [(4, 1, 0), (6, 1, 1), (12, 3, 0)]:
+        with pytest.raises(VerificationError, match="H' is elementary abelian of rank t_l"):
+            build_supplement(l, d, m)
 
 
 def test_suite_charext_drops_its_tables(monkeypatch):
@@ -617,11 +621,13 @@ def test_linear_characters_runaway_order_is_a_budget_error():
 # iota_1's injectivity certified by its kernel rather than by closing its
 # domain, the brute-force inertia count over Weyl parts (3,527 before the
 # last two), C' read by its normal form rather than closed, P' closed once
-# and no iota_1 products on generator pairs (1,511 before the last three)
-CHAREXT_3203_MUL_CEILING = 910
+# and no iota_1 products on generator pairs (1,511 before the last three),
+# and P' closed over its own generators with H' closed once (910 before)
+CHAREXT_3203_MUL_CEILING = 881
 # the same at (1, 4, 0, 1), where all-pairs checks and a stored map of V'
-# took about 0.8 M products in charext alone (34,362 before the normal form)
-CHAREXT_1401_MUL_CEILING = 33317
+# took about 0.8 M products in charext alone (34,362 before the normal form,
+# 33,317 before P' and H' were closed once each)
+CHAREXT_1401_MUL_CEILING = 32258
 
 
 def _cold_charext_mul_calls(monkeypatch, point):

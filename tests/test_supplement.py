@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from bweyl import VerificationError, supplement
+from bweyl import BudgetExceededError, VerificationError, supplement
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
@@ -15,6 +15,7 @@ from bweyl.sperm import (
 )
 from bweyl.suites import SWEEP_POINTS, run_suite
 from bweyl.supplement import (
+    FROBENIUS_Q,
     SupplementContext,
     _verify_c_structure,
     _verify_iota1,
@@ -116,7 +117,7 @@ def test_fixed_torsion_is_h0_times_h1h2():
 def test_hl_rank_is_a_l(d0, t_l, parity):
     l = 2 * d0 * t_l
     ctx = SupplementContext(l, parity * d0, 0)
-    assert torsion_two_subgroup_fixed_rank(ctx.group, l, ctx.q, ctx.v_l) == ctx.a_l
+    assert torsion_two_subgroup_fixed_rank(ctx.group, l, FROBENIUS_Q, ctx.v_l) == ctx.a_l
 
 
 def _gray_code_fixed_count(group, l, twist):
@@ -139,10 +140,10 @@ def test_fixed_rank_matches_gray_code_enumeration(d0):
     for t_l in range(1, 16 // (2 * d0) + 1):
         l = 2 * d0 * t_l
         for d in (d0, 2 * d0):
+            ctx = SupplementContext(l, d, 0)
+            count = _gray_code_fixed_count(ctx.group, l, ctx.v_l)
             for q in (3, 5):
-                ctx = SupplementContext(l, d, 0, q)
                 rank = torsion_two_subgroup_fixed_rank(ctx.group, l, q, ctx.v_l)
-                count = _gray_code_fixed_count(ctx.group, l, ctx.v_l)
                 assert rank == ctx.a_l and count == 2**rank, (l, d, q)
 
 
@@ -196,12 +197,71 @@ def test_iota1_with_a_torus_kernel_is_rejected(monkeypatch):
         _verify_iota1(ctx)
 
 
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(1, 5, 0, 1)])
+def test_p_prime_is_the_iota2_image_of_its_closed_domain(monkeypatch, d0, t_l, m, d):
+    # reference for _verify_iota2: the domain <p_1, ..., p_{t_l - 1}>,
+    # closed, has order 2^(t_l - 1) t_l!, and iota_2 maps its BFS order
+    # onto P' as closed over the p_i', element for element
+    if (d0, t_l, m, d) not in SWEEP_POINTS:
+        # the reach supplement is dropped with the monkeypatched cache
+        monkeypatch.setattr(supplement, "_supplement_cache", {})
+    data = build_supplement(2 * d0 * t_l, d, m)
+    ctx = data.ctx
+    order = 2 ** (t_l - 1) * math.factorial(t_l)
+    dom = GeneratedSubgroup.generate(ctx.group, [ctx.p[i] for i in range(1, t_l)], budget=order)
+    assert len(dom) == order
+    assert tuple(ctx.iota2(x) for x in dom.elements) == data.p_closure.elements
+
+
+def _build_with_planted_p_closure(monkeypatch, l, d, m, plant):
+    """A cold `build_supplement` whose closure of P' is
+    plant(group, p_primes, budget) in place of the closure; returns it."""
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    contexts = []
+    post_init = SupplementContext.__post_init__
+    monkeypatch.setattr(SupplementContext, "__post_init__",
+                        lambda self: contexts.append(self) or post_init(self))
+    generate = GeneratedSubgroup.generate
+
+    def planted(group, generators, budget=1_000_000):
+        if generators is contexts[-1].p_primes:
+            return plant(group, generators, budget)
+        return generate(group, generators, budget)
+
+    monkeypatch.setattr(GeneratedSubgroup, "generate", staticmethod(planted))
+    return build_supplement(l, d, m)
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (6, 2, 1), (12, 3, 0)])
+def test_p_prime_closure_of_the_wrong_size_is_caught(monkeypatch, l, d, m):
+    generate = GeneratedSubgroup.generate
+    planted = []
+
+    def unchanged(group, gens, budget):
+        planted.append(budget)
+        return generate(group, gens, budget)
+
+    def short(group, gens, budget):
+        return GeneratedSubgroup(generate(group, gens, budget).elements[:-1])
+
+    def stray(group, gens, budget):
+        # h_0 lies in C', which meets P' trivially
+        return generate(group, gens + [group.h_short(1, 2)], budget)
+
+    data = _build_with_planted_p_closure(monkeypatch, l, d, m, unchanged)
+    assert planted == [len(data.p_closure)]
+    with pytest.raises(VerificationError, match="P' order"):
+        _build_with_planted_p_closure(monkeypatch, l, d, m, short)
+    with pytest.raises(BudgetExceededError):
+        _build_with_planted_p_closure(monkeypatch, l, d, m, stray)
+
+
 def test_twisted_frobenius_costs_two_products(monkeypatch):
     ctx = SupplementContext(6, 3, 0)
     g = ctx.group
     v_inv = g.inv(ctx.v_l)
     xs = [ctx.p[1], ctx.h[1], g.mul(ctx.p[1], ctx.h[2]), g.simple_lift(4)]
-    want = [g.mul(g.mul(ctx.v_l, g.frobenius_q(x, ctx.q)), v_inv) for x in xs]
+    want = [g.mul(g.mul(ctx.v_l, g.frobenius_q(x, FROBENIUS_Q)), v_inv) for x in xs]
     calls = []
     mul = g.mul
     monkeypatch.setattr(g, "mul", lambda x, y: calls.append(None) or mul(x, y))
@@ -261,7 +321,7 @@ def test_build_supplement_sweep_small(d0, t_l, m, parity):
     l = 2 * d0 * t_l
     data = build_supplement(l, parity * d0, m)
     assert data.v_prime_order == 2 * (2 * d0) ** t_l * 2 ** (t_l - 1) * math.factorial(t_l)
-    assert len(data.h_prime.elements) == 2**t_l
+    assert len(data.head_coordinates) == 2**t_l
     assert data.c_order == len(c_prime_closure(data)) == 2 * (2 * d0) ** t_l
 
 
@@ -471,7 +531,7 @@ def test_quotient_order_off_by_two_misses_the_trivial_meet(l, d, m, factor):
     # the images still generate the whole centralizer, so only the order
     # |V'|/|H'| of rho(V') tells whether rho(V') meets W_L
     data = build_supplement(l, d, m)
-    quotient = data.v_prime_order // len(data.h_prime)
+    quotient = data.v_prime_order // len(data.head_coordinates)
     with pytest.raises(VerificationError, match="meets the Levi Weyl group trivially"):
         _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes, int(quotient * factor))
     assert _verify_relative_weyl(data.ctx, data.c_primes, data.p_primes, quotient) == quotient
@@ -548,7 +608,7 @@ def test_h_prime_central_in_levi():
     data = build_supplement(4, 1, 1)
     ctx = data.ctx
     levi = levi_root_subset(ctx.n, ctx.m, ctx.d0, ctx.t_l)
-    for h in data.h_prime.elements:
+    for h in data.head_coordinates:
         assert all(root_character_eval(a, h) == 0 for a in levi.roots)
 
 
