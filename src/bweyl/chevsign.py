@@ -6,10 +6,12 @@ from an explicit faithful realization: the odd orthogonal matrix group of
 size 2n+1, with the standard one-parameter subgroups x_a(u) written down as
 sparse integer matrices {(row, col): entry}.  The lift n_b(1) is checked to
 be an orthogonal signed permutation, so conjugating x_a(u) = I + N by it
-relabels the at most three entries of N.  A formal term (root, sign,
-frob_exponent) stands for the element with argument sign * u^(q^frob_exponent);
-nothing is ever evaluated in a finite field, every verified statement is
-linear in the argument.
+relabels the at most three entries of N.  A table of the simple-root rows
+certifies each lift when it is built and each sign the first time it is
+read; a full table certifies every lift and every sign when it is built.
+A formal term (root, sign, frob_exponent) stands for the element with
+argument sign * u^(q^frob_exponent); nothing is ever evaluated in a finite
+field, every verified statement is linear in the argument.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .roots import (
     build_root_system,
     coroot,
     dot,
-    is_positive,
     simple_roots,
 )
-from .sperm import reflection
+from .sperm import SignedPermutation, reflection
 from .supplement import SupplementContext, build_supplement
 from .tits import ExtendedWeylGroup, MonomialElement, root_character_eval
 
@@ -75,30 +76,43 @@ def _mat_mul(x: dict, y: dict) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def _root_matrix(n: int, a: tuple, u: int) -> dict:
-    """The one-parameter element for the root a at integer argument u.
+@lru_cache(maxsize=None)
+def _nilpotent_part(n: int, a: tuple, u: int) -> dict:
+    """The at most three entries of x_a(u) - I for the root a at integer
+    argument u, built without the identity of size 2n+1 around them.  The
+    entry checks read the same few root elements again and again, so each
+    is kept; callers only read the dict.
 
     The sign-label formula below pairs e_r with minus the standard partner
     of the positive root r; negating the argument on negative roots restores
     [e_r, e_{-r}] = h_r, which is what makes x_r(1) x_{-r}(-1) x_r(1) a
     monomial matrix.
     """
-    if not is_positive(a):
-        u = -u
-    m = {(i, i): 1 for i in range(2 * n + 1)}
-    # the basis indices of e_j and e_{-j} for each signed label j of a
-    idx = [(_matrix_index(n, j), _matrix_index(n, -j))
-           for j in ((i + 1) * v for i, v in enumerate(a) if v)]
-    if len(idx) not in (1, 2) or not set(a) <= {-1, 0, 1}:
+    support = [(i, v) for i, v in enumerate(a, start=1) if v]
+    if len(support) not in (1, 2) or not set(a) <= {-1, 0, 1}:
         raise ValueError(f"{a} is not a root of type B")
+    if support[-1][1] < 0:  # its nonzero coordinate of largest index
+        u = -u
+    # the basis indices (see `_matrix_index`) of e_j and e_{-j} for each
+    # signed label j = v i of a
+    idx = [(i, n + i) if v > 0 else (n + i, i) for i, v in support]
     if len(idx) == 1:
         [(p, p_bar)] = idx
-        m[p, 0], m[0, p_bar], m[p, p_bar] = 2 * u, -u, -u * u
+        entries = {(p, 0): 2 * u, (0, p_bar): -u, (p, p_bar): -u * u}
     else:
         # weight e_p + e_q realized as E_{q,-p} - E_{p,-q} on the split form
         (p, p_bar), (q, q_bar) = idx
-        m[q, p_bar], m[p, q_bar] = u, -u
-    return {key: v for key, v in m.items() if v}
+        entries = {(q, p_bar): u, (p, q_bar): -u}
+    return {key: v for key, v in entries.items() if v}
+
+
+def _mat_add(*terms: dict) -> dict:
+    """The sum of sparse integer matrices {(row, col): nonzero}."""
+    out = {}
+    for m in terms:
+        for key, v in m.items():
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 def _gram(n: int) -> dict:
@@ -108,17 +122,63 @@ def _gram(n: int) -> dict:
 
 def _weyl_rep(n: int, a: tuple, u: int) -> dict:
     """x_a(u) x_{-a}(-u) x_a(u): the monomial matrix n_a(1) at u = 1, its
-    inverse n_a(1)^{-1} = x_a(-1) x_{-a}(1) x_a(-1) at u = -1."""
-    x_a = _root_matrix(n, a, u)
-    return _mat_mul(_mat_mul(x_a, _root_matrix(n, tuple(-x for x in a), -u)), x_a)
+    inverse n_a(1)^{-1} = x_a(-1) x_{-a}(1) x_a(-1) at u = -1.
+
+    With A and B the nilpotent parts of x_a(u) and x_{-a}(-u), the product
+    is I + P + P A + A for P = A + B + A B, so only matrices of a few
+    entries are multiplied."""
+    x_a = _nilpotent_part(n, a, u)
+    x_b = _nilpotent_part(n, tuple(-x for x in a), -u)
+    p = _mat_add(x_a, x_b, _mat_mul(x_a, x_b))
+    return _mat_add({(i, i): 1 for i in range(2 * n + 1)}, p, _mat_mul(p, x_a), x_a)
 
 
-def _nilpotent_part(n: int, a: tuple, u: int) -> frozenset:
-    """The entries of x_a(u) - I, which key the conjugate lookup."""
-    x = _root_matrix(n, a, u)
-    for i in range(2 * n + 1):
-        x[i, i] = x.get((i, i), 0) - 1
-    return frozenset((key, v) for key, v in x.items() if v)
+def _certified_row(n: int, b: tuple) -> dict:
+    """The lift n_b(1) as {column c: (row r, sign s)} with n_b(1) e_c = s e_r,
+    once it is checked to be a signed permutation, to invert and to preserve
+    the form."""
+    w = _weyl_rep(n, b, 1)
+    if not (sorted(r for r, _ in w) == sorted(c for _, c in w) == list(range(2 * n + 1))
+            and set(w.values()) <= {1, -1}):
+        raise VerificationError("monomial matrix is not a signed permutation", {"b": b})
+    # w multiplies by relabelling: w x moves row k of x to row r with sign s
+    # where w e_k = s e_r, and (w^T G w)[c, c'] = s s' G[r, r']
+    image = {c: (r, s) for (r, c), s in w.items()}
+    product = {(image[k][0], c): image[k][1] * v
+               for (k, c), v in _weyl_rep(n, b, -1).items()}
+    if product != {(i, i): 1 for i in range(2 * n + 1)}:
+        raise VerificationError("monomial matrix inverse failed", {"b": b})
+    preimage = {r: (c, s) for c, (r, s) in image.items()}
+    gram = _gram(n)
+    pulled_back = {(preimage[r][0], preimage[t][0]): preimage[r][1] * preimage[t][1] * v
+                   for (r, t), v in gram.items()}
+    if pulled_back != gram:
+        raise VerificationError("monomial matrix is not orthogonal", {"b": b})
+    return image
+
+
+def _certified_entry(n: int, b: tuple, a: tuple, image: dict,
+                     refl: SignedPermutation) -> int:
+    """The sign eta with n_b(1) x_a(1) n_b(1)^{-1} = x_{s_b(a)}(eta), from the
+    certified row `image` of n_b(1) and the reflection `refl` = s_b."""
+    # n_b(1) e_c = s e_r, so n_b(1) (I + N) n_b(1)^{-1} = I + N relabelled
+    # c -> r with the signs s s' of both ends: O(1) per root
+    conj = {(image[i][0], image[j][0]): image[i][1] * image[j][1] * v
+            for (i, j), v in _nilpotent_part(n, a, 1).items()}
+    target = refl.act_on_root(a)
+    for sign in (1, -1):
+        if conj == _nilpotent_part(n, target, sign):
+            return sign
+    # only a failure searches every root element, to name how it failed
+    for c in sorted(build_root_system("B", n).roots):
+        if conj in (_nilpotent_part(n, c, 1), _nilpotent_part(n, c, -1)):
+            raise VerificationError(
+                "conjugate landed on the wrong root",
+                {"b": b, "a": a, "target": c},
+            )
+    raise VerificationError(
+        "conjugate is not a root one-parameter element", {"b": b, "a": a}
+    )
 
 
 @dataclass(frozen=True)
@@ -126,23 +186,30 @@ class SignTable:
     """eta[(b, a)] = sign of n_b(1) x_a(u) n_b(1)^{-1} = x_{s_b(a)}(eta u).
 
     A full table has a row for every root b; otherwise it holds the rows for
-    the simple roots b, which is all that conjugation reads.  `simples`
-    lists the simple roots with their reflections, in the order of the
-    simple lifts, for folding a reduced word."""
+    the simple roots b, which is all that conjugation reads.  `rows` maps
+    each b to its certified lift n_b(1) (see `_certified_row`) and s_b.  An
+    entry is certified the first time it is read and then kept in `eta`; a
+    full table reads every entry while it is built.  `simples` lists the
+    simple roots with their reflections, in the order of the simple lifts,
+    for folding a reduced word."""
 
     rank: int
     eta: dict
     simples: tuple
     full: bool
+    rows: dict
 
     def __call__(self, b: tuple, a: tuple) -> int:
-        return self.eta[(b, a)]
+        try:
+            return self.eta[b, a]
+        except KeyError:
+            image, refl = self.rows[b]
+            sign = self.eta[b, a] = _certified_entry(self.rank, b, a, image, refl)
+            return sign
 
     def flipped(self, b: tuple, a: tuple) -> "SignTable":
         """A copy with a single entry negated (for mutation testing)."""
-        eta = dict(self.eta)
-        eta[(b, a)] = -eta[(b, a)]
-        return replace(self, eta=eta)
+        return replace(self, eta=self.eta | {(b, a): -self(b, a)})
 
 
 # Constants of the rank, read by separately called suites at every point of
@@ -153,49 +220,21 @@ _sign_table_cache: dict = {}
 def build_sign_table(n: int, full: bool = False) -> SignTable:
     """Conjugation signs for the rank-n type-B system, by exact integer
     matrix arithmetic in the odd orthogonal realization: the rows for the
-    simple roots b, or with `full` the rows for every root b, which only
-    the consistency laws read.
+    simple roots b, each certified here and each entry certified on its
+    first read, or with `full` the rows for every root b with every entry
+    certified here, which only the consistency laws read.
     """
     key = (n, full)
     if key in _sign_table_cache:
         return _sign_table_cache[key]
-    roots = sorted(build_root_system("B", n).roots)
     simples = tuple((b, reflection(n, b)) for b in simple_roots("B", n))
+    table = SignTable(n, {}, simples, full, {})
+    roots = sorted(build_root_system("B", n).roots) if full else ()
     rows = [(b, reflection(n, b)) for b in roots] if full else simples
-    by_entries = {_nilpotent_part(n, a, u): (a, u) for a in roots for u in (1, -1)}
-    units = {a: _nilpotent_part(n, a, 1) for a in roots}
-    gram, eye = _gram(n), {(i, i): 1 for i in range(2 * n + 1)}
-    eta = {}
     for b, refl in rows:
-        w = _weyl_rep(n, b, 1)
-        if _mat_mul(w, _weyl_rep(n, b, -1)) != eye:
-            raise VerificationError("monomial matrix inverse failed", {"b": b})
-        w_t = {(c, r): v for (r, c), v in w.items()}
-        if _mat_mul(_mat_mul(w_t, gram), w) != gram:
-            raise VerificationError("monomial matrix is not orthogonal", {"b": b})
-        if not (sorted(r for r, _ in w) == sorted(c for _, c in w) == list(range(2 * n + 1))
-                and set(w.values()) <= {1, -1}):
-            raise VerificationError("monomial matrix is not a signed permutation", {"b": b})
-        # w e_c = s e_r, so w (I + N) w^{-1} = I + N relabelled c -> r with the
-        # signs s s' of both ends: O(1) per root, exact once w is verified
-        image = {c: (r, s) for (r, c), s in w.items()}
-        for a in roots:
-            conj = frozenset(((image[i][0], image[j][0]), image[i][1] * image[j][1] * v)
-                             for (i, j), v in units[a])
-            hit = by_entries.get(conj)
-            if hit is None:
-                raise VerificationError(
-                    "conjugate is not a root one-parameter element",
-                    {"b": b, "a": a},
-                )
-            target, sign = hit
-            if target != refl.act_on_root(a):
-                raise VerificationError(
-                    "conjugate landed on the wrong root",
-                    {"b": b, "a": a, "target": target},
-                )
-            eta[(b, a)] = sign
-    table = SignTable(n, eta, simples, full)
+        table.rows[b] = _certified_row(n, b), refl
+        for a in roots:  # a full table certifies every entry here
+            table(b, a)
     _sign_table_cache[key] = table
     return table
 

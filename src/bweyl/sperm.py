@@ -242,16 +242,20 @@ def closure(generators, budget: int = 2_000_000):
 
 
 def reflection(n: int, a) -> SignedPermutation:
-    """The reflection in a root of a type-B system, as a signed permutation."""
+    """The reflection in a root of a type-B system, as a signed permutation.
+
+    s_a(e_i) = e_i - <e_i, a^vee> a fixes e_i off the support of a and stays
+    in the span of the support on it, so only the support is computed."""
     cr = coroot(a)
-    images = []
-    for i in range(1, n + 1):
-        e_i = tuple(1 if k == i - 1 else 0 for k in range(n))
-        img = tuple(x - dot(e_i, cr) * y for x, y in zip(e_i, a))
-        nz = [(k + 1, v) for k, v in enumerate(img) if v]
+    if len(a) != n:
+        raise ValueError(f"{a} does not define a signed-permutation reflection")
+    support = [k for k, v in enumerate(a) if v]
+    images = list(range(1, n + 1))
+    for i in support:
+        nz = [(k + 1, v) for k in support if (v := (k == i) - cr[i] * a[k])]
         if len(nz) != 1 or abs(nz[0][1]) != 1:
             raise ValueError(f"{a} does not define a signed-permutation reflection")
-        images.append(nz[0][0] * nz[0][1])
+        images[i] = nz[0][0] * nz[0][1]
     return SignedPermutation(tuple(images))
 
 

@@ -7,7 +7,7 @@ from bweyl.chevsign import (
     FormalRootTerm,
     _gram,
     _mat_mul,
-    _root_matrix,
+    _nilpotent_part,
     _weyl_rep,
     build_sign_table,
     check_sign_table_consistency,
@@ -26,6 +26,11 @@ from bweyl.tits import ExtendedWeylGroup
 @pytest.fixture(scope="module")
 def t3():
     return build_sign_table(3, full=True)
+
+
+def _root_matrix(n, a, u):
+    """x_a(u) = I + N as a sparse matrix."""
+    return {(i, i): 1 for i in range(2 * n + 1)} | _nilpotent_part(n, a, u)
 
 
 def _transpose(m):
@@ -71,13 +76,22 @@ def test_table_consistency(t3):
     assert check_sign_table_consistency(t3) == []
 
 
-def test_simple_rows_are_the_full_table_restricted():
+def test_simple_rows_are_the_full_table_restricted(monkeypatch):
+    # a cold simple table holds no entry until one is read; every
+    # simple-row entry is then certified through its first read
+    monkeypatch.setattr(chevsign, "_sign_table_cache", {})
     for n in range(2, 7):
         table = build_sign_table(n)
-        simple = {b for b, _ in table.simples}
-        assert simple == set(simple_roots("B", n))
+        simple = [b for b, _ in table.simples]
+        assert simple == list(simple_roots("B", n))
+        roots = sorted(build_root_system("B", n).roots)
+        assert table.eta == {}
+        sign = table(simple[-1], roots[0])
+        assert table.eta == {(simple[-1], roots[0]): sign}
         full = build_sign_table(n, full=True).eta
-        assert table.eta == {k: v for k, v in full.items() if k[0] in simple}
+        read = {(b, a): table(b, a) for b in simple for a in roots}
+        assert read == {k: v for k, v in full.items() if k[0] in simple}
+        assert table.eta == read
 
 
 def test_consistency_laws_need_full_table():
@@ -281,7 +295,7 @@ def _dense_mul(x, y):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_full_table_matches_dense_reference(n):
+def test_full_table_matches_dense_reference(monkeypatch, n):
     # w x_a(1) w^{-1} by plain dense integer products, looked up among the
     # dense x_a(+-1); the sparse relabelling must give the same signs
     roots = sorted(build_root_system("B", n).roots)
@@ -296,32 +310,76 @@ def test_full_table_matches_dense_reference(n):
             target, sign = by_matrix[_dense_mul(_dense_mul(w, dense[a, 1]), w_inv)]
             assert target == reflection(n, b).act_on_root(a)
             eta[b, a] = sign
+    monkeypatch.setattr(chevsign, "_sign_table_cache", {})
     assert build_sign_table(n, full=True).eta == eta
+    # a cold simple table, read entry by entry
+    table = build_sign_table(n)
+    simple = [b for b, _ in table.simples]
+    assert ({(b, a): table(b, a) for b in simple for a in roots}
+            == {k: v for k, v in eta.items() if k[0] in simple})
 
 
 # the fakes call the real functions through this module's imported names,
 # which monkeypatching bweyl.chevsign leaves alone
-@pytest.mark.parametrize("target,fake,message", [
+PLANTED_SIGN_TABLE_DEFECTS = [
     # n_b(1)^{-1} replaced by -n_b(1)^{-1}
-    ("_weyl_rep", lambda n, a, u: {k: v * u for k, v in _weyl_rep(n, a, u).items()},
+    ("inverse", "_weyl_rep",
+     lambda n, a, u: {k: v * u for k, v in _weyl_rep(n, a, u).items()},
      "monomial matrix inverse failed"),
     # a form with distinct diagonal entries, which no transposition preserves
-    ("_gram", lambda n: {(i, i): i + 1 for i in range(2 * n + 1)},
+    ("orthogonal", "_gram", lambda n: {(i, i): i + 1 for i in range(2 * n + 1)},
      "monomial matrix is not orthogonal"),
     # x_b(1) in place of n_b(1): orthogonal and invertible, not monomial
-    ("_weyl_rep", _root_matrix, "monomial matrix is not a signed permutation"),
-    # x_{e_1+e_2}(1) replaced by x_{e_1+e_2}(2), whose conjugates have no
-    # argument +-1
-    ("_root_matrix", lambda n, a, u: _root_matrix(
-        n, a, 2 if (a, u) == ((1, 1), 1) else u),
+    ("monomial", "_weyl_rep", _root_matrix, "monomial matrix is not a signed permutation"),
+    # x_{e_2}(1) replaced by x_{e_2}(2), whose conjugates have no argument
+    # +-1; no simple row lifts it, and in a full table the entries of the
+    # first row, b = -e_1-e_2, read it before the rows +-e_2 lift it
+    ("root-element", "_nilpotent_part", lambda n, a, u: _nilpotent_part(
+        n, a, 2 if (a, u) == ((0, 1), 1) else u),
      "conjugate is not a root one-parameter element"),
     # n_{e_2}(1) in place of every n_b(1): its conjugates land on s_{e_2}(a)
-    ("_weyl_rep", lambda n, a, u: _weyl_rep(n, (0, 1), u),
+    ("target-root", "_weyl_rep", lambda n, a, u: _weyl_rep(n, (0, 1), u),
      "conjugate landed on the wrong root"),
-], ids=["inverse", "orthogonal", "monomial", "root-element", "target-root"])
-def test_sign_table_checks_fire(monkeypatch, target, fake, message):
+]
+
+
+@pytest.mark.parametrize("target,fake,message,full", [
+    pytest.param(target, fake, message, full, id=name + ("-full" if full else ""))
+    for name, target, fake, message in PLANTED_SIGN_TABLE_DEFECTS
+    for full in (False, True)
+])
+def test_sign_table_checks_fire(monkeypatch, target, fake, message, full):
+    # a full table certifies everything at build; a simple table certifies
+    # its rows at build and each entry on its first read
     monkeypatch.setattr(chevsign, "_sign_table_cache", {})
     monkeypatch.setattr(chevsign, target, fake)
-    with pytest.raises(VerificationError, match=message) as err:
-        build_sign_table(2)
+    if full or message.startswith("monomial matrix"):
+        with pytest.raises(VerificationError, match=message) as err:
+            build_sign_table(2, full)
+    else:
+        table = build_sign_table(2)
+        with pytest.raises(VerificationError, match=message) as err:
+            for b, _ in table.simples:
+                for a in sorted(build_root_system("B", 2).roots):
+                    table(b, a)
     assert "b" in err.value.counterexample
+
+
+# distinct sign-table entries that suite_commutators and suite_graph_action
+# read at the nine points of the supplement-sign benchmark workload, ranks
+# 2-8; filling every simple row at build would hold 2,590
+SIGN_TABLE_ENTRIES_CEILING = 328
+
+
+def test_sign_table_entries_do_not_grow(monkeypatch):
+    from bweyl.suites import suite_commutators, suite_graph_action
+
+    monkeypatch.setattr(chevsign, "_sign_table_cache", {})
+    for t_l in (1, 2, 3):
+        for m in (0, 1, 2):
+            point = (1, t_l, m, 1 + (t_l + m) % 2)
+            assert suite_commutators(*point).passed
+            assert suite_graph_action(*point).passed
+    simple = [t for (_, full), t in chevsign._sign_table_cache.items() if not full]
+    assert [t.rank for t in simple] == list(range(2, 9))
+    assert sum(len(t.eta) for t in simple) <= SIGN_TABLE_ENTRIES_CEILING

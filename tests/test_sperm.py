@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bweyl import BudgetExceededError, sperm
-from bweyl.roots import levi_root_subset
+from bweyl.roots import build_root_system, coroot, dot, levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
     centralizer,
@@ -23,6 +23,35 @@ from bweyl.sperm import (
 )
 from bweyl.suites import SWEEP_POINTS
 from bweyl.supplement import build_supplement
+
+
+def reference_reflection(n, a):
+    """The reflection as it was computed before it read only the support of
+    a: each of the n unit vectors dotted with the coroot."""
+    cr = coroot(a)
+    images = []
+    for i in range(1, n + 1):
+        e_i = tuple(1 if k == i - 1 else 0 for k in range(n))
+        img = tuple(x - dot(e_i, cr) * y for x, y in zip(e_i, a))
+        nz = [(k + 1, v) for k, v in enumerate(img) if v]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise ValueError(f"{a} does not define a signed-permutation reflection")
+        images.append(nz[0][0] * nz[0][1])
+    return SignedPermutation(tuple(images))
+
+
+def test_reflection_matches_the_coordinate_formula():
+    for n in range(2, 10):
+        for a in sorted(build_root_system("B", n).roots):
+            assert reflection(n, a) == reference_reflection(n, a), a
+    # a root of type C, non-roots, and a root shorter than the rank
+    assert reflection(3, (0, -2, 0)) == reference_reflection(3, (0, -2, 0))
+    for n, a in [(2, (0, 0)), (3, (1, 1, 1)), (2, (2, 2)), (2, (1, 2)), (3, (1, 0))]:
+        with pytest.raises(ValueError) as want:
+            reference_reflection(n, a)
+        with pytest.raises(ValueError) as got:
+            reflection(n, a)
+        assert str(got.value) == str(want.value)
 
 
 def rand_perm(draw_images):
