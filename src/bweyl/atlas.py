@@ -178,11 +178,17 @@ def case13_levi(n: int, m: int, d: int) -> LeviDatum:
     eps = (-1) ** d
     case = 3 if d0 % 2 == 0 and m % 2 == 0 and n % 2 == 0 and a >= 1 else 1
     row = IsolatedBlockRow(case, n, d, d0, m, a, eps, l_split=0, a1=a)
-    subset = RootSubset(n, frozenset(b_block_roots(n, nprime + 1)))
     twist = (
         sylow_twist(nprime, d, n) if nprime else SignedPermutation.identity(n)
     )
-    return LeviDatum(row, subset, twist, _torus_order(d0, eps, a))
+    return LeviDatum(row, _b_block_subset(n, nprime + 1), twist, _torus_order(d0, eps, a))
+
+
+@lru_cache(maxsize=None)
+def _b_block_subset(n: int, first: int) -> RootSubset:
+    """The type-B block on the coordinates first, ..., n, validated once and
+    shared by every twist order d of `case13_levi`."""
+    return RootSubset(n, frozenset(b_block_roots(n, first)))
 
 
 @lru_cache(maxsize=None)

@@ -48,10 +48,11 @@ __all__ = [
 
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
-    use and kept: P' indexed for `decompose`, each Weyl part's action on H',
-    the orbits of the head characters, and per head character its inertia
-    group and certified extension.  The head basis and the coordinates of
-    H' are read from the supplement (`SupplementContext.head_basis`,
+    use and kept: P' indexed for `decompose` and each factorization it
+    finds, each Weyl part's action on H', the orbits of the head
+    characters, and per head character its inertia group and certified
+    extension.  The head basis and the coordinates of H' are read from the
+    supplement (`SupplementContext.head_basis`,
     `SupplementData.head_coordinates`, certified by `build_supplement`),
     and C' through its normal form, `SupplementContext.cyclic_sum`: neither
     is closed here."""
@@ -62,6 +63,7 @@ class CharacterTables:
         self.inertia_generators: dict = {}  # sign vector -> generators of P'_lam
         self.extensions: dict = {}  # sign vector -> certified ExtensionCharacter
         self._head_actions: dict = {}  # Weyl part -> head_action rows
+        self._decompositions: dict = {}  # element -> decompose(element)
 
     @cached_property
     def _block_of_point(self) -> dict:
@@ -89,7 +91,11 @@ class CharacterTables:
         """The factors (c, p) of x = c * p in V' = C' x| P', None outside
         V'.  C' keeps the orbits of its Weyl parts, so x moves them as p
         does: of the 2^(t_l - 1) elements of P' that do, p is the one with
-        x p^{-1} in C'.  All are tried, so a second factorization raises."""
+        x p^{-1} in C'.  All are tried on the first call for x, so a second
+        factorization raises; the result is kept per element, and later
+        calls read it."""
+        if x in self._decompositions:
+            return self._decompositions[x]
         g = self.data.ctx.group
         found = None
         for p, p_inv in self._p_by_blocks.get(self._blocks_moved(x), ()):
@@ -101,6 +107,7 @@ class CharacterTables:
                         {"element": x, "decompositions": (found, (c, p))},
                     )
                 found = (c, p)
+        self._decompositions[x] = found
         return found
 
     def head_action(self, x: MonomialElement) -> tuple:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 
 from . import VerificationError
 from .roots import (
@@ -289,18 +290,17 @@ def twisted_frobenius_power(
 
 def _levi_factor_terms(ctx: SupplementContext, i: int, table: SignTable):
     """The formal generator terms of the i-th twisted rank-one factor: the
-    norm orbit of +-(e_2 - e_1) translated to the i-th pair block."""
+    norm orbit of +-(e_2 - e_1) translated to the i-th pair block, term j
+    the twisted Frobenius of term j - 1."""
     g = ctx.group
     base = tuple(
         1 if j == 2 * i - 2 else -1 if j == 2 * i - 1 else 0 for j in range(ctx.n)
     )
     terms = []
     for start in (base, tuple(-x for x in base)):
-        t = FormalRootTerm(start)
-        for j in range(ctx.d0):
-            terms.append(
-                twisted_frobenius_power(g, table, t, ctx.v_l, j)
-            )
+        terms += accumulate(range(1, ctx.d0),
+                            lambda t, _: twisted_frobenius_power(g, table, t, ctx.v_l, 1),
+                            initial=FormalRootTerm(start))
     return terms
 
 

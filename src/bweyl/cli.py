@@ -2,7 +2,7 @@
 supplement structure summaries.
 
 `verify` runs one task list, serially or in a pool of `min(--jobs, tasks,
-CPUs)` workers: each global suite is one task, in the given order, and each
+CPUs)` workers: each global suite is one task, the longest first, and each
 parameter point is one task that runs every requested point suite there, so
 a point's supplement is built in one worker only.  The reports are merged in
 one canonical order, so stdout does not depend on the worker count.
@@ -23,6 +23,11 @@ from . import BudgetExceededError, VerificationError
 from .cyclo import EllContext, is_prime
 
 USAGE_ERROR, CHECK_FAILURE, INTERNAL_ERROR = 2, 1, 3
+
+# the global suites in the order `verify` hands them out, longest first at
+# the default parameters
+LONGEST_FIRST = ("tits-core", "atlas-ellparts", "mutation", "cyclo-lemma", "wreath",
+                 "hl-structure")
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -140,12 +145,13 @@ def cmd_verify(args) -> int:
                            "q_values": args.q},
         "tits-core": {"random_triples": 2000},
     }
-    # one task per global suite, the longest tasks, first so that a free
-    # worker takes the next one (list scheduling); then one task per point
-    # with all its point suites, which share the point's supplement and
+    # one task per global suite, the longest first (`LONGEST_FIRST`) so that
+    # a free worker takes the next one (list scheduling); then one task per
+    # point with all its point suites, which share the point's supplement and
     # caches in one worker; chunks of one keep the tasks apart
-    tasks = [(None, [(name, suite_kwargs.get(name, {}))])
-             for name in suites if name in GLOBAL_SUITES]
+    given = [name for name in suites if name in GLOBAL_SUITES]
+    dispatch = sorted(range(len(given)), key=lambda i: LONGEST_FIRST.index(given[i]))
+    tasks = [(None, [(given[i], suite_kwargs.get(given[i], {}))]) for i in dispatch]
     n_global = len(tasks)
     point_suites = [(name, suite_kwargs.get(name, {}))
                     for name in suites if name in POINT_SUITES]
@@ -161,7 +167,9 @@ def cmd_verify(args) -> int:
         results = [_run_point_suite(task) for task in tasks]
     reports = [r for result in results for r in result]
     # canonical merge order regardless of worker scheduling: the global
-    # reports in suite order, then the point reports by suite and point
+    # reports in the given suite order, then the point reports by suite and
+    # point
+    reports[:n_global] = [r for _, r in sorted(zip(dispatch, reports[:n_global]))]
     reports[n_global:] = sorted(
         reports[n_global:], key=lambda r: (r.suite, sorted(r.params.items()))
     )

@@ -29,7 +29,7 @@ from .roots import levi_root_subset
 from .sperm import (
     SignedPermutation,
     _signed_block_cycle,
-    centralizer,
+    centralizer_order,
     closure as perm_closure,
     orbit,
     orbits_on_support,
@@ -43,7 +43,6 @@ from .tits import (
     _f2_masks,
     _f2_rank,
     fixed_coset,
-    least_reduced_word,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
@@ -201,24 +200,57 @@ class SupplementContext:
         return fixed
 
     @cached_property
-    def orbit_fixed(self) -> list[MonomialElement]:
-        """Twisted-Frobenius-fixed elements of the subsystem group over orbit 1.
+    def torus_fixed(self) -> list[MonomialElement]:
+        """T_F, the twisted-Frobenius-fixed part of the orbit-1 order-2
+        torus (`fixed_translates` of 1): one certified solve."""
+        return self.fixed_translates(self.group.identity)
 
-        The subsystem Weyl group is W(B_{d0}) on the orbit's coordinates, in
-        increasing order, with the subsystem's simple roots as its simple
-        reflections.  The twist acts there as one signed d0-cycle; each of
-        the 2 d0 elements of its centralizer is lifted along its reduced word
-        in the simple-root lifts, with its fixed torus translates."""
+    @cached_property
+    def _orbit_generator(self) -> MonomialElement:
+        """The product of the orbit-1 simple-root lifts, in order: a lift of
+        cbar_1, whose Weyl part `orbit_fixed` certifies a generator of the
+        twist's centralizer."""
+        g = self.group
+        return g.prod([g.root_lift(a) for a in self._subsystem_simple_roots(self.orbits[0])])
+
+    @cached_property
+    def orbit_fixed(self) -> list[MonomialElement]:
+        """Twisted-Frobenius-fixed elements of the subsystem group over orbit
+        1, as t y^k for k < 2 d0 and t in T_F (`torus_fixed`), y a fixed
+        translate of `_orbit_generator`: two certified solves in all.
+
+        The subsystem Weyl group is W(B_{d0}) on the orbit's coordinates,
+        where the twist acts as one signed d0-cycle, so its centralizer C has
+        2 d0 elements (`centralizer_order`).  The generator x is a product of
+        subsystem lifts; "the generator's Weyl part generates the twist's
+        centralizer" checks that u = rho(x) commutes with the twist and has
+        order |C|, so C = <u>.  Let y = h x be fixed, h in the orbit's
+        order-2 torus T ("the generator's lift is fixed by the twisted
+        Frobenius").  F is an endomorphism, so the fixed elements form a
+        group, and y^k is a fixed element over u^k.  Any fixed z over u^k
+        is t y^k with t = z y^{-k} fixed and in the subsystem group over 1,
+        which meets the torus in T (Tits, Normalisateurs de tores I, 1966):
+        t lies in T_F.  So the fixed elements over C are exactly the t y^k,
+        and distinct pairs (k, t) give distinct elements."""
         g, idx = self.group, sorted(self.orbits[0])
         pos = {i: k for k, i in enumerate(idx, start=1)}
         twist = SignedPermutation(tuple(
             pos[self.w_l(i)] if self.w_l(i) > 0 else -pos[-self.w_l(i)] for i in idx))
-        lifts = [g.root_lift(a) for a in self._subsystem_simple_roots(self.orbits[0])]
-        fixed = []
-        for u in centralizer(twist, budget=2 * self.d0):
-            fixed += self.fixed_translates(
-                g.prod([lifts[i - 1] for i in least_reduced_word(u.images)]))
-        return fixed
+        size, x = centralizer_order(twist), self._orbit_generator
+        # the order of rho(x), None past |C|
+        order = next((k for k, w in enumerate(accumulate([x.weyl] * size, mul), start=1)
+                      if w.is_identity()), None)
+        _expect(order == size and x.weyl * self.w_l == self.w_l * x.weyl,
+                "the generator's Weyl part generates the twist's centralizer",
+                {"generator": x.weyl.images, "order": order, "centralizer_order": size})
+        y = next(iter(self.fixed_translates(x)), None)
+        if y is None:
+            raise VerificationError("no twisted-Frobenius-fixed lift of the generator exists",
+                                    {"l": self.l, "d": self.d, "generator": x.weyl.images})
+        _expect(self.is_frob_fixed(y), "the generator's lift is fixed by the twisted Frobenius",
+                {"lift": y})
+        powers = [g.identity, *accumulate([y] * (size - 2), g.mul, initial=y)]
+        return [g.mul(t, yk) for yk in powers for t in self.torus_fixed]
 
     @cached_property
     def c1(self) -> MonomialElement:
@@ -375,6 +407,10 @@ def verify_p_elements(ctx: SupplementContext) -> None:
 
 
 def verify_c1(ctx: SupplementContext) -> None:
+    """c_1 lifts cbar_1, which centralizes the twist and generates its
+    displayed case form; c_1 is Frobenius-fixed with c_1^{2 d0} in <h_0>;
+    and <h_1, h_0, c_1> compares with `orbit_fixed` times T_F, read from
+    `SupplementContext.torus_fixed` with no solve of its own."""
     g = ctx.group
     _expect(ctx.c1.weyl == ctx.cbar1, "c_1 lifts cbar_1", {})
     # even d: the displayed form is the twist cycle through 1, which is
@@ -408,8 +444,7 @@ def verify_c1(ctx: SupplementContext) -> None:
         GeneratedSubgroup.generate(g, [ctx.h[1], ctx.h0, ctx.c1], budget=64 * ctx.d0).elements
     )
     lhs = {x for x in lhs_full if all(c % 2 == 0 for c in x.torus)}
-    torus_cent = ctx.fixed_translates(g.identity)
-    rhs = {g.mul(a, b) for a in ctx.orbit_fixed for b in torus_cent}
+    rhs = {g.mul(a, b) for a in ctx.orbit_fixed for b in ctx.torus_fixed}
     _expect(
         lhs == rhs,
         "even part of <h_1, h_0, c_1> == (orbit fixed points) * (centralized torus)",

@@ -358,6 +358,24 @@ def test_values_read_the_decomposition(tables_t3):
             ext.value(outside)
 
 
+def test_each_element_is_decomposed_once_per_tables(monkeypatch, tables_t3):
+    # the equivariance probes ask again for elements already decomposed;
+    # the bucket of each is searched on its first call only
+    tables = CharacterTables(tables_t3.data)
+    tables._p_by_blocks  # index P' before counting
+    calls, trials = [], []
+    decompose, blocks_moved = CharacterTables.decompose, CharacterTables._blocks_moved
+    monkeypatch.setattr(CharacterTables, "decompose",
+                        lambda self, x: calls.append(x) or decompose(self, x))
+    monkeypatch.setattr(CharacterTables, "_blocks_moved",
+                        lambda self, x: trials.append(x) or blocks_moved(self, x))
+    verify_equivariance(tables)
+    assert len(calls) > len(set(calls))
+    assert Counter(trials) == Counter(set(calls))
+    fresh = CharacterTables(tables.data)
+    assert all(tables.decompose(x) == fresh.decompose(x) for x in set(calls))
+
+
 def _reference_decomposition(tables):
     """Reference: the factors (c, p) of every x = c * p in V', from all
     |C'|·|P'| products; two equal products make it ambiguous."""
@@ -622,12 +640,15 @@ def test_linear_characters_runaway_order_is_a_budget_error():
 # domain, the brute-force inertia count over Weyl parts (3,527 before the
 # last two), C' read by its normal form rather than closed, P' closed once
 # and no iota_1 products on generator pairs (1,511 before the last three),
-# and P' closed over its own generators with H' closed once (910 before)
-CHAREXT_3203_MUL_CEILING = 881
+# P' closed over its own generators with H' closed once (910 before), and
+# the Frobenius-fixed lifts over orbit 1 read from one generator with each
+# decomposition kept per table (881 before)
+CHAREXT_3203_MUL_CEILING = 681
 # the same at (1, 4, 0, 1), where all-pairs checks and a stored map of V'
 # took about 0.8 M products in charext alone (34,362 before the normal form,
-# 33,317 before P' and H' were closed once each)
-CHAREXT_1401_MUL_CEILING = 32258
+# 33,317 before P' and H' were closed once each, 32,258 before the fixed
+# lifts from one generator and the kept decompositions)
+CHAREXT_1401_MUL_CEILING = 22378
 
 
 def _cold_charext_mul_calls(monkeypatch, point):

@@ -23,6 +23,21 @@ from bweyl.supplement import SupplementContext
 from bweyl.tits import ExtendedWeylGroup
 
 
+def test_levi_factor_terms_chain_the_twisted_frobenius(monkeypatch):
+    # term j is term j - 1 stepped once: 2 (d0 - 1) conjugations for the
+    # two starts, where raising each start to the j-th power took d0 (d0 - 1)
+    ctx = SupplementContext(10, 10, 1)
+    g, table, d0 = ctx.group, build_sign_table(ctx.n), ctx.d0
+    base = (1, -1) + (0,) * (ctx.n - 2)
+    expected = [twisted_frobenius_power(g, table, FormalRootTerm(start), ctx.v_l, j)
+                for start in (base, tuple(-x for x in base)) for j in range(d0)]
+    calls = []
+    monkeypatch.setattr(chevsign, "conjugate",
+                        lambda *args: calls.append(None) or conjugate(*args))
+    assert chevsign._levi_factor_terms(ctx, 1, table) == expected
+    assert len(calls) == 2 * (d0 - 1) == 8
+
+
 @pytest.fixture(scope="module")
 def t3():
     return build_sign_table(3, full=True)

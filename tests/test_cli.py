@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bweyl.cli import main
+from bweyl.cli import LONGEST_FIRST, main
 from bweyl.suites import GLOBAL_SUITES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -266,7 +266,7 @@ def _verify_with_recording_pool(capsys, monkeypatch, cpus, *argv):
     monkeypatch.setattr(_RecordingPool, "tasks", [])
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return run_cli(capsys, "verify", *argv)[0]
+    return run_cli(capsys, "verify", *argv)
 
 
 @pytest.mark.parametrize("jobs,cpus,m,size", [
@@ -278,7 +278,7 @@ def _verify_with_recording_pool(capsys, monkeypatch, cpus, *argv):
 ])
 def test_verify_pool_size_is_clamped(capsys, monkeypatch, jobs, cpus, m, size):
     # one charext task per (m, d) with d in {1, 2}
-    code = _verify_with_recording_pool(
+    code, _, _ = _verify_with_recording_pool(
         capsys, monkeypatch, cpus, "--suite", "charext", "--d0", "1",
         "--tl", "1", "--m", m, "--jobs", jobs)
     assert code == 0
@@ -292,7 +292,7 @@ def test_verify_pool_size_is_clamped(capsys, monkeypatch, jobs, cpus, m, size):
     (["wreath"], None),              # one task: serial
 ])
 def test_global_suites_run_in_the_pool(capsys, monkeypatch, suites, size):
-    code = _verify_with_recording_pool(
+    code, _, _ = _verify_with_recording_pool(
         capsys, monkeypatch, 2, *(f"--suite={s}" for s in suites),
         "--ell", "5", "--q", "2", "--jobs", "2")
     assert code == 0
@@ -301,18 +301,24 @@ def test_global_suites_run_in_the_pool(capsys, monkeypatch, suites, size):
 
 
 def test_verify_hands_out_one_task_per_point(capsys, monkeypatch):
-    # the global suites one task each, first and in the given order; then
-    # one task per point with every requested point suite, in the given order
-    code = _verify_with_recording_pool(
-        capsys, monkeypatch, 2, "--suite", "charext", "--suite", "wreath",
-        "--suite", "supplement", "--suite", "cyclo-lemma", "--d0", "1",
-        "--tl", "1", "--m", "0,1", "--ell", "5", "--q", "2", "--jobs", "2")
+    # the global suites one task each, first and longest first; then one
+    # task per point with every requested point suite, in the given order;
+    # the global reports still come out in the given order
+    argv = ["--suite", "charext", "--suite", "hl-structure", "--suite", "wreath",
+            "--suite", "supplement", "--suite", "cyclo-lemma", "--d0", "1",
+            "--tl", "1", "--m", "0,1", "--ell", "5", "--q", "2"]
+    code, out, _ = _verify_with_recording_pool(capsys, monkeypatch, 2, *argv, "--jobs", "2")
     assert code == 0
     [tasks] = _RecordingPool.tasks
     assert [(point, [name for name, _ in suites]) for point, suites in tasks] == [
-        (None, ["wreath"]), (None, ["cyclo-lemma"]),
+        (None, ["cyclo-lemma"]), (None, ["wreath"]), (None, ["hl-structure"]),
         *(((1, 1, m, d), ["charext", "supplement"]) for m in (0, 1) for d in (1, 2)),
     ]
+    assert [r["suite"] for r in json.loads(out)[:3]] == ["hl-structure", "wreath",
+                                                        "cyclo-lemma"]
+    assert sorted(LONGEST_FIRST) == sorted(GLOBAL_SUITES)
+    code, serial, _ = run_cli(capsys, "verify", *argv, "--jobs", "1")
+    assert code == 0 and serial == out
 
 
 @pytest.mark.parametrize("suites", [

@@ -9,6 +9,7 @@ from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
     broken_edge,
+    centralizer,
     closure as perm_closure,
     orbit,
     relative_weyl_centralizer,
@@ -29,6 +30,7 @@ from bweyl.tits import (
     ExtendedWeylGroup,
     GeneratedSubgroup,
     _f2_masks,
+    least_reduced_word,
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
@@ -505,6 +507,51 @@ def test_fixed_translates_match_the_torus_enumeration(monkeypatch, d0, t_l, pari
     x0 = g.prod([g.root_lift(a) for a in roots])
     assert x0.weyl == ref.cbar1
     assert ctx.c1 == min(ref.fixed_translates(x0), key=lambda y: y.torus)
+
+
+def _orbit_fixed_per_element(ctx):
+    """Reference: one fixed-coset solve per element of the twist's
+    centralizer in W(B_{d0}), each lifted along its least reduced word in
+    the orbit-1 simple-root lifts."""
+    g, idx = ctx.group, sorted(ctx.orbits[0])
+    pos = {i: k for k, i in enumerate(idx, start=1)}
+    twist = SignedPermutation(tuple(
+        pos[ctx.w_l(i)] if ctx.w_l(i) > 0 else -pos[-ctx.w_l(i)] for i in idx))
+    lifts = [g.root_lift(a) for a in ctx._subsystem_simple_roots(ctx.orbits[0])]
+    return [y for u in centralizer(twist, budget=2 * ctx.d0) for y in ctx.fixed_translates(
+        g.prod([lifts[i - 1] for i in least_reduced_word(u.images)]))]
+
+
+# (5, 1, 0, 5) is a sweep point
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(7, 1, 0, 7), (9, 1, 0, 9)])
+def test_orbit_fixed_matches_the_per_element_solves(d0, t_l, m, d):
+    ctx = SupplementContext(2 * d0 * t_l, d, m)
+    fixed, reference = ctx.orbit_fixed, _orbit_fixed_per_element(ctx)
+    assert len(fixed) == len(set(fixed)) == len(reference) == 4 * d0
+    assert set(fixed) == set(reference)
+    assert ctx._orbit_generator.weyl == ctx.cbar1
+
+
+@pytest.mark.parametrize("d0", [1, 3, 5])
+def test_generator_of_lower_order_is_rejected(d0):
+    # x^2 lies over the square of the generator, of order d0 or 1
+    ctx = SupplementContext(2 * d0, d0, 0)
+    x = ctx._orbit_generator
+    ctx._orbit_generator = ctx.group.mul(x, x)
+    with pytest.raises(VerificationError, match="generates the twist's centralizer"):
+        ctx.orbit_fixed
+
+
+def test_unfixed_generator_lift_is_rejected():
+    # translating the solved lift by a torus element F moves (the coroot of
+    # the last long simple root at -1) leaves it unfixed
+    ctx = SupplementContext(6, 3, 0)
+    g, solve = ctx.group, ctx.fixed_translates
+    h = g.torus_of_root(ctx._subsystem_simple_roots(ctx.orbits[0])[-1])
+    assert not ctx.is_frob_fixed(h)
+    ctx.fixed_translates = lambda x: [g.mul(h, y) for y in solve(x)]
+    with pytest.raises(VerificationError, match="lift is fixed by the twisted Frobenius"):
+        ctx.orbit_fixed
 
 
 def test_c1_does_not_enumerate_the_subsystem():
