@@ -27,7 +27,7 @@ from .roots import (
     root_lattice_doubled,
     weight_lattice_doubled,
 )
-from .sperm import SignedPermutation, sylow_twist
+from .sperm import SignedPermutation, orbit, sylow_twist
 
 __all__ = [
     "IsolatedBlockRow",
@@ -114,12 +114,17 @@ class IsolatedBlockRow:
 
 def enumerate_rows(n: int, ctx: EllContext) -> list[IsolatedBlockRow]:
     """All parameter-admissible rows of the three cases for the given
+    (n, d, d0), in a fresh list; the frozen rows are built once per
     (n, d, d0).  Requires the block-theory hypothesis ell >= 5."""
     if n < 2:
         raise ValueError("rank must be >= 2")
     if ctx.ell < 5:
         raise ValueError("the atlas needs ell >= 5")
-    d, d0 = ctx.d, ctx.d0
+    return list(_rows(n, ctx.d, ctx.d0))
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int, d: int, d0: int) -> tuple:
     eps = (-1) ** d
     rows: list[IsolatedBlockRow] = []
     for m in range(n + 1):
@@ -135,7 +140,7 @@ def enumerate_rows(n: int, ctx: EllContext) -> list[IsolatedBlockRow]:
                 rows.append(IsolatedBlockRow(2, n, d, d0, m, a, eps))
             if d0 % 2 == 0:
                 rows.append(IsolatedBlockRow(3, n, d, d0, m, a, eps))
-    return rows
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -211,34 +216,22 @@ def build_case2_levi(n: int, m: int, d: int) -> LeviDatum:
 
 def levi_rational_type(datum: LeviDatum) -> str:
     """Canonical rational-type string: semisimple factors X_k(q^j) sorted by
-    (family, rank, field power), torus factors last."""
-    comps = datum.root_subset.components()
-    # twist orbits on components
-    index_of = {c: i for i, c in enumerate(comps)}
-    seen = set()
-    factors: dict[tuple, int] = {}
+    (family, rank, field power), torus factors last.  A factor is a twist
+    orbit of components: the twist stabilizes the root set, so it permutes
+    its components."""
     from .roots import component_types
 
-    for i, comp in enumerate(comps):
-        if i in seen:
+    comps = datum.root_subset.components()
+    seen: set = set()
+    factors: dict[tuple, int] = {}
+    for comp in comps:
+        if comp in seen:
             continue
-        orbit = [i]
-        seen.add(i)
-        cur = comp
-        while True:
-            moved = frozenset(datum.twist.act_on_root(a) for a in cur)
-            j = index_of[moved]
-            if j in seen and j == orbit[0]:
-                break
-            if j in seen:
-                raise ValueError("twist does not permute the components")
-            seen.add(j)
-            orbit.append(j)
-            cur = moved
-        family, rank = component_types(
-            RootSubset(datum.root_subset.ambient_rank, comp)
-        )[0]
-        key = (family, rank, len(orbit))
+        cycle = orbit({comp: None}, [datum.twist],
+                      lambda roots, w: frozenset(map(w.act_on_root, roots)), len(comps))
+        seen.update(cycle)
+        family, rank = component_types(RootSubset(datum.root_subset.ambient_rank, comp))[0]
+        key = (family, rank, len(cycle))
         factors[key] = factors.get(key, 0) + 1
     parts = []
     for (family, rank, power), mult in sorted(factors.items()):

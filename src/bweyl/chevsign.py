@@ -460,3 +460,35 @@ def check_sign_table_consistency(table: SignTable) -> list:
         if orthogonal_long and e != 1:
             bad.append(("orthogonal-long", *key))
     return bad
+
+
+def flips_without_violation(table: SignTable) -> list:
+    """The keys (b, a), sorted, whose single-entry flip violates no
+    consistency law, that is, with check_sign_table_consistency(
+    table.flipped(b, a)) empty, found without a copy of the table.  A flip
+    of entry i changes only the laws that read it: its own, and those whose
+    (b, s_b(a)) or (b, -a) is entry i.  So it is caught when a law outside
+    that set fails on the unflipped table, checked once, or when a law in
+    it fails with entry i negated."""
+    if not table.full:
+        raise ValueError("consistency laws need a full table")
+    keys, laws = _consistency_laws(table.rank)
+    eta = [table.eta[k] for k in keys]
+    readers = [[i] for i in range(len(keys))]
+    for j, (s_b_a, neg_a, _, _) in enumerate(laws):
+        readers[s_b_a].append(j)
+        readers[neg_a].append(j)
+
+    def fails(j):
+        e, (s_b_a, neg_a, sign, orthogonal_long) = eta[j], laws[j]
+        return e * eta[s_b_a] != sign or e != eta[neg_a] or (orthogonal_long and e != 1)
+
+    failing = set(filter(fails, range(len(keys))))
+    undetected = []
+    for i, key in enumerate(keys):
+        if failing.issubset(readers[i]):
+            eta[i] = -eta[i]
+            if not any(map(fails, readers[i])):
+                undetected.append(key)
+            eta[i] = -eta[i]
+    return undetected

@@ -25,9 +25,9 @@ from .cyclo import EllContext, is_prime
 USAGE_ERROR, CHECK_FAILURE, INTERNAL_ERROR = 2, 1, 3
 
 # the global suites in the order `verify` hands them out, longest first at
-# the default parameters
-LONGEST_FIRST = ("tits-core", "atlas-ellparts", "mutation", "cyclo-lemma", "wreath",
-                 "hl-structure")
+# the default parameters, timed cold with the modules imported before the fork
+LONGEST_FIRST = ("tits-core", "hl-structure", "wreath", "atlas-ellparts", "mutation",
+                 "cyclo-lemma")
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -161,6 +161,7 @@ def cmd_verify(args) -> int:
     if workers > 1:
         import multiprocessing
 
+        from . import atlas, charext, chevsign  # before the fork, so compiled once
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_point_suite, tasks, chunksize=1)
     else:

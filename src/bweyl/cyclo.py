@@ -73,31 +73,6 @@ def ell_valuation(n: int, ell: int) -> int:
 # Dense integer coefficient tuples, constant term first.
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    # Exact division of integer polynomials; den is monic here.
-    num_l = list(num)
-    deg_n, deg_d = len(num_l) - 1, len(den) - 1
-    out = [0] * (deg_n - deg_d + 1)
-    for k in range(deg_n - deg_d, -1, -1):
-        c = num_l[k + deg_d]
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num_l[k + j] -= c * dj
-    if any(num_l):
-        raise ArithmeticError("division was not exact")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CycloPoly:
     """A cyclotomic polynomial Phi_e, coefficients lowest degree first."""
@@ -118,15 +93,33 @@ class CycloPoly:
 
 @lru_cache(maxsize=None)
 def _phi_coeffs(e: int) -> tuple[int, ...]:
-    if e == 1:
-        return (-1, 1)
-    # x^e - 1 = prod over f | e of Phi_f, so divide out the proper divisors.
-    num = tuple([-1] + [0] * (e - 1) + [1])
-    den = (1,)
-    for f in range(1, e):
-        if e % f == 0:
-            den = _poly_mul(den, _phi_coeffs(f))
-    return _poly_divexact(num, den)
+    """Phi_e = prod over d | e of (x^d - 1)^mu(e/d) (Lang, Algebra, VI 3):
+    multiply by x^d - 1 wherever mu(e/d) = 1, then divide by x^d - 1
+    wherever mu(e/d) = -1, each step O(deg) and each division checked."""
+    # the squarefree k | e, each signed by mu(k)
+    signed = [1]
+    for p in range(2, e + 1):
+        if e % p == 0 and is_prime(p):
+            signed += [-k * p for k in signed]
+    coeffs = [1]
+    for k in sorted(signed, reverse=True):
+        d = e // abs(k)
+        if k > 0:
+            coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+        else:
+            coeffs = _divide_by_binomial(coeffs, d)
+    return tuple(coeffs)
+
+
+def _divide_by_binomial(coeffs: list, d: int) -> list:
+    """p / (x^d - 1), ArithmeticError if inexact: p = q (x^d - 1) gives
+    q[k] = q[k - d] - p[k] from the bottom, and p's top d must be q's."""
+    q = []
+    for k in range(len(coeffs) - d):
+        q.append((q[k - d] if k >= d else 0) - coeffs[k])
+    if ([0] * d + q)[len(q):] != coeffs[len(q):]:
+        raise ArithmeticError("division was not exact")
+    return q
 
 
 def cyclotomic_poly(e: int) -> CycloPoly:

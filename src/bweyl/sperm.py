@@ -1,9 +1,9 @@
 """The hyperoctahedral group of signed permutations, Sylow twist elements,
-`centralizer`, the budgeted centralizer of a signed permutation by cycle
-matching, and its order from the signed cycle type alone; the relative Weyl
-centralizer, named through the pair-block map onto W(B_{l/2}) by the twist's
-image and that order, with nothing enumerated; and `orbit`, the budgeted
-breadth-first enumeration behind every closure and orbit in the package.
+and the order of the centralizer of a signed permutation from its signed
+cycle type alone; the relative Weyl centralizer, named through the
+pair-block map onto W(B_{l/2}) by the twist's image and that order, with
+nothing enumerated; and `orbit`, the budgeted breadth-first enumeration
+behind every closure and orbit in the package.
 
 A signed permutation on {+-1, ..., +-n} is stored one-line on the positive
 part; sigma(-i) = -sigma(i) is implied.  Composition applies the right factor
@@ -12,7 +12,6 @@ first: (s * t)(i) = s(t(i)).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ __all__ = [
     "CosetGroup",
     "SignedPermutation",
     "broken_edge",
-    "centralizer",
     "centralizer_order",
     "closure",
     "orbit",
@@ -278,51 +276,13 @@ def _signed_cycles(x: SignedPermutation) -> dict:
 
 def centralizer_order(x: SignedPermutation) -> int:
     """|C(x)| in W(B_k), k = rank of x, from the signed cycle type alone:
-    prod (2L)^c c! over the c cycles of each length L and sign (see
-    `centralizer`)."""
+    prod (2L)^c c! over the c cycles of each length L and sign.  g
+    centralizes x exactly when it maps each signed cycle of x onto a cycle
+    of the same length L and sign, and the image of one point of the cycle,
+    any of the 2L signed points of the target cycle, fixes g on all of it
+    (Carter, Conjugacy classes in the Weyl group, 1972)."""
     return math.prod((2 * length) ** len(cycles) * math.factorial(len(cycles))
                      for (length, _), cycles in _signed_cycles(x).items())
-
-
-def centralizer(x: SignedPermutation, budget: int) -> list:
-    """The centralizer of x in W(B_k), k = rank of x, by cycle matching.
-
-    g centralizes x exactly when g(x(i)) = x(g(i)) for every i.  So g maps
-    each signed cycle of x onto a cycle of the same length L and sign, and
-    the image of one point of the cycle, any of the 2L signed points of the
-    target cycle, fixes g on all of it (Carter, Conjugacy classes in the
-    Weyl group, 1972).  The centralizer has `centralizer_order(x)` elements;
-    past `budget` elements BudgetExceededError is raised before any is
-    built.
-    """
-    order = centralizer_order(x)
-    if order > budget:
-        raise BudgetExceededError(f"centralizer of {order} elements exceeds {budget}")
-    types = _signed_cycles(x)
-
-    def images_from(source: list, target: int) -> list:
-        # g(x^r(c)) = x^r(g(c)) along the source cycle, as (position, image)
-        out = []
-        for point in source:
-            out.append((point - 1, target) if point > 0 else (-point - 1, -target))
-            target = x(target)
-        return out
-
-    per_type = []
-    for cycles in types.values():
-        per_type.append([
-            [pair for source, t in zip(cycles, starts) for pair in images_from(source, t)]
-            for matched in itertools.permutations(cycles)
-            for starts in itertools.product(*(d + [-p for p in d] for d in matched))
-        ])
-    out = []
-    for parts in itertools.product(*per_type):
-        images = [0] * x.rank
-        for part in parts:
-            for pos, img in part:
-                images[pos] = img
-        out.append(SignedPermutation(tuple(images)))
-    return out
 
 
 def _pair_block_image(x: SignedPermutation, pairs: int) -> SignedPermutation | None:

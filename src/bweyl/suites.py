@@ -190,7 +190,16 @@ def suite_cyclotomic_lemma(ells=(5, 7, 11, 13), q_max=50, k_max=30) -> SuiteRepo
 
 def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent") -> SuiteReport:
     """Lift squares, braid relations, closure orders, and group axioms of
-    the normal-form multiplication."""
+    the normal-form multiplication.
+
+    Rank 2 is exhaustive by Light's test (Clifford and Preston, The
+    Algebraic Theory of Semigroups I, 1961, 1.2): if the closure S of
+    m_1, m_2 is closed under the product and (x a) y = x (a y) for a in
+    A = {1, m_1, m_2} and all x, y in S, S is associative.  The a with the
+    identity form a set T closed under the product, as for b, c in T
+    (x (b c)) y = ((x b) c) y = (x b) (c y) = x (b (c y)) = x ((b c) y);
+    every element of S is a left-bracketed product over A, so T = S.
+    Otherwise all triples are scanned for the first counterexample."""
     import random as _random
 
     from .tits import ExtendedWeylGroup, GeneratedSubgroup
@@ -241,7 +250,8 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
 
     def axioms():
         g2 = ExtendedWeylGroup(2, cocycle_rule=cocycle_rule)
-        grp = GeneratedSubgroup.generate(g2, [g2.simple_lift(1), g2.simple_lift(2)])
+        lifts = [g2.simple_lift(1), g2.simple_lift(2)]
+        grp = GeneratedSubgroup.generate(g2, lifts)
         # the Cayley table of the closure on element indices, filled once per
         # pair; under a broken rule a product can leave the closure, and it
         # gets the next index
@@ -259,19 +269,24 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
             return k
 
         closure = range(len(elems))
-        for x in closure:
-            for y in closure:
-                xy = product(x, y)
-                for z in closure:
-                    if product(xy, z) != product(x, product(y, z)):
-                        raise VerificationError(
-                            "associativity failed",
-                            {"x": elems[x], "y": elems[y], "z": elems[z]})
-        rng = _random.Random(2024)
+        letters = [index[x] for x in (g2.identity, *lifts)]
+        # Light's test (see above); only its failure scans every triple
+        if not (all(product(x, y) in closure for x in closure for y in closure)
+                and all(product(product(x, a), y) == product(x, product(a, y))
+                        for a in letters for x in closure for y in closure)):
+            for x in closure:
+                for y in closure:
+                    xy = product(x, y)
+                    for z in closure:
+                        if product(xy, z) != product(x, product(y, z)):
+                            raise VerificationError(
+                                "associativity failed",
+                                {"x": elems[x], "y": elems[y], "z": elems[z]})
+        bits = _random.Random(2024).getrandbits
         for n in (3, 4, 5, 6):
             g = ExtendedWeylGroup(n, cocycle_rule=cocycle_rule)
             for _ in range(random_triples // 4):
-                x, y, z = (_random_element(g, rng) for _ in range(3))
+                x, y, z = (_random_element(g, bits) for _ in range(3))
                 if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
                     raise VerificationError(
                         "associativity failed", {"n": n, "x": x, "y": y, "z": z})
@@ -284,12 +299,22 @@ def suite_tits_core(random_triples: int = 10_000, cocycle_rule: str = "descent")
                        checks, time.perf_counter() - t0)
 
 
-def _random_element(g, rng):
+def _random_element(g, bits):
     """The lift of a random word of length 1..9 times a random torus element
-    on the left, drawn in that order: the length, the letters, the torus."""
-    lifted = g.word_lift([rng.randrange(1, g.n + 1) for _ in range(rng.randrange(1, 10))])
+    on the left, drawn in that order by a random.Random's getrandbits
+    `bits` as its randrange would draw them (`_below`)."""
+    lifted = g.word_lift([1 + _below(bits, g.n) for _ in range(1 + _below(bits, 9))])
     return lifted._replace(
-        torus=tuple([(rng.randrange(4) + c) % g.modulus for c in lifted.torus]))
+        torus=tuple([(_below(bits, 4) + c) % g.modulus for c in lifted.torus]))
+
+
+def _below(bits, m: int) -> int:
+    """CPython's randrange(m): m.bit_length() bits, drawn again while >= m."""
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
 
 
 def suite_hl_structure(d0_values=(1, 3, 5), l_cap=18, q_values=(3, 5)) -> SuiteReport:
@@ -456,15 +481,17 @@ def suite_atlas_ellparts(n_max: int = 12, ells=(5, 7, 11, 13),
     bad_rows = []
     bad_torsion = []
     rows_checked = 0
+    # the l-part and torsion checks read the row's case, n, d, d0, m, a and
+    # eps and the datum built from (n, m, d), nothing else: d0 follows from
+    # d, and a, eps from the footnote identities.  So one datum and torsion
+    # verdict per (case, n, d, m) serve every context, and one l-part
+    # verdict per (case, n, d, m) the rows of its context
+    realized: dict = {}
     for ell in ells:
         for q in q_values:
             if q % ell == 0:
                 continue
             ctx = EllContext(q=q, ell=ell)
-            # the l-part and torsion checks read the row's case, n, d, d0, m,
-            # a and eps and the datum built from (n, m, d), nothing else:
-            # d0 is the context's and a, eps follow from the footnote
-            # identities, so one verdict per (case, n, d, m) serves its rows
             verdicts: dict = {}
             for n in range(2, n_max + 1):
                 for row in enumerate_rows(n, ctx):
@@ -473,17 +500,14 @@ def suite_atlas_ellparts(n_max: int = 12, ells=(5, 7, 11, 13),
                         bad_rows.append((ell, q, n, row))
                         continue
                     key = (row.case_no, row.n, row.d, row.m)
-                    verdict = verdicts.get(key)
-                    if verdict is None:
+                    if key not in realized:
                         datum = realize_row(row)
-                        verdict = verdicts[key] = (
-                            check_isolated_center_ell_part(datum, ctx),
-                            row.case_no != 2 or any(
-                                t > 1 and t % 2 == 0
-                                for t in center_disconnection_torsion(datum)),
-                        )
-                    ell_part_ok, torsion_ok = verdict
-                    if not ell_part_ok:
+                        realized[key] = datum, row.case_no != 2 or any(
+                            t > 1 and t % 2 == 0 for t in center_disconnection_torsion(datum))
+                    datum, torsion_ok = realized[key]
+                    if key not in verdicts:
+                        verdicts[key] = check_isolated_center_ell_part(datum, ctx)
+                    if not verdicts[key]:
                         bad_rows.append((ell, q, n, row))
                     if not torsion_ok:
                         bad_torsion.append((ell, q, n, row))
@@ -529,16 +553,12 @@ def suite_wreath(m_max: int = 6, t_max: int = 5) -> SuiteReport:
 def suite_mutation(rank: int = 3) -> SuiteReport:
     """Meta-test: every single sign-table flip and the corrupted cocycle
     branch must be caught by at least one suite check."""
-    from .chevsign import build_sign_table, check_sign_table_consistency
+    from .chevsign import build_sign_table, flips_without_violation
 
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     table = build_sign_table(rank, full=True)
-    undetected = []
-    for key in sorted(table.eta):
-        flipped = table.flipped(*key)
-        if not check_sign_table_consistency(flipped):
-            undetected.append(key)
+    undetected = flips_without_violation(table)
     checks.append(CheckResult(
         "sign-table-flips",
         f"each of the {len(table.eta)} single-entry flips violates a "

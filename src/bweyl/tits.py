@@ -150,31 +150,32 @@ class ExtendedWeylGroup:
 
     def mul(self, x: MonomialElement, y: MonomialElement) -> MonomialElement:
         """(t1, w1)(t2, w2) = (t1 + w1.t2 + cocycle(w1, w2), w1 w2)."""
-        images = x.weyl.images
-        key = (images, y.weyl.images)
+        (t1, w1), (t2, w2) = x, y
+        images = w1.images
+        key = (images, w2.images)
         hit = self._cocycles.get(key)
         if hit is None:
-            hit = self._cocycles[key] = self._fold(x.weyl, y.weyl)
+            hit = self._cocycles[key] = self._fold(w1, w2)
         cocycle, product = hit
         zero = self.identity.torus
-        if y.torus == zero:
+        if t2 == zero:
             # a canonical lift on the right: w1.0 = 0 leaves t1 + cocycle
-            if x.torus == zero:
-                return MonomialElement(cocycle, product)
-            mod = self.modulus
-            return MonomialElement(
-                tuple([(a + b) % mod for a, b in zip(x.torus, cocycle)]), product)
-        return MonomialElement(
-            _act_and_add(images, y.torus, x.torus, cocycle, self.modulus), product)
+            if t1 != zero:
+                mod = self.modulus
+                cocycle = tuple([(a + b) % mod for a, b in zip(t1, cocycle)])
+        else:
+            cocycle = _act_and_add(images, t2, t1, cocycle, self.modulus)
+        # the pair itself, without the named tuple's Python-level __new__
+        return tuple.__new__(MonomialElement, (cocycle, product))
 
     def word_lift(self, word: Iterable[int]) -> MonomialElement:
         """m_{i_1} ... m_{i_k} for any word, reduced or not: the left rule
         applied letter by letter from the identity, in O(k + n) and without
         touching the cocycle cache."""
         word = tuple(word)
-        for i in word:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"no simple lift with index {i}")
+        if word and not 1 <= min(word) <= max(word) <= self.n:
+            bad = next(i for i in word if not 1 <= i <= self.n)
+            raise ValueError(f"no simple lift with index {bad}")
         inv = list(range(self.n + 1))
         torus = self._left_rule(word, inv)
         # the inverse table of w lists the images of w^{-1}
@@ -213,7 +214,7 @@ class ExtendedWeylGroup:
     def inv(self, x: MonomialElement) -> MonomialElement:
         winv = x.weyl.inverse()
         folded = self.mul(self.lift(winv), x)
-        if not folded.weyl.is_identity():
+        if folded.weyl.images != self.identity.weyl.images:
             raise VerificationError(
                 "w^{-1} w is not the identity", {"weyl": x.weyl.images}
             )

@@ -37,6 +37,35 @@ def test_enumerate_rows_case_gate():
     assert len(case2) == 1 and case2[0].m == 0 and case2[0].a == 2
 
 
+def reference_rows(n, ctx):
+    """The rows of enumerate_rows as they were built for every context."""
+    d, d0, rows = ctx.d, ctx.d0, []
+    for m in range(n + 1):
+        if (n - m) % d0 == 0:
+            a = (n - m) // d0
+            rows += [IsolatedBlockRow(1, n, d, d0, m, a, (-1) ** d, l_split, a1)
+                     for l_split in range(m + 1) for a1 in range(a + 1)]
+            if m % 2 == 0 and n % 2 == 0 and a >= 1 and d0 % 2 == 1 and a % 2 == 0:
+                rows.append(IsolatedBlockRow(2, n, d, d0, m, a, (-1) ** d))
+            if m % 2 == 0 and n % 2 == 0 and a >= 1 and d0 % 2 == 0:
+                rows.append(IsolatedBlockRow(3, n, d, d0, m, a, (-1) ** d))
+    return rows
+
+
+def test_enumerate_rows_match_the_reference_and_are_fresh():
+    # the 26 contexts of the benchmark's `bweyl verify`
+    contexts = [EllContext(q=q, ell=ell) for ell in (5, 7, 11, 13)
+                for q in (2, 3, 4, 5, 7, 8, 9) if q % ell]
+    assert len(contexts) == 26
+    for ctx in contexts:
+        for n in range(2, 13):
+            rows = enumerate_rows(n, ctx)
+            assert rows == reference_rows(n, ctx)
+            rows.append(None)
+            again = enumerate_rows(n, ctx)
+            assert again is not rows and again == reference_rows(n, ctx)
+
+
 def test_enumerate_rows_rejects():
     with pytest.raises(ValueError):
         enumerate_rows(2, EllContext(q=4, ell=3))

@@ -12,6 +12,7 @@ from bweyl.chevsign import (
     build_sign_table,
     check_sign_table_consistency,
     conjugate,
+    flips_without_violation,
     twisted_frobenius_power,
     verify_commutator_lemmas,
     verify_graph_action,
@@ -170,6 +171,58 @@ def test_consistency_matches_reference():
         double = single.flipped(*rng.choice(keys))
         for table in (single, double):
             assert check_sign_table_consistency(table) == reference_consistency(table)
+
+
+def per_flip_reference(table):
+    """The keys whose flip violates no law, one flipped copy per key, as
+    suite_mutation found them before flips_without_violation."""
+    return [k for k in sorted(table.eta) if not check_sign_table_consistency(table.flipped(*k))]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_flips_without_violation_matches_the_per_flip_check(rank):
+    table = build_sign_table(rank, full=True)
+    assert flips_without_violation(table) == per_flip_reference(table) == []
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_flips_without_violation_on_a_table_with_one_entry_flipped(rank):
+    table = build_sign_table(rank, full=True)
+    keys = sorted(table.eta)
+    wrong = table.flipped(*keys[len(keys) // 3])
+    undetected = flips_without_violation(wrong)
+    # flipping the wrong entry back restores the true table
+    assert undetected == per_flip_reference(wrong) and keys[len(keys) // 3] in undetected
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_flips_without_violation_with_a_law_dropped(monkeypatch, rank):
+    keys, laws = chevsign._consistency_laws(rank)
+    table = build_sign_table(rank, full=True)
+    # a short root a orthogonal to b: a flip of (b, a) breaks its own
+    # negation law and that of (b, -a) only.  With the former made void and
+    # (b, -a) flipped first, flipping (b, -a) back or (b, a) to match it
+    # goes undetected
+    j = next(j for j, (b, a) in enumerate(keys)
+             if dot(a, coroot(b)) == 0 and not laws[j][3] and dot(a, a) == 1)
+    void = laws[:j] + ((j, j, 1, False),) + laws[j + 1:]
+    monkeypatch.setattr(chevsign, "_consistency_laws", lambda n: (keys, void))
+    assert flips_without_violation(table) == per_flip_reference(table) == []
+    b, a = keys[j]
+    wrong = table.flipped(b, tuple(-x for x in a))
+    assert flips_without_violation(wrong) == per_flip_reference(wrong) == sorted(
+        [(b, a), (b, tuple(-x for x in a))])
+
+
+def test_suite_mutation_checks_no_flipped_copy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a flipped copy of the table was checked")
+
+    monkeypatch.setattr(chevsign, "check_sign_table_consistency", refuse)
+    monkeypatch.setattr(chevsign.SignTable, "flipped", refuse)
+    from bweyl.suites import suite_mutation
+
+    assert suite_mutation(rank=3).passed
 
 
 def test_conjugate_roundtrip():

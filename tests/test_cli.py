@@ -311,7 +311,7 @@ def test_verify_hands_out_one_task_per_point(capsys, monkeypatch):
     assert code == 0
     [tasks] = _RecordingPool.tasks
     assert [(point, [name for name, _ in suites]) for point, suites in tasks] == [
-        (None, ["cyclo-lemma"]), (None, ["wreath"]), (None, ["hl-structure"]),
+        (None, ["hl-structure"]), (None, ["wreath"]), (None, ["cyclo-lemma"]),
         *(((1, 1, m, d), ["charext", "supplement"]) for m in (0, 1) for d in (1, 2)),
     ]
     assert [r["suite"] for r in json.loads(out)[:3]] == ["hl-structure", "wreath",

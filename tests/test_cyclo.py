@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -10,6 +11,8 @@ from bweyl.cyclo import (
     CycloPoly,
     EllContext,
     GenericOrder,
+    _divide_by_binomial,
+    _phi_coeffs,
     cyclotomic_poly,
     e_set,
     ell_valuation,
@@ -62,6 +65,46 @@ def test_cyclotomic_product_identity(e):
                     out[i + j] += a * b
             prod = out
     assert prod == [-1] + [0] * (e - 1) + [1]
+
+
+def _reference_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def reference_phi(e):
+    """Phi_e as it was built before the Moebius product: x^e - 1 divided by
+    the product of the Phi_f over the proper divisors f of e, by long
+    division."""
+    num = [-1] + [0] * (e - 1) + [1]
+    den = [1]
+    for f in range(1, e):
+        if e % f == 0:
+            den = _reference_mul(den, reference_phi(f))
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        out[k] = c = num[k + len(den) - 1]
+        for j, dj in enumerate(den):
+            num[k + j] -= c * dj
+    assert not any(num)
+    return tuple(out)
+
+
+def test_phi_coeffs_match_the_division_construction():
+    assert all(_phi_coeffs(e) == reference_phi(e) for e in range(1, 301))
+
+
+def test_inexact_division_by_a_binomial_raises():
+    # (x^2 - 1) / (x - 1) = x + 1, and (x^3 - 1) / (x^2 - 1) is no polynomial
+    assert _divide_by_binomial([-1, 0, 1], 1) == [1, 1]
+    assert _divide_by_binomial([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
+    for coeffs, d in (([-1, 0, 0, 1], 2), ([1, 0, 1], 1), ([2, 0, -1], 2), ([1, 1], 3)):
+        with pytest.raises(ArithmeticError, match="not exact"):
+            _divide_by_binomial(coeffs, d)
 
 
 def test_cyclotomic_degree_is_totient():

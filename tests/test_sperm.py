@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -11,7 +12,7 @@ from bweyl import BudgetExceededError, sperm
 from bweyl.roots import build_root_system, coroot, dot, levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
-    centralizer,
+    _signed_cycles,
     centralizer_order,
     closure,
     orbit,
@@ -348,10 +349,12 @@ def test_relative_weyl_order_matches_the_enumeration(d0, t_l, m, d):
 
 
 def test_relative_weyl_order_at_rank_30_enumerates_nothing(monkeypatch):
-    def refuse(x, budget):
-        raise AssertionError("the centralizer was enumerated")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
 
-    monkeypatch.setattr(sperm, "centralizer", refuse)
+    # the enumerations left in sperm; the centralizer one is this file's
+    for name in ("orbit", "closure"):
+        monkeypatch.setattr(sperm, name, refuse)
     cg = relative_weyl_centralizer(30, levi_root_subset(30, 0, 3, 5), sylow_twist(30, 3))
     assert cg.order == 933_120 == 6**5 * math.factorial(5)
 
@@ -366,6 +369,48 @@ def test_relative_weyl_rejects_other_levis():
     with pytest.raises(ValueError):
         relative_weyl_centralizer(4, type(odd)(4, frozenset(a + (0,) for a in odd.roots)),
                                   SignedPermutation.identity(4))
+
+
+def centralizer(x: SignedPermutation, budget: int) -> list:
+    """The reference: the centralizer of x in W(B_k), k = rank of x, by
+    cycle matching.
+
+    g centralizes x exactly when g(x(i)) = x(g(i)) for every i.  So g maps
+    each signed cycle of x onto a cycle of the same length L and sign, and
+    the image of one point of the cycle, any of the 2L signed points of the
+    target cycle, fixes g on all of it (Carter, Conjugacy classes in the
+    Weyl group, 1972).  The centralizer has `centralizer_order(x)` elements;
+    past `budget` elements BudgetExceededError is raised before any is
+    built.
+    """
+    order = centralizer_order(x)
+    if order > budget:
+        raise BudgetExceededError(f"centralizer of {order} elements exceeds {budget}")
+    types = _signed_cycles(x)
+
+    def images_from(source: list, target: int) -> list:
+        # g(x^r(c)) = x^r(g(c)) along the source cycle, as (position, image)
+        out = []
+        for point in source:
+            out.append((point - 1, target) if point > 0 else (-point - 1, -target))
+            target = x(target)
+        return out
+
+    per_type = []
+    for cycles in types.values():
+        per_type.append([
+            [pair for source, t in zip(cycles, starts) for pair in images_from(source, t)]
+            for matched in itertools.permutations(cycles)
+            for starts in itertools.product(*(d + [-p for p in d] for d in matched))
+        ])
+    out = []
+    for parts in itertools.product(*per_type):
+        images = [0] * x.rank
+        for part in parts:
+            for pos, img in part:
+                images[pos] = img
+        out.append(SignedPermutation(tuple(images)))
+    return out
 
 
 def brute_force_centralizer(x):

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from bweyl import VerificationError
+from bweyl import VerificationError, suites
 from bweyl.suites import (
     SWEEP_POINTS,
     default_sweep_points,
@@ -14,7 +15,7 @@ from bweyl.suites import (
     suite_tits_core,
     suite_wreath,
 )
-from bweyl.tits import ExtendedWeylGroup
+from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
 
 
 def test_sweep_points_admissible():
@@ -130,6 +131,105 @@ def test_atlas_ell_part_evaluations_do_not_grow(monkeypatch):
                                   q_values=(2, 3, 4, 5, 7, 8, 9))
     assert report.passed and report.params["rows"] == 10152
     assert len(calls) <= ATLAS_VERIFY_CLI_ELL_PART_CEILING
+
+
+def reference_rank2_scan(cocycle_rule="descent"):
+    """The exhaustive rank-2 axioms of suite_tits_core before Light's test:
+    every triple of the closure in index order, on its Cayley table; the
+    first counterexample, or None."""
+    g2 = ExtendedWeylGroup(2, cocycle_rule=cocycle_rule)
+    elems = list(GeneratedSubgroup.generate(
+        g2, [g2.simple_lift(1), g2.simple_lift(2)]).elements)
+    index = {x: i for i, x in enumerate(elems)}
+    table = {}
+
+    def product(i, j):
+        if (i, j) not in table:
+            xy = g2.mul(elems[i], elems[j])
+            table[i, j] = index.setdefault(xy, len(elems))
+            if table[i, j] == len(elems):
+                elems.append(xy)
+        return table[i, j]
+
+    closure = range(len(elems))
+    for x in closure:
+        for y in closure:
+            for z in closure:
+                if product(product(x, y), z) != product(x, product(y, z)):
+                    return {"x": elems[x], "y": elems[y], "z": elems[z]}
+    return None
+
+
+def _rank2_axioms(monkeypatch, cocycle_rule="descent", plant=None):
+    """The rank-2 group-axioms check of suite_tits_core, the reference scan
+    and the factors of the suite's rank-2 products, all with the products
+    in `plant` replaced."""
+    mul, plant, factors = ExtendedWeylGroup.mul, plant or {}, set()
+
+    def planted(self, x, y):
+        if self.n != 2:
+            return mul(self, x, y)
+        factors.update((x, y))
+        return plant.get((x, y)) or mul(self, x, y)
+
+    monkeypatch.setattr(ExtendedWeylGroup, "mul", planted)
+    report = suite_tits_core(random_triples=0, cocycle_rule=cocycle_rule)
+    [check] = [c for c in report.checks if c.check_id == "group-axioms"]
+    suite_factors = set(factors)
+    return check, reference_rank2_scan(cocycle_rule), suite_factors
+
+
+def _assert_reference_verdict(check, expected):
+    assert expected is not None and not check.passed
+    assert check.counterexample == expected | {"error": "associativity failed"}
+
+
+def _closure_and_letters():
+    g2 = ExtendedWeylGroup(2)
+    lifts = [g2.simple_lift(1), g2.simple_lift(2)]
+    return g2, GeneratedSubgroup.generate(g2, lifts).elements, [g2.identity, *lifts]
+
+
+def test_light_test_passes_the_true_table(monkeypatch):
+    check, expected, _ = _rank2_axioms(monkeypatch)
+    assert check.passed and expected is None
+
+
+def test_light_test_names_the_reference_counterexample_under_ascent(monkeypatch):
+    check, expected, _ = _rank2_axioms(monkeypatch, "ascent")
+    _assert_reference_verdict(check, expected)
+    monkeypatch.undo()
+    # the random triples come after, so the full suite reports the same
+    report = suite_tits_core(random_triples=400, cocycle_rule="ascent")
+    assert [c.counterexample for c in report.checks if c.check_id == "group-axioms"] == [
+        check.counterexample]
+
+
+def test_light_test_catches_one_corrupted_product_inside_the_closure(monkeypatch):
+    g2, elems, letters = _closure_and_letters()
+    x, y = elems[7], elems[19]
+    assert x not in letters and y not in letters
+    wrong = g2.mul(g2.mul(x, y), g2.h_simple(1))
+    assert wrong in elems and wrong != g2.mul(x, y)
+    check, expected, _ = _rank2_axioms(monkeypatch, plant={(x, y): wrong})
+    _assert_reference_verdict(check, expected)
+
+
+def test_a_product_leaving_the_closure_takes_the_scan(monkeypatch):
+    g2, elems, _ = _closure_and_letters()
+    outside = g2.torus((1, 0))
+    assert outside not in elems
+    check, expected, factors = _rank2_axioms(monkeypatch, plant={(elems[7], elems[19]): outside})
+    _assert_reference_verdict(check, expected)
+    # Light's test multiplies within the closure only: the scan ran
+    assert outside in factors
+
+
+def test_below_draws_what_randrange_draws():
+    for m in range(1, 40):
+        rng, bits = random.Random(m), random.Random(m).getrandbits
+        assert [suites._below(bits, m) for _ in range(200)] == [
+            rng.randrange(m) for _ in range(200)]
 
 
 def test_tits_core_detects_broken_cocycle():

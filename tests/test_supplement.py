@@ -9,7 +9,6 @@ from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
     broken_edge,
-    centralizer,
     closure as perm_closure,
     orbit,
     relative_weyl_centralizer,
@@ -34,6 +33,7 @@ from bweyl.tits import (
     root_character_eval,
     torsion_two_subgroup_fixed_rank,
 )
+from test_sperm import centralizer
 
 SWEEP_SMALL = [
     (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (3, 1, 0), (3, 1, 1),
