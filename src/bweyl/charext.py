@@ -48,10 +48,10 @@ __all__ = [
 
 class CharacterTables:
     """What charext derives from one supplement, each part built on first
-    use and kept: P' indexed for `decompose` and each factorization it
-    finds, each Weyl part's action on H', the orbits of the head
-    characters, and per head character its inertia group and certified
-    extension.  The head basis and the coordinates of H' are read from the
+    use and kept: P' listed from its normal form and indexed for
+    `decompose`, each factorization it finds, each Weyl part's action on
+    H', the orbits of the head characters, and per head character its
+    inertia group and certified extension.  The head basis and the coordinates of H' are read from the
     supplement (`SupplementContext.head_basis`,
     `SupplementData.head_coordinates`, certified by `build_supplement`),
     and C' through its normal form, `SupplementContext.cyclic_sum`: neither
@@ -80,10 +80,19 @@ class CharacterTables:
         return tuple(self._block_of_point[j] for j in x.weyl.unsigned())
 
     @cached_property
+    def p_elements(self) -> tuple:
+        """P' from its normal form (`SupplementData.p_labels`, `p_kernel`):
+        the translates k l(w), the labels first, each the sum of the torus
+        parts of k and l(w) over the Weyl part w, with no product."""
+        data = self.data
+        return tuple(MonomialElement(tuple((a + b) % data.ctx.group.modulus for a, b in zip(
+            k.torus, x.torus)), x.weyl) for k in data.p_kernel for x in data.p_labels.values())
+
+    @cached_property
     def _p_by_blocks(self) -> dict:
         """The elements of P' with their inverses, by `_blocks_moved`."""
         g, index = self.data.ctx.group, {}
-        for p in self.data.p_closure.elements:
+        for p in self.p_elements:
             index.setdefault(self._blocks_moved(p), []).append((p, g.inv(p)))
         return index
 
@@ -217,7 +226,7 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list
     def fixes(x):
         return _act_on_signs(tables.head_action(x), lam.signs) == lam.signs
 
-    p_stab = [p for p in data.p_closure.elements if fixes(p)]
+    p_stab = [p for p in tables.p_elements if fixes(p)]
     for c in data.c_primes:
         if not fixes(c):
             raise VerificationError(
@@ -225,11 +234,11 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list
                 {"signs": lam.signs},
             )
     orbit_size = len(next(orb for orb in tables.orbits if lam.signs in orb))
-    if len(p_stab) * orbit_size != len(data.p_closure):
+    if len(p_stab) * orbit_size != data.p_order:
         raise VerificationError(
             "inertia group is not the expected semidirect product",
             {"signs": lam.signs, "stabilizer": len(p_stab), "orbit": orbit_size,
-             "p_order": len(data.p_closure)},
+             "p_order": data.p_order},
         )
     tables.inertia_generators[lam.signs] = _generating_sequence(
         p_stab, g.mul, g.identity, len(p_stab))
@@ -509,15 +518,14 @@ def partitions(n: int):
 
 
 def multipartitions(m: int, t: int):
-    """All m-tuples of partitions with total size t."""
-    if m == 1:
-        return [(p,) for p in partitions(t)]
-    out = []
-    for first in range(t + 1):
-        for p in partitions(first):
-            for rest in multipartitions(m - 1, t - first):
-                out.append((p,) + rest)
-    return out
+    """All m-tuples of partitions with total size t, by the first part's size
+    and partition, then the rest: the j-tuples of each size built once."""
+    parts = [partitions(k) for k in range(t + 1)]
+    tuples = [[(p,) for p in parts[k]] for k in range(t + 1)]
+    for _ in range(m - 1):
+        tuples = [[(p,) + rest for first in range(k + 1) for p in parts[first]
+                   for rest in tuples[k - first]] for k in range(t + 1)]
+    return tuples[t]
 
 
 @lru_cache(maxsize=None)

@@ -272,7 +272,7 @@ def cmd_group(args) -> int:
         "orders": {
             "V_prime": data.v_prime_order,
             "C_prime": data.c_order,
-            "P_prime": len(data.p_closure.elements),
+            "P_prime": data.p_order,
             "H_prime": len(data.head_coordinates),
             "relative_weyl": data.relative_weyl_order,
         },

@@ -463,7 +463,9 @@ class SupplementData:
     c_primes: list
     p_primes: list
     c_order: int
-    p_closure: GeneratedSubgroup
+    p_labels: dict  # Weyl part w of P' in BFS order -> l(w), an element of P' over it
+    p_kernel: tuple  # K = P' cap ker rho, the elements of H' with h_0-coordinate 0
+    p_order: int
     head_coordinates: dict  # H' in BFS order -> coordinates over ctx.head_basis
     v_prime_order: int
     relative_weyl_order: int
@@ -484,13 +486,13 @@ def build_supplement(l: int, d: int, m: int) -> SupplementData:
     supplement generators, the conjugation table, the central product
     structure of C', the semidirect decomposition V' = C' x| P' with
     V' cap H = H', and the relative Weyl group by the pair-block map and the
-    orders of its two factors, at every rank.  C' is never closed: generator
-    checks certify its order and its meet with the torus
-    (`_verify_c_structure`), and its normal form gives membership and
-    cyclic sums (`SupplementContext.cyclic_sum`).  P' is closed once, over
-    the p_i'.  H' is closed once, over `SupplementContext.head_basis`, each
-    element labelled by its coordinates, which `_verify_semidirect`
-    certifies.  A supplement is built once per (l, d, m).
+    orders of its two factors, at every rank.  Only H' is closed, over
+    `SupplementContext.head_basis`, each element labelled by its
+    coordinates, which `_verify_semidirect` certifies.  Generator checks
+    certify the orders of C' and P' and their meets with the torus, and
+    give their normal forms: C''s by its exponents (`_verify_c_structure`,
+    `SupplementContext.cyclic_sum`), P''s by one label per Weyl part
+    (`_verify_iota2`).  A supplement is built once per (l, d, m).
     """
     key = (l, d, m)
     data = _supplement_cache.get(key)
@@ -506,7 +508,7 @@ def build_supplement(l: int, d: int, m: int) -> SupplementData:
     _verify_iota1(ctx)
     c_primes = ctx.c_primes
     p_primes = ctx.p_primes
-    p_closure = _verify_iota2(ctx, p_primes)
+    p_labels = _verify_iota2(ctx, p_primes)
     _verify_weyl_images(ctx, c_primes, p_primes)
     _verify_conjugation_table(ctx, c_primes, p_primes)
     c_order = _verify_c_structure(ctx, c_primes)
@@ -514,12 +516,13 @@ def build_supplement(l: int, d: int, m: int) -> SupplementData:
     head_coordinates = orbit({g.identity: (0,) * len(basis)}, range(len(basis)),
                              lambda x, i: g.mul(x, basis[i]), 2 ** (ctx.t_l + 1),
                              lambda v, i: v[:i] + (1 - v[i],) + v[i + 1:])
-    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure,
+    p_kernel = tuple(h for h, v in head_coordinates.items() if v[0] == 0)
+    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
                                        head_coordinates)
     rel_order = _verify_relative_weyl(ctx, c_primes, p_primes,
                                       v_prime_order // len(head_coordinates))
-    data = SupplementData(ctx, c_primes, p_primes, c_order, p_closure, head_coordinates,
-                          v_prime_order, rel_order)
+    data = SupplementData(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
+                          v_prime_order // c_order, head_coordinates, v_prime_order, rel_order)
     _supplement_cache[key] = data
     return data
 
@@ -569,10 +572,10 @@ def _verify_iota1(ctx: SupplementContext) -> None:
                 {"index": i + 2})
 
 
-def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
+def _verify_iota2(ctx: SupplementContext, p_primes: list) -> dict:
     """iota_2 is an injective homomorphism on dom = <p_1, ..., p_{t_l - 1}>;
-    returns P' = <p_i'>, closed over the p_i' in BFS order, and {1} for
-    t_l < 2.  dom is never closed.
+    returns the labels of P' = <p_i'>, {1: 1} for t_l < 2.  Neither dom nor
+    P' is closed.
 
     - Homomorphism: iota_2(x) = x^{g_1} x^{g_2}, so iota_2(xy) =
       iota_2(x) iota_2(y) says exactly [x^{g_2}, y^{g_1}] = 1: "iota_2
@@ -583,13 +586,19 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
       injective (`_verify_iota1`), so dom is isomorphic to
       <m_2, ..., m_{t_l}>.  That group maps onto S_{t_l} with kernel
       <m_i^2>, of order 2^(t_l - 1) (Tits, Normalisateurs de tores I, 1966).
-    - Injective: "P' order" (`_verify_semidirect`) checks
-      |P'| = 2^(t_l - 1) t_l! = |dom|, so the kernel is trivial.  The
-      closure's budget is that order: a larger P' raises
-      BudgetExceededError."""
+    - Normal form: an `orbit` of the Weyl parts under the p_i' (budget
+      t_l!) labels each w by some l(w) in P', l(1) = 1, and "each label of
+      P' lies over its Weyl part" checks rho(l(w)) = w.  By Schreier's lemma
+      (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+      4.1) the l(w) p_i' l(w rho(p_i'))^{-1} then generate P' cap ker rho,
+      the stabilizer of 1 under w -> w rho(p), and `_verify_semidirect` puts
+      them in K, the span of the (p_i')^2: so P' cap ker rho = K, each p is
+      k l(rho(p)) for one k in K, and "P' order" counts t_l! labels.
+    - Injective: |P'| = 2^(t_l - 1) t_l! = |dom|, so the kernel is trivial."""
     g = ctx.group
+    one = SignedPermutation.identity(ctx.n)
     if ctx.t_l < 2:
-        return GeneratedSubgroup((g.identity,))
+        return {one: g.identity}
     dom_gens = [ctx.p[i] for i in range(1, ctx.t_l)]
     for x in dom_gens:
         for y in dom_gens:
@@ -608,8 +617,13 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> GeneratedSubgroup:
     g1, g2 = ctx.g1_g2
     _expect(ctx.is_frob_fixed(g1), "g_1 fixed by twisted Frobenius", {})
     _expect(ctx.is_frob_fixed(g2), "g_2 fixed by twisted Frobenius", {})
-    return GeneratedSubgroup.generate(
-        g, p_primes, budget=2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l))
+    labels = orbit({one: g.identity}, p_primes, lambda w, p: w * p.weyl,
+                   math.factorial(ctx.t_l), g.mul)
+    _expect(all(x.weyl == w for w, x in labels.items()),
+            "each label of P' lies over its Weyl part", {})
+    _expect(len(labels) == math.factorial(ctx.t_l), "P' order",
+            {"order": len(labels) * 2 ** (ctx.t_l - 1)})
+    return labels
 
 
 def _verify_weyl_images(ctx, c_primes, p_primes) -> None:
@@ -681,9 +695,11 @@ def _verify_c_structure(ctx, c_primes) -> int:
     return 2 * (2 * ctx.d0) ** len(c_primes)
 
 
-def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, head_coordinates) -> int:
+def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
+                       head_coordinates) -> int:
     """V' = C' x| P' and V' cap H = H'; returns |V'|.  Every check runs over
-    P' and the generators, C' by its normal form (`SupplementContext`).
+    the generators, C' by its normal form (`SupplementContext`), and P' by
+    its labels and K = `p_kernel`, the elements of H' with h_0-coordinate 0.
 
     `head_coordinates` is H' closed over its basis b_1, ..., b_t
     (`SupplementContext.head_basis`, t = t_l) in BFS order, x b_i labelled
@@ -691,31 +707,36 @@ def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_closure, head_coordin
     abelian of rank t_l" puts H' in the order-2 torus, so the b_i are
     commuting involutions, and makes |H'| = 2^t: v -> prod b_i^{v_i} is
     then a homomorphism from F_2^t onto H', a bijection, and by induction
-    along the orbit every label is the coordinate vector of its element."""
+    along the orbit every label is the coordinate vector of its element.
+    "Schreier generators of P' lie in K" makes K = P' cap ker rho
+    (`_verify_iota2`), and rho(P') the labels' Weyl parts, which meet
+    rho(C') in 1 ("Weyl images of C' and P' meet trivially").  So C' cap P'
+    lies in K cap C' = 1 ("C' cap P' == 1"), |V'| = |C'| |P'| as "P'
+    normalizes C'", and c p in ker rho forces rho(c) = 1, so V' cap H is
+    <h_0> K (`_verify_c_structure`), which "V' cap H == H'" compares."""
     g = ctx.group
-    p_elements = p_closure.elements
-    _expect(all(p == g.identity or ctx.cyclic_sum(p) is None for p in p_elements),
-            "C' cap P' == 1", {})
-    expected_p = 2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l)
-    _expect(len(p_elements) == expected_p, "P' order", {"order": len(p_elements)})
-    for c in c_primes:
-        for pp in p_primes:
-            _expect(ctx.cyclic_sum(ctx.pconj(c, pp)) is not None, "P' normalizes C'", {})
-    v_prime_order = c_order * len(p_elements)
-    expected_v = 2 * (2 * ctx.d0) ** ctx.t_l * expected_p
-    _expect(v_prime_order == expected_v, "V' order from the semidirect decomposition",
-            {"order": v_prime_order, "expected": expected_v})
     h_set = set(head_coordinates)
     _expect(len(h_set) == 2**ctx.t_l and all(g.in_torsion_two(x) for x in h_set),
             "H' is elementary abelian of rank t_l", {"order": len(h_set)})
-    # V' cap H == H': both sides via the rho-kernels of the two factors
-    intersection = {g.mul(c, p) for c in (g.identity, ctx.h0) for p in p_elements
-                    if p.weyl.is_identity()}
+    # s = l(w) p_i' l(w rho(p_i'))^{-1}, l(w) p_i' and l(w rho(p_i')) over one Weyl part
+    products = (g.mul(x, pp) for x in p_labels.values() for pp in p_primes)
+    _expect(all(head_coordinates.get(MonomialElement(tuple((a - b) % g.modulus for a, b in zip(
+        y.torus, p_labels[y.weyl].torus)), g.identity.weyl), (1,))[0] == 0 for y in products),
+            "Schreier generators of P' lie in K", {})
+    _expect(all(w.is_identity() or ctx.c_exponents(w) is None for w in p_labels),
+            "Weyl images of C' and P' meet trivially", {})
+    _expect(all(k == g.identity or ctx.cyclic_sum(k) is None for k in p_kernel),
+            "C' cap P' == 1", {})
+    for c in c_primes:
+        for pp in p_primes:
+            _expect(ctx.cyclic_sum(ctx.pconj(c, pp)) is not None, "P' normalizes C'", {})
+    v_prime_order = c_order * len(p_labels) * len(p_kernel)
+    expected_v = 2 * (2 * ctx.d0) ** ctx.t_l * 2 ** (ctx.t_l - 1) * math.factorial(ctx.t_l)
+    _expect(v_prime_order == expected_v, "V' order from the semidirect decomposition",
+            {"order": v_prime_order, "expected": expected_v})
+    intersection = {g.mul(c, k) for c in (g.identity, ctx.h0) for k in p_kernel}
     _expect(intersection == h_set, "V' cap H == H'",
             {"lhs": len(intersection), "rhs": len(h_set)})
-    # rho(C') cap rho(P') is trivial, so the kernels assemble the intersection
-    _expect(all(p.weyl.is_identity() or ctx.c_exponents(p.weyl) is None for p in p_elements),
-            "Weyl images of C' and P' meet trivially", {})
     return v_prime_order
 
 
@@ -725,15 +746,16 @@ def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order) -> int:
     W(B_{l/2}) (`relative_weyl_centralizer`); returns |C|.
 
     Each generator normalizes W_L and its image commutes with the twist's,
-    so the images generate a subgroup of C.  Let A and B be the groups
-    generated by the images of the c_i' and of the p_i'.  Each p_j' image
-    conjugates each c_i' image into A, so B normalizes A: AB is then the
-    subgroup the images generate, of order |A| |B| / |A cap B|, and all of C
-    when that is |C|.  rho(V') meets W_L trivially when its image has
-    |rho(V')| elements, and |rho(V')| = |V'|/|H'| = `quotient_order` as
-    V' cap ker rho = H': rho(c p) = 1 puts rho(c) in rho(C') cap rho(P') = 1,
-    so c lies in C' cap ker rho = <h_0> and p in P' cap ker rho, and these
-    products form H' (`_verify_c_structure`, `_verify_semidirect`)."""
+    so the images generate a subgroup of C.  A, generated by the images a_i
+    of the c_i', is the direct product of the <a_i>, of order (2 d0)^t:
+    each a_i has order 2 d0 and their supports on the pairs are disjoint.
+    B, generated by the images of the p_i' and closed, normalizes A, as
+    each p_j' image conjugates each a_i to an a_k; and A cap B = 1, as A
+    keeps every support and each b != 1 in B moves one.  So AB, of order
+    |A| |B|, is the subgroup the images generate, and all of C when that is
+    |C|.  rho(V') meets W_L trivially when its image has |rho(V')| =
+    |V'|/|H'| = `quotient_order` elements, as V' cap ker rho = H'
+    (`_verify_semidirect`)."""
     expected = (2 * ctx.d0) ** ctx.t_l * math.factorial(ctx.t_l)
     levi = levi_root_subset(ctx.n, ctx.m, ctx.d0, ctx.t_l)
     cg = relative_weyl_centralizer(ctx.n, levi, ctx.w_l)
@@ -748,13 +770,22 @@ def _verify_relative_weyl(ctx, c_primes, p_primes, quotient_order) -> int:
         _expect(image * cg.twist == cg.twist * image, cover, {"element": w.images})
         images.append(image)
     c_images, p_images = images[:len(c_primes)], images[len(c_primes):]
-    a = perm_closure(c_images, budget=cg.order)
-    b = perm_closure(p_images or [SignedPermutation.identity(cg.pairs)], budget=cg.order)
+    for i, a in enumerate(c_images, start=1):
+        _expect([u.is_identity() for u in accumulate([a] * (2 * ctx.d0), mul)]
+                == [False] * (2 * ctx.d0 - 1) + [True], "Weyl image of c_i' has order 2 d0", {"i": i})
+    supports = [frozenset(j for j in range(1, cg.pairs + 1) if a(j) != j) for a in c_images]
+    _expect(sum(map(len, supports)) == len(frozenset().union(*supports)),
+            "Weyl images of the c_i' have disjoint supports", {"supports": supports})
     for p in p_images:
         for c in c_images:
-            _expect(p * c * p.inverse() in a, "Weyl images of P' normalize the Weyl image of C'",
+            _expect(p * c * p.inverse() in c_images,
+                    "Weyl images of P' normalize the Weyl image of C'",
                     {"p": p.images, "c": c.images})
-    generated = len(a) * len(b) // len(a & b)
+    b = perm_closure(p_images or [SignedPermutation.identity(cg.pairs)], budget=cg.order)
+    _expect(all(x.is_identity() or any({abs(x(j)) for j in s} != s for s in supports)
+                for x in b),
+            "Weyl images of P' move a support of the Weyl image of C'", {})
+    generated = (2 * ctx.d0) ** len(c_images) * len(b)
     _expect(generated == cg.order, cover, {"generated": generated, "expected": cg.order})
     _expect(generated == quotient_order, "Weyl image of V' meets the Levi Weyl group trivially",
             {"image": generated, "quotient": quotient_order})

@@ -60,7 +60,7 @@ def test_character_values_are_signs(tables_t2):
 def test_inertia_trivial_character(tables_t2):
     lam = irr_of_hprime(tables_t2)[0]
     p_stab = inertia_decomposition(tables_t2, lam)
-    assert len(p_stab) == len(tables_t2.data.p_closure.elements)
+    assert len(p_stab) == len(tables_t2.p_elements) == tables_t2.data.p_order
 
 
 def test_inertia_orbit_structure(tables_t3):
@@ -99,14 +99,14 @@ def test_value_table_matches_decomposition(tables_t3):
     lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
     ext = extend_character(tables_t3, lam)
     p_stab = inertia_decomposition(tables_t3, lam)
-    assert len(p_stab) < len(data.p_closure.elements)
+    assert len(p_stab) < data.p_order
     scale = ext.modulus // (4 * data.ctx.d0)
     for c, csum in reference_cyclic_sums(data).items():
         for p in p_stab:
             want = (ext.theta_exp * csum * scale
                     + ext.mu[p]) % ext.modulus
             assert ext.value(g.mul(c, p)) == want
-    outside = next(p for p in data.p_closure.elements if p not in p_stab)
+    outside = next(p for p in tables_t3.p_elements if p not in p_stab)
     with pytest.raises(ValueError):
         ext.value(outside)
 
@@ -159,8 +159,7 @@ def test_multiplicativity_rejects_mu_outside_the_inertia_group(tables_t3):
     # value answers wherever mu is defined, so mu must not reach past P'_lam
     lam = max(irr_of_hprime(tables_t3), key=lambda c: c.signs)
     ext = extend_character(tables_t3, lam)
-    outside = next(p for p in tables_t3.data.p_closure.elements
-                   if p not in ext.mu)
+    outside = next(p for p in tables_t3.p_elements if p not in ext.mu)
     corrupt = dataclasses.replace(ext, mu={**ext.mu, outside: 0})
     assert corrupt.value(outside) == 0
     with pytest.raises(VerificationError, match="not multiplicative"):
@@ -224,9 +223,7 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(tables_t2):
     # P' x <h_0> as the symmetric part, and mu extended to P'_lam x <h_0> by
     # the value of h_0 in C': a closed symmetric part with a homomorphic mu,
     # but h_0 lies in C', so the new elements also decompose as h_0 * p
-    closure = data.p_closure
-    tables = CharacterTables(dataclasses.replace(data, p_closure=dataclasses.replace(
-        closure, elements=closure.elements + tuple(g.mul(p, h0) for p in closure.elements))))
+    tables = _tables_with_h0_translates(tables_t2)
     lam = charext.HPrimeCharacter(ext.lam.signs, tables)
     extra = {g.mul(p, h0): (ext.mu[p] + ext.value(h0)) % ext.modulus for p in ext.mu}
     assert not set(extra) & set(ext.mu)
@@ -237,6 +234,17 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(tables_t2):
     assert {c for c, _ in err.value.counterexample["decompositions"]} == {g.identity, h0}
     with pytest.raises(VerificationError, match="two decompositions"):
         _reference_decomposition(tables)
+
+
+def _tables_with_h0_translates(tables):
+    """Tables over the normal form of P' with all of H' in place of K: they
+    list P' x <h_0>."""
+    data, g = tables.data, tables.data.ctx.group
+    planted = CharacterTables(dataclasses.replace(data, p_kernel=tuple(data.head_coordinates),
+                                                  p_order=2 * data.p_order))
+    assert set(planted.p_elements) == set(tables.p_elements) | {
+        g.mul(p, data.ctx.h0) for p in tables.p_elements}
+    return planted
 
 
 def test_cyclic_part_moving_a_head_character_is_rejected(tables_t3):
@@ -254,7 +262,7 @@ def test_cyclic_part_moving_a_head_character_is_rejected(tables_t3):
 def test_inertia_disagreeing_with_its_orbit_is_rejected(tables_t3, monkeypatch):
     tables = CharacterTables(tables_t3.data)
     g = tables.data.ctx.group
-    moved = set(tables.data.p_closure.elements) - {g.identity}
+    moved = set(tables.p_elements) - {g.identity}
     head_action = tables.head_action
 
     def corrupt(x):
@@ -276,7 +284,7 @@ def test_inertia_filter_keeping_only_the_torus_is_rejected(monkeypatch):
     tables = CharacterTables(build_supplement(8, 1, 0))
     assert tables.data.v_prime_order == 6144
     head_action = tables.head_action
-    non_torus = {p for p in tables.data.p_closure.elements if not p.weyl.is_identity()}
+    non_torus = {p for p in tables.p_elements if not p.weyl.is_identity()}
 
     def corrupt(x):
         # every element of P' off the torus claims to move lam = (1, 0, 0, 0)
@@ -304,12 +312,27 @@ def test_inertia_matches_the_brute_force_stabilizer(d0, t_l, m, d):
     g = data.ctx.group
     actions = Counter(tables.head_action(g.mul(c, p))
                       for c in c_prime_closure(data).elements
-                      for p in data.p_closure.elements)
+                      for p in tables.p_elements)
     assert sum(actions.values()) == data.v_prime_order
     for lam in irr_of_hprime(tables):
         stabilizer = sum(n for rows, n in actions.items()
                          if _act_on_signs(rows, lam.signs) == lam.signs)
         assert stabilizer == data.c_order * len(inertia_decomposition(tables, lam))
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(1, 5, 0, 1)])
+def test_p_elements_list_the_closure_of_p_prime(monkeypatch, d0, t_l, m, d):
+    # the reference: P' closed over the p_i'; the listing adds torus parts
+    # where the reference forms each k l(w) with mul
+    if (d0, t_l, m, d) not in SWEEP_POINTS:
+        monkeypatch.setattr(supplement, "_supplement_cache", {})
+    tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
+    data, g = tables.data, tables.data.ctx.group
+    assert tables.p_elements == tuple(g.mul(k, x) for k in data.p_kernel
+                                      for x in data.p_labels.values())
+    closure = GeneratedSubgroup.generate(g, data.p_primes, budget=data.p_order)
+    assert len(tables.p_elements) == len(closure) == data.p_order
+    assert set(tables.p_elements) == set(closure.elements)
 
 
 def test_conjugation_leaving_the_head_is_rejected(tables_t3):
@@ -321,15 +344,9 @@ def test_conjugation_leaving_the_head_is_rejected(tables_t3):
 def test_ambiguous_decomposition_is_rejected(tables_t3):
     # P' together with its h_0-translates: h_0 * p and 1 * (p h_0) are one
     # element, h_0 being central
-    data = tables_t3.data
-    g = data.ctx.group
-    h0 = data.ctx.h0
-    closure = data.p_closure
-    translates = tuple(g.mul(p, h0) for p in closure.elements)
-    tables = CharacterTables(dataclasses.replace(data, p_closure=dataclasses.replace(
-        closure, elements=closure.elements + translates)))
+    tables = _tables_with_h0_translates(tables_t3)
     with pytest.raises(VerificationError, match="two decompositions"):
-        tables.decompose(closure.elements[-1])
+        tables.decompose(tables_t3.p_elements[-1])
     with pytest.raises(VerificationError, match="two decompositions"):
         _reference_decomposition(tables)
 
@@ -382,7 +399,7 @@ def _reference_decomposition(tables):
     g = tables.data.ctx.group
     decomp = {}
     for c in c_prime_closure(tables.data).elements:
-        for p in tables.data.p_closure.elements:
+        for p in tables.p_elements:
             x = g.mul(c, p)
             if decomp.setdefault(x, (c, p)) != (c, p):
                 raise VerificationError(
@@ -548,6 +565,22 @@ def test_partitions_and_multipartitions():
     assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(multipartitions(2, 2)) == 5
     assert len(multipartitions(3, 2)) == 9
+
+
+def reference_multipartitions(m, t):
+    """Reference: the recursion over the first part's size and partition,
+    the rest recomputed for each."""
+    if m == 1:
+        return [(p,) for p in partitions(t)]
+    return [(p,) + rest for first in range(t + 1) for p in partitions(first)
+            for rest in reference_multipartitions(m - 1, t - first)]
+
+
+def test_multipartitions_match_the_recursion():
+    # every (m, t) of the default wreath suite, lists equal in order
+    for m in range(1, 7):
+        for t in range(1, 6):
+            assert multipartitions(m, t) == reference_multipartitions(m, t), (m, t)
 
 
 def test_hook_lengths():

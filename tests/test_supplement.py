@@ -52,6 +52,14 @@ def reference_cyclic_sums(data):
     return _cyclic_sums(data.ctx.group, tuple(data.c_primes), 4 * data.ctx.d0)
 
 
+def normal_form_elements(data):
+    """The elements k l(w) of P' by its normal form: l(w) each label, k in
+    K, the elements of H' with h_0-coordinate 0."""
+    g = data.ctx.group
+    kernel = [h for h, v in data.head_coordinates.items() if v[0] == 0]
+    return {g.mul(k, x) for x in data.p_labels.values() for k in kernel}
+
+
 # each reference is formed once per group and generators, for the whole test run
 @functools.cache
 def _closure(group, gens, budget):
@@ -212,50 +220,91 @@ def test_p_prime_is_the_iota2_image_of_its_closed_domain(monkeypatch, d0, t_l, m
     order = 2 ** (t_l - 1) * math.factorial(t_l)
     dom = GeneratedSubgroup.generate(ctx.group, [ctx.p[i] for i in range(1, t_l)], budget=order)
     assert len(dom) == order
-    assert tuple(ctx.iota2(x) for x in dom.elements) == data.p_closure.elements
+    images = tuple(ctx.iota2(x) for x in dom.elements)
+    assert images == GeneratedSubgroup.generate(ctx.group, data.p_primes or [ctx.group.identity],
+                                                budget=order).elements
+    assert set(images) == normal_form_elements(data)
 
 
-def _build_with_planted_p_closure(monkeypatch, l, d, m, plant):
-    """A cold `build_supplement` whose closure of P' is
-    plant(group, p_primes, budget) in place of the closure; returns it."""
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(3, 6, 0, 3)])
+def test_normal_form_of_p_prime_matches_its_closure(monkeypatch, d0, t_l, m, d):
+    # the reference: P' closed over the p_i'; its Weyl parts are the labels'
+    # and its torus part is K, so each element is k l(w) for one k
+    if (d0, t_l, m, d) not in SWEEP_POINTS:
+        monkeypatch.setattr(supplement, "_supplement_cache", {})
+    data = build_supplement(2 * d0 * t_l, d, m)
+    g = data.ctx.group
+    closure = GeneratedSubgroup.generate(g, data.p_primes or [g.identity], budget=data.p_order)
+    assert len(closure) == data.p_order == 2 ** (t_l - 1) * math.factorial(t_l)
+    assert set(closure.elements) == normal_form_elements(data)
+    assert {p.weyl for p in closure.elements} == set(data.p_labels)
+    assert ({p for p in closure.elements if p.weyl.is_identity()} == set(data.p_kernel)
+            == {h for h, v in data.head_coordinates.items() if v[0] == 0})
+
+
+def _build_with_planted_p_labels(monkeypatch, l, d, m, plant):
+    """A cold `build_supplement` whose labels of P' are
+    plant(walk, ctx, budget), walk(extra) being the orbit of the Weyl
+    parts under the p_i' and the extra generators; returns it."""
     monkeypatch.setattr(supplement, "_supplement_cache", {})
     contexts = []
     post_init = SupplementContext.__post_init__
     monkeypatch.setattr(SupplementContext, "__post_init__",
                         lambda self: contexts.append(self) or post_init(self))
-    generate = GeneratedSubgroup.generate
+    walk = supplement.orbit
 
-    def planted(group, generators, budget=1_000_000):
-        if generators is contexts[-1].p_primes:
-            return plant(group, generators, budget)
-        return generate(group, generators, budget)
+    def planted(seeds, gens, act, budget, step=None):
+        if gens is contexts[-1].p_primes:
+            return plant(lambda extra=(): walk(seeds, gens + list(extra), act, budget, step),
+                         contexts[-1], budget)
+        return walk(seeds, gens, act, budget, step)
 
-    monkeypatch.setattr(GeneratedSubgroup, "generate", staticmethod(planted))
+    monkeypatch.setattr(supplement, "orbit", planted)
     return build_supplement(l, d, m)
 
 
 @pytest.mark.parametrize("l,d,m", [(4, 1, 0), (6, 2, 1), (12, 3, 0)])
 def test_p_prime_closure_of_the_wrong_size_is_caught(monkeypatch, l, d, m):
-    generate = GeneratedSubgroup.generate
     planted = []
 
-    def unchanged(group, gens, budget):
+    def unchanged(walk, ctx, budget):
         planted.append(budget)
-        return generate(group, gens, budget)
+        return walk()
 
-    def short(group, gens, budget):
-        return GeneratedSubgroup(generate(group, gens, budget).elements[:-1])
+    def short(walk, ctx, budget):
+        return dict(list(walk().items())[:-1])
 
-    def stray(group, gens, budget):
-        # h_0 lies in C', which meets P' trivially
-        return generate(group, gens + [group.h_short(1, 2)], budget)
+    def stray(walk, ctx, budget):
+        # c_1' moves the Weyl parts of P' past its t_l! of them
+        return walk([ctx.c_primes[0]])
 
-    data = _build_with_planted_p_closure(monkeypatch, l, d, m, unchanged)
-    assert planted == [len(data.p_closure)]
+    data = _build_with_planted_p_labels(monkeypatch, l, d, m, unchanged)
+    assert planted == [len(data.p_labels)]
     with pytest.raises(VerificationError, match="P' order"):
-        _build_with_planted_p_closure(monkeypatch, l, d, m, short)
+        _build_with_planted_p_labels(monkeypatch, l, d, m, short)
     with pytest.raises(BudgetExceededError):
-        _build_with_planted_p_closure(monkeypatch, l, d, m, stray)
+        _build_with_planted_p_labels(monkeypatch, l, d, m, stray)
+
+
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (6, 2, 1), (12, 3, 0)])
+def test_planted_labels_of_p_prime_are_caught(monkeypatch, l, d, m):
+    def swapped(walk, ctx, budget):
+        # the first two labels trade places: each lies over the other's Weyl part
+        labels = walk()
+        first, second = list(labels)[:2]
+        return {**labels, first: labels[second], second: labels[first]}
+
+    def translated(walk, ctx, budget):
+        # the last label times h_0: an element over the same Weyl part but
+        # outside P', so the Schreier generators into its Weyl part leave K
+        labels = walk()
+        last = list(labels)[-1]
+        return {**labels, last: ctx.group.mul(ctx.h0, labels[last])}
+
+    with pytest.raises(VerificationError, match="each label of P' lies over its Weyl part"):
+        _build_with_planted_p_labels(monkeypatch, l, d, m, swapped)
+    with pytest.raises(VerificationError, match="Schreier generators of P' lie in K"):
+        _build_with_planted_p_labels(monkeypatch, l, d, m, translated)
 
 
 def test_twisted_frobenius_costs_two_products(monkeypatch):
@@ -331,7 +380,7 @@ def test_supplement_examples():
     data = build_supplement(2, 1, 0)
     assert data.v_prime_order == 4
     assert data.c_order == len(c_prime_closure(data)) == 4
-    assert len(data.p_closure.elements) == 1
+    assert data.p_order == len(data.p_labels) == len(data.p_kernel) == 1
     data = build_supplement(4, 1, 0)
     assert data.v_prime_order == 32  # 2 * (2 d0)^t * 2^(t-1) * t!
     g = data.ctx.group
@@ -359,8 +408,7 @@ def test_normal_form_matches_the_closure_of_c_prime(d0, t_l, m, d):
     flip = SignedPermutation.from_mapping(ctx.n, {2: -2})
     assert [k for k, _ in ctx.c_exponents(c1)] == [1] + [0] * (t_l - 1)
     assert ctx.c_exponents(c1 * flip) is None
-    p_closure = GeneratedSubgroup.generate(g, data.p_primes, budget=len(data.p_closure))
-    assert data.p_closure.elements == p_closure.elements
+    p_closure = GeneratedSubgroup.generate(g, data.p_primes, budget=data.p_order)
     moved = [p for p in p_closure.elements if p != g.identity]
     assert all(ctx.cyclic_sum(p) is None for p in moved)
     # c * p for every c in C' and every p != 1 in P'; at (3, 4, 0, 3), in
@@ -430,23 +478,35 @@ def test_c_prime_times_a_torus_element_is_rejected(d0, t_l, m, d):
     assert ctx.cyclic_sum(g.mul(c1, ctx.h0)) == 2 * d0 + 1
 
 
-@pytest.mark.parametrize("d0,t_l,m,d", [(3, 5, 0, 3), (5, 4, 0, 5)])
-def test_reach_supplements_never_close_c_prime(monkeypatch, d0, t_l, m, d):
-    # built cold, and dropped with the monkeypatched cache
+@pytest.mark.parametrize("d0,t_l,m,d", [(3, 6, 0, 3), (7, 5, 0, 7)])
+def test_reach_supplements_close_neither_p_prime_nor_a(monkeypatch, d0, t_l, m, d):
+    # built cold, and dropped with the monkeypatched cache: |P'| = 23,040 and
+    # |A| = 6^6 at (3, 6, 0, 3), |A| = 14^5 = 537,824 at (7, 5, 0, 7); only
+    # verify_c1 closes in the extended Weyl group, and only B in W(B_{l/2})
     monkeypatch.setattr(supplement, "_supplement_cache", {})
-    calls = []
-    generate = GeneratedSubgroup.generate
+    generated, closed = [], []
+    generate, close = GeneratedSubgroup.generate, supplement.perm_closure
 
-    def recording(group, generators, budget=1_000_000):
-        calls.append(list(generators))
-        return generate(group, calls[-1], budget)
+    def recording_generate(group, generators, budget=1_000_000):
+        generated.append((list(generators), budget))
+        return generate(group, generated[-1][0], budget)
 
-    monkeypatch.setattr(GeneratedSubgroup, "generate", staticmethod(recording))
+    def recording_closure(generators, budget):
+        closed.append(list(generators))
+        return close(generators, budget=budget)
+
+    monkeypatch.setattr(GeneratedSubgroup, "generate", staticmethod(recording_generate))
+    monkeypatch.setattr(supplement, "perm_closure", recording_closure)
+    t0 = time.perf_counter()
     data = build_supplement(2 * d0 * t_l, d, m)
-    assert calls and not any(set(gens) & set(data.c_primes) for gens in calls)
+    assert time.perf_counter() - t0 <= 1.5
+    ctx = data.ctx
+    assert generated == [([ctx.h[1], ctx.h0, ctx.c1], 64 * d0)]
+    cg = relative_weyl_centralizer(ctx.n, levi_root_subset(ctx.n, m, d0, t_l), ctx.w_l)
+    assert closed == [[cg.image(p.weyl) for p in data.p_primes]]
     p_order = 2 ** (t_l - 1) * math.factorial(t_l)
     assert data.c_order == 2 * (2 * d0) ** t_l
-    assert len(data.p_closure) == p_order
+    assert data.p_order == p_order and len(data.p_labels) == math.factorial(t_l)
     assert data.v_prime_order == data.c_order * p_order
     assert data.relative_weyl_order == (2 * d0) ** t_l * math.factorial(t_l)
 
@@ -596,31 +656,45 @@ def _factor_closures(monkeypatch, ctx, c_primes, p_primes, quotient):
     return _verify_relative_weyl(ctx, c_primes, p_primes, quotient), formed
 
 
-@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(3, 4, 0, 3)])
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(3, 4, 0, 3), (5, 5, 0, 5)])
 def test_factor_orders_match_one_closure_of_all_images(monkeypatch, d0, t_l, m, d):
-    # the reference: one closure of every generator's pair-block image
+    # the references: A closed over the c_i' images, of the certified order
+    # (2 d0)^t_l and meeting the one closure formed, B, trivially; and, up
+    # to 10^5 elements, one closure of every generator's pair-block image
+    if (d0, t_l, m, d) not in SWEEP_POINTS:
+        monkeypatch.setattr(supplement, "_supplement_cache", {})
     data = build_supplement(2 * d0 * t_l, d, m)
     ctx = data.ctx
     cg = relative_weyl_centralizer(ctx.n, levi_root_subset(ctx.n, m, d0, t_l), ctx.w_l)
-    whole = perm_closure([cg.image(x.weyl) for x in data.c_primes + data.p_primes],
-                         budget=cg.order)
     order, formed = _factor_closures(monkeypatch, ctx, data.c_primes, data.p_primes,
                                      data.relative_weyl_order)
-    a, b = formed
-    assert a | b <= whole
-    assert len(a) * len(b) // len(a & b) == len(whole) == order
+    a = perm_closure([cg.image(x.weyl) for x in data.c_primes], budget=cg.order)
+    [b] = formed
+    assert len(a) == (2 * d0) ** t_l and len(b) == math.factorial(t_l)
+    assert a & b == {SignedPermutation.identity(cg.pairs)}
+    assert len(a) * len(b) == order == cg.order
+    if cg.order <= 100_000:
+        whole = perm_closure([cg.image(x.weyl) for x in data.c_primes + data.p_primes],
+                             budget=cg.order)
+        assert a | b <= whole and len(whole) == order
 
 
-def test_relative_weyl_at_l30_closes_only_the_two_factors(monkeypatch):
-    # (3, 5, 0, 3): |C| = 6^5 5! = 933,120, of which A holds 6^5 and B 5!
-    ctx = SupplementContext(30, 3, 0)
-    c_primes, p_primes = ctx.c_primes, ctx.p_primes
-    t0 = time.perf_counter()
-    order, formed = _factor_closures(monkeypatch, ctx, c_primes, p_primes,
-                                     6**5 * math.factorial(5))
-    assert time.perf_counter() - t0 <= 1.0
-    assert order == 933_120
-    assert sum(map(len, formed)) <= 7_776 + 120
+@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (12, 3, 1), (10, 10, 0)])
+def test_planted_relative_weyl_images_are_caught(l, d, m):
+    # c_1' squared: an image of order d0, or 1 at d0 = 1; c_1' with its
+    # inverse: two supports that overlap; c_1' among the p_i': an element of
+    # A in B that moves no support
+    data = build_supplement(l, d, m)
+    ctx, g = data.ctx, data.ctx.group
+    c1, rest = data.c_primes[0], data.c_primes[1:]
+    quotient = data.relative_weyl_order
+    with pytest.raises(VerificationError, match="Weyl image of c_i' has order 2 d0"):
+        _verify_relative_weyl(ctx, [g.mul(c1, c1)] + rest, data.p_primes, quotient)
+    with pytest.raises(VerificationError, match="Weyl images of the c_i' have disjoint supports"):
+        _verify_relative_weyl(ctx, [c1, g.inv(c1)] + rest, data.p_primes, quotient)
+    with pytest.raises(VerificationError, match="move a support of the Weyl image of C'"):
+        _verify_relative_weyl(ctx, data.c_primes, data.p_primes + [c1], quotient)
+    assert _verify_relative_weyl(ctx, data.c_primes, data.p_primes, quotient) == quotient
 
 
 @pytest.mark.parametrize("l,d,m", [(4, 1, 0), (12, 3, 1), (6, 2, 2)])
