@@ -478,6 +478,27 @@ def test_c_prime_times_a_torus_element_is_rejected(d0, t_l, m, d):
     assert ctx.cyclic_sum(g.mul(c1, ctx.h0)) == 2 * d0 + 1
 
 
+@pytest.mark.parametrize("d0,t_l,m,d", [(3, 5, 0, 3), (5, 4, 0, 5)])
+def test_reach_supplements_never_close_c_prime(monkeypatch, d0, t_l, m, d):
+    # built cold, and dropped with the monkeypatched cache
+    monkeypatch.setattr(supplement, "_supplement_cache", {})
+    calls = []
+    generate = GeneratedSubgroup.generate
+
+    def recording(group, generators, budget=1_000_000):
+        calls.append(list(generators))
+        return generate(group, calls[-1], budget)
+
+    monkeypatch.setattr(GeneratedSubgroup, "generate", staticmethod(recording))
+    data = build_supplement(2 * d0 * t_l, d, m)
+    assert calls and not any(set(gens) & set(data.c_primes) for gens in calls)
+    p_order = 2 ** (t_l - 1) * math.factorial(t_l)
+    assert data.c_order == 2 * (2 * d0) ** t_l
+    assert data.p_order == p_order
+    assert data.v_prime_order == data.c_order * p_order
+    assert data.relative_weyl_order == (2 * d0) ** t_l * math.factorial(t_l)
+
+
 @pytest.mark.parametrize("d0,t_l,m,d", [(3, 6, 0, 3), (7, 5, 0, 7)])
 def test_reach_supplements_close_neither_p_prime_nor_a(monkeypatch, d0, t_l, m, d):
     # built cold, and dropped with the monkeypatched cache: |P'| = 23,040 and
@@ -677,6 +698,21 @@ def test_factor_orders_match_one_closure_of_all_images(monkeypatch, d0, t_l, m, 
         whole = perm_closure([cg.image(x.weyl) for x in data.c_primes + data.p_primes],
                              budget=cg.order)
         assert a | b <= whole and len(whole) == order
+
+
+def test_relative_weyl_at_l30_closes_only_the_two_factors(monkeypatch):
+    # (3, 5, 0, 3): |C| = 6^5 5! = 933,120, of which A holds 6^5 and B 5!;
+    # A is certified from its generators' orders and supports, so of the
+    # two factors only B is closed
+    ctx = SupplementContext(30, 3, 0)
+    c_primes, p_primes = ctx.c_primes, ctx.p_primes
+    t0 = time.perf_counter()
+    order, formed = _factor_closures(monkeypatch, ctx, c_primes, p_primes,
+                                     6**5 * math.factorial(5))
+    assert time.perf_counter() - t0 <= 1.0
+    assert order == 933_120
+    assert sum(map(len, formed)) <= 7_776 + 120
+    assert [len(b) for b in formed] == [120]
 
 
 @pytest.mark.parametrize("l,d,m", [(4, 1, 0), (12, 3, 1), (10, 10, 0)])
