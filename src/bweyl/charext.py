@@ -81,12 +81,10 @@ class CharacterTables:
 
     @cached_property
     def p_elements(self) -> tuple:
-        """P' from its normal form (`SupplementData.p_labels`, `p_kernel`):
-        the translates k l(w), the labels first, each the sum of the torus
-        parts of k and l(w) over the Weyl part w, with no product."""
-        data = self.data
-        return tuple(MonomialElement(tuple((a + b) % data.ctx.group.modulus for a, b in zip(
-            k.torus, x.torus)), x.weyl) for k in data.p_kernel for x in data.p_labels.values())
+        """P' by its normal form, the translates k l(w) of the labels
+        (`SupplementData.p_labels`, `p_kernel`), the labels first."""
+        data, translate = self.data, self.data.ctx.group.translate
+        return tuple(translate(k, x) for k in data.p_kernel for x in data.p_labels.values())
 
     @cached_property
     def _p_by_blocks(self) -> dict:

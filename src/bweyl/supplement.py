@@ -464,11 +464,17 @@ class SupplementData:
     p_primes: list
     c_order: int
     p_labels: dict  # Weyl part w of P' in BFS order -> l(w), an element of P' over it
-    p_kernel: tuple  # K = P' cap ker rho, the elements of H' with h_0-coordinate 0
-    p_order: int
     head_coordinates: dict  # H' in BFS order -> coordinates over ctx.head_basis
     v_prime_order: int
     relative_weyl_order: int
+
+    @property
+    def p_kernel(self) -> tuple:  # K = P' cap ker rho: the elements of H' with h_0-coordinate 0
+        return tuple(h for h, v in self.head_coordinates.items() if v[0] == 0)
+
+    @property
+    def p_order(self) -> int:  # |P'|: each element is k l(w) for one k in K and one label
+        return len(self.p_labels) * len(self.p_kernel)
 
 
 # Five separately called point suites read a point's supplement, and callers
@@ -516,13 +522,12 @@ def build_supplement(l: int, d: int, m: int) -> SupplementData:
     head_coordinates = orbit({g.identity: (0,) * len(basis)}, range(len(basis)),
                              lambda x, i: g.mul(x, basis[i]), 2 ** (ctx.t_l + 1),
                              lambda v, i: v[:i] + (1 - v[i],) + v[i + 1:])
-    p_kernel = tuple(h for h, v in head_coordinates.items() if v[0] == 0)
-    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
+    v_prime_order = _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels,
                                        head_coordinates)
     rel_order = _verify_relative_weyl(ctx, c_primes, p_primes,
                                       v_prime_order // len(head_coordinates))
-    data = SupplementData(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
-                          v_prime_order // c_order, head_coordinates, v_prime_order, rel_order)
+    data = SupplementData(ctx, c_primes, p_primes, c_order, p_labels, head_coordinates,
+                          v_prime_order, rel_order)
     _supplement_cache[key] = data
     return data
 
@@ -587,18 +592,16 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> dict:
       <m_2, ..., m_{t_l}>.  That group maps onto S_{t_l} with kernel
       <m_i^2>, of order 2^(t_l - 1) (Tits, Normalisateurs de tores I, 1966).
     - Normal form: an `orbit` of the Weyl parts under the p_i' (budget
-      t_l!) labels each w by some l(w) in P', l(1) = 1, and "each label of
-      P' lies over its Weyl part" checks rho(l(w)) = w.  By Schreier's lemma
-      (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-      4.1) the l(w) p_i' l(w rho(p_i'))^{-1} then generate P' cap ker rho,
-      the stabilizer of 1 under w -> w rho(p), and `_verify_semidirect` puts
-      them in K, the span of the (p_i')^2: so P' cap ker rho = K, each p is
-      k l(rho(p)) for one k in K, and "P' order" counts t_l! labels.
-    - Injective: |P'| = 2^(t_l - 1) t_l! = |dom|, so the kernel is trivial."""
+      t_l!) lists rho(P'), labelling each w by a product l(w) of the p_i'
+      over it, l(1) = 1, and "P' order" finds t_l! of them.  K, spanned by
+      the (p_i')^2, lies in P' cap ker rho and has 2^(t_l - 1) elements,
+      those of H' with h_0-coordinate 0 (`_verify_semidirect`).  So
+      |dom| = t_l! |K| <= |rho(P')| |P' cap ker rho| = |P'| <= |dom|, and
+      equality makes iota_2 injective and P' cap ker rho = K: each p in P'
+      is k l(rho(p)) for one k in K."""
     g = ctx.group
-    one = SignedPermutation.identity(ctx.n)
     if ctx.t_l < 2:
-        return {one: g.identity}
+        return {g.identity.weyl: g.identity}
     dom_gens = [ctx.p[i] for i in range(1, ctx.t_l)]
     for x in dom_gens:
         for y in dom_gens:
@@ -617,10 +620,8 @@ def _verify_iota2(ctx: SupplementContext, p_primes: list) -> dict:
     g1, g2 = ctx.g1_g2
     _expect(ctx.is_frob_fixed(g1), "g_1 fixed by twisted Frobenius", {})
     _expect(ctx.is_frob_fixed(g2), "g_2 fixed by twisted Frobenius", {})
-    labels = orbit({one: g.identity}, p_primes, lambda w, p: w * p.weyl,
+    labels = orbit({g.identity.weyl: g.identity}, p_primes, lambda w, p: w * p.weyl,
                    math.factorial(ctx.t_l), g.mul)
-    _expect(all(x.weyl == w for w, x in labels.items()),
-            "each label of P' lies over its Weyl part", {})
     _expect(len(labels) == math.factorial(ctx.t_l), "P' order",
             {"order": len(labels) * 2 ** (ctx.t_l - 1)})
     return labels
@@ -695,11 +696,10 @@ def _verify_c_structure(ctx, c_primes) -> int:
     return 2 * (2 * ctx.d0) ** len(c_primes)
 
 
-def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
-                       head_coordinates) -> int:
+def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels, head_coordinates) -> int:
     """V' = C' x| P' and V' cap H = H'; returns |V'|.  Every check runs over
     the generators, C' by its normal form (`SupplementContext`), and P' by
-    its labels and K = `p_kernel`, the elements of H' with h_0-coordinate 0.
+    its labels and K, the elements of H' with h_0-coordinate 0.
 
     `head_coordinates` is H' closed over its basis b_1, ..., b_t
     (`SupplementContext.head_basis`, t = t_l) in BFS order, x b_i labelled
@@ -708,21 +708,17 @@ def _verify_semidirect(ctx, c_primes, p_primes, c_order, p_labels, p_kernel,
     commuting involutions, and makes |H'| = 2^t: v -> prod b_i^{v_i} is
     then a homomorphism from F_2^t onto H', a bijection, and by induction
     along the orbit every label is the coordinate vector of its element.
-    "Schreier generators of P' lie in K" makes K = P' cap ker rho
-    (`_verify_iota2`), and rho(P') the labels' Weyl parts, which meet
-    rho(C') in 1 ("Weyl images of C' and P' meet trivially").  So C' cap P'
-    lies in K cap C' = 1 ("C' cap P' == 1"), |V'| = |C'| |P'| as "P'
-    normalizes C'", and c p in ker rho forces rho(c) = 1, so V' cap H is
-    <h_0> K (`_verify_c_structure`), which "V' cap H == H'" compares."""
+    With K = P' cap ker rho and rho(P') the labels' Weyl parts
+    (`_verify_iota2`), which meet rho(C') in 1 ("Weyl images of C' and P'
+    meet trivially"), C' cap P' lies in K cap C' = 1 ("C' cap P' == 1"),
+    |V'| = |C'| |P'| as "P' normalizes C'", and c p in ker rho forces
+    rho(c) = 1, so V' cap H is <h_0> K (`_verify_c_structure`), which
+    "V' cap H == H'" compares."""
     g = ctx.group
     h_set = set(head_coordinates)
     _expect(len(h_set) == 2**ctx.t_l and all(g.in_torsion_two(x) for x in h_set),
             "H' is elementary abelian of rank t_l", {"order": len(h_set)})
-    # s = l(w) p_i' l(w rho(p_i'))^{-1}, l(w) p_i' and l(w rho(p_i')) over one Weyl part
-    products = (g.mul(x, pp) for x in p_labels.values() for pp in p_primes)
-    _expect(all(head_coordinates.get(MonomialElement(tuple((a - b) % g.modulus for a, b in zip(
-        y.torus, p_labels[y.weyl].torus)), g.identity.weyl), (1,))[0] == 0 for y in products),
-            "Schreier generators of P' lie in K", {})
+    p_kernel = [h for h, v in head_coordinates.items() if v[0] == 0]
     _expect(all(w.is_identity() or ctx.c_exponents(w) is None for w in p_labels),
             "Weyl images of C' and P' meet trivially", {})
     _expect(all(k == g.identity or ctx.cyclic_sum(k) is None for k in p_kernel),

@@ -168,6 +168,13 @@ class ExtendedWeylGroup:
         # the pair itself, without the named tuple's Python-level __new__
         return tuple.__new__(MonomialElement, (cocycle, product))
 
+    def translate(self, t: MonomialElement, x: MonomialElement) -> MonomialElement:
+        """t x for t in the torus: (t, 1)(s, w) = (t + s, w), no cocycle."""
+        if not t.weyl.is_identity():
+            raise ValueError("only a torus element translates")
+        mod = self.modulus
+        return MonomialElement(tuple([(a + b) % mod for a, b in zip(t.torus, x.torus)]), x.weyl)
+
     def word_lift(self, word: Iterable[int]) -> MonomialElement:
         """m_{i_1} ... m_{i_k} for any word, reduced or not: the left rule
         applied letter by letter from the identity, in O(k + n) and without

@@ -25,7 +25,7 @@ from bweyl.charext import (
 )
 from bweyl.sperm import broken_edge, orbit
 from bweyl.suites import SWEEP_POINTS, suite_charext
-from bweyl.supplement import SupplementContext, build_supplement
+from bweyl.supplement import SupplementContext, SupplementData, build_supplement
 from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
 from test_supplement import c_prime_closure, reference_cyclic_sums
 
@@ -236,12 +236,19 @@ def test_multiplicativity_rejects_symmetric_part_meeting_cyclic_part(tables_t2):
         _reference_decomposition(tables)
 
 
+class _H0Translates(SupplementData):
+    """A supplement whose K is all of H': its normal form lists P' x <h_0>."""
+
+    @property
+    def p_kernel(self):
+        return tuple(self.head_coordinates)
+
+
 def _tables_with_h0_translates(tables):
-    """Tables over the normal form of P' with all of H' in place of K: they
-    list P' x <h_0>."""
+    """Tables over the normal form of P' with all of H' in place of K."""
     data, g = tables.data, tables.data.ctx.group
-    planted = CharacterTables(dataclasses.replace(data, p_kernel=tuple(data.head_coordinates),
-                                                  p_order=2 * data.p_order))
+    planted = CharacterTables(_H0Translates(**vars(data)))
+    assert planted.data.p_order == 2 * data.p_order
     assert set(planted.p_elements) == set(tables.p_elements) | {
         g.mul(p, data.ctx.h0) for p in tables.p_elements}
     return planted

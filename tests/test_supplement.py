@@ -286,27 +286,6 @@ def test_p_prime_closure_of_the_wrong_size_is_caught(monkeypatch, l, d, m):
         _build_with_planted_p_labels(monkeypatch, l, d, m, stray)
 
 
-@pytest.mark.parametrize("l,d,m", [(4, 1, 0), (6, 2, 1), (12, 3, 0)])
-def test_planted_labels_of_p_prime_are_caught(monkeypatch, l, d, m):
-    def swapped(walk, ctx, budget):
-        # the first two labels trade places: each lies over the other's Weyl part
-        labels = walk()
-        first, second = list(labels)[:2]
-        return {**labels, first: labels[second], second: labels[first]}
-
-    def translated(walk, ctx, budget):
-        # the last label times h_0: an element over the same Weyl part but
-        # outside P', so the Schreier generators into its Weyl part leave K
-        labels = walk()
-        last = list(labels)[-1]
-        return {**labels, last: ctx.group.mul(ctx.h0, labels[last])}
-
-    with pytest.raises(VerificationError, match="each label of P' lies over its Weyl part"):
-        _build_with_planted_p_labels(monkeypatch, l, d, m, swapped)
-    with pytest.raises(VerificationError, match="Schreier generators of P' lie in K"):
-        _build_with_planted_p_labels(monkeypatch, l, d, m, translated)
-
-
 def test_twisted_frobenius_costs_two_products(monkeypatch):
     ctx = SupplementContext(6, 3, 0)
     g = ctx.group

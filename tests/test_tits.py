@@ -433,6 +433,19 @@ def test_mul_matches_reference_kernel(cocycle_rule):
                 assert g.mul(x, y) == reference_mul(g, x, y)
 
 
+@pytest.mark.parametrize("cocycle_rule", ["descent", "ascent"])
+def test_translate_is_the_product_with_a_torus_element(cocycle_rule):
+    rng = random.Random(7 + len(cocycle_rule))
+    for n in range(2, 9):
+        g = ExtendedWeylGroup(n, cocycle_rule=cocycle_rule)
+        for _ in range(20):
+            t = g.torus(_random_torus(g, rng))
+            x = MonomialElement(_random_torus(g, rng), random_signed_permutation(n, rng))
+            assert g.translate(t, x) == g.mul(t, x)
+        with pytest.raises(ValueError, match="only a torus element translates"):
+            g.translate(g.simple_lift(1), t)
+
+
 def test_the_group_takes_no_torsion_exponent():
     # the normal form is over Z/4 alone: over Z/8 the product is not
     # associative, and torus conjugation leans on the group law
