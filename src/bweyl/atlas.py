@@ -157,11 +157,19 @@ class LeviDatum:
             raise ValueError("root subset is not twist-stable")
 
 
-@lru_cache(maxsize=None)
 def _twist_stable(subset: RootSubset, twist: SignedPermutation) -> bool:
-    """Whether the twist permutes the roots of the subset; every row of an
-    atlas re-realizes one of a few data, so the verdict is kept per pair."""
-    return {twist.act_on_root(a) for a in subset.roots} == subset.roots
+    """Whether the twist maps the subset into, hence onto, itself.  It fixes
+    each root whose support it fixes, so only the roots through a moved
+    coordinate are mapped: none for the case-1/3 data, in O(n)."""
+    through = _roots_through(subset)
+    return all(twist.act_on_root(a) in subset.roots
+               for i in through if twist(i) != i for a in through[i])
+
+
+@lru_cache(maxsize=None)
+def _roots_through(subset: RootSubset) -> dict:
+    """Each coordinate mapped to the roots of the subset whose support holds it."""
+    return {i: [a for a in subset.roots if a[i - 1]] for i in range(1, subset.ambient_rank + 1)}
 
 
 def _torus_order(d0: int, eps: int, mult: int) -> GenericOrder:

@@ -20,12 +20,12 @@ suite; they cross-check no relative-Weyl structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from . import BudgetExceededError, VerificationError
-from .sperm import broken_edge, orbit
+from .sperm import orbit
 from .supplement import SupplementData
 from .tits import MonomialElement
 
@@ -51,17 +51,17 @@ class CharacterTables:
     use and kept: P' listed from its normal form and indexed for
     `decompose`, each factorization it finds, each Weyl part's action on
     H', the orbits of the head characters, and per head character its
-    inertia group and certified extension.  The head basis and the coordinates of H' are read from the
-    supplement (`SupplementContext.head_basis`,
-    `SupplementData.head_coordinates`, certified by `build_supplement`),
-    and C' through its normal form, `SupplementContext.cyclic_sum`: neither
-    is closed here."""
+    inertia group, generators of it and extension.  The head basis and the
+    coordinates of H' are read from the supplement
+    (`SupplementContext.head_basis`, `SupplementData.head_coordinates`,
+    certified by `build_supplement`), and C' through its normal form,
+    `SupplementContext.cyclic_sum`: neither is closed here."""
 
     def __init__(self, data: SupplementData):
         self.data = data
         self.inertia: dict = {}  # sign vector -> P'_lam
         self.inertia_generators: dict = {}  # sign vector -> generators of P'_lam
-        self.extensions: dict = {}  # sign vector -> certified ExtensionCharacter
+        self.extensions: dict = {}  # sign vector -> ExtensionCharacter
         self._head_actions: dict = {}  # Weyl part -> head_action rows
         self._decompositions: dict = {}  # element -> decompose(element)
 
@@ -132,9 +132,9 @@ class CharacterTables:
         return rows
 
     @cached_property
-    def orbits(self) -> list[dict]:
-        """The orbits of the head characters' sign vectors under the p_i',
-        in the order of their least members, each sign vector labelled with
+    def orbits(self) -> dict:
+        """Each head character's sign vector mapped to its orbit under the
+        p_i', walked from its least member, each sign vector labelled with
         its mover: the generators along its BFS path, the last step
         leftmost.  The c_i' fix every character (`inertia_decomposition`
         checks it), so these are the orbits of V'."""
@@ -144,20 +144,31 @@ class CharacterTables:
         def act(signs, x):
             return _act_on_signs(self.head_action(x), signs)
 
-        orbits = []
+        orbits = {}
         for signs in iproduct((0, 1), repeat=rank):
-            if not any(signs in orb for orb in orbits):
-                orbits.append(orbit({signs: g.identity}, self.data.p_primes, act, 2**rank,
-                                    step=lambda mover, x: g.mul(x, mover)))
+            if signs not in orbits:
+                orb = orbit({signs: g.identity}, self.data.p_primes, act, 2**rank,
+                            step=lambda mover, x: g.mul(x, mover))
+                orbits.update(dict.fromkeys(orb, orb))
         return orbits
 
     def extension(self, lam: HPrimeCharacter) -> ExtensionCharacter:
-        """lam's extension, from `extend_character`, certified by
-        `check_multiplicative` on first use."""
+        """lam's extension, kept: from `extend_character`, certified by
+        `check_multiplicative`, for the least member of lam's orbit, and
+        for the rest that one transported along their movers, y -> ext(x y
+        x^{-1}) with x = mover^{-1} (Clifford theory: Isaacs, Character
+        Theory of Finite Groups, 1976, ch. 6), checked to restrict to lam."""
         ext = self.extensions.get(lam.signs)
         if ext is None:
-            ext = extend_character(self, lam)
-            check_multiplicative(self, ext)
+            orb = self.orbits[lam.signs]
+            rep = min(orb)
+            if lam.signs == rep:
+                ext = extend_character(self, lam)
+                check_multiplicative(self, ext)
+            else:
+                ext = replace(self.extension(HPrimeCharacter(rep, self)), lam=lam,
+                              transporter=self.data.ctx.group.inv(orb[lam.signs]))
+                _check_restriction(ext)
             self.extensions[lam.signs] = ext
         return ext
 
@@ -210,11 +221,14 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list
     - x acts on sign vectors through its Weyl part (`head_action`), and
       taking Weyl parts is a homomorphism, so lam -> lam^x is an action;
     - every c_i' must fix lam, so C' does, and Stab_V'(lam) = C' x| P'_lam;
-    - P'_lam filters P' by the action, every element kept fixes lam, and
-      |P'_lam| = |P'| / |lam^P'|, the orbit read from `tables.orbits`; so
-      a filter of that many elements is all of P'_lam.
+    - P'_lam keeps the elements of P' over the Weyl parts whose label
+      (`SupplementData.p_labels`) fixes lam, and |P'_lam| = |P'| / |lam^P'|,
+      the orbit read from `tables.orbits`; so a list of that many elements
+      is all of P'_lam.
 
-    Greedy generators of P'_lam go to `tables.inertia_generators`."""
+    Generators go to `tables.inertia_generators`: greedy ones for the least
+    member of lam's orbit, its conjugates along their movers for the rest,
+    each checked to lie in P'_lam, which has the order of P'_rep."""
     cached = tables.inertia.get(lam.signs)
     if cached is not None:
         return cached
@@ -224,22 +238,31 @@ def inertia_decomposition(tables: CharacterTables, lam: HPrimeCharacter) -> list
     def fixes(x):
         return _act_on_signs(tables.head_action(x), lam.signs) == lam.signs
 
-    p_stab = [p for p in tables.p_elements if fixes(p)]
+    kept = {w for w, x in data.p_labels.items() if fixes(x)}
+    p_stab = [p for p in tables.p_elements if p.weyl in kept]
     for c in data.c_primes:
         if not fixes(c):
             raise VerificationError(
                 "the cyclic part does not fix a head character",
                 {"signs": lam.signs},
             )
-    orbit_size = len(next(orb for orb in tables.orbits if lam.signs in orb))
-    if len(p_stab) * orbit_size != data.p_order:
+    orb = tables.orbits[lam.signs]
+    if len(p_stab) * len(orb) != data.p_order:
         raise VerificationError(
             "inertia group is not the expected semidirect product",
-            {"signs": lam.signs, "stabilizer": len(p_stab), "orbit": orbit_size,
+            {"signs": lam.signs, "stabilizer": len(p_stab), "orbit": len(orb),
              "p_order": data.p_order},
         )
-    tables.inertia_generators[lam.signs] = _generating_sequence(
-        p_stab, g.mul, g.identity, len(p_stab))
+    rep = min(orb)
+    if lam.signs == rep:
+        gens = _generating_sequence(p_stab, g.mul, g.identity, len(p_stab))
+    else:
+        inertia_decomposition(tables, HPrimeCharacter(rep, tables))
+        gens = [g.conj(orb[lam.signs], s) for s in tables.inertia_generators[rep]]
+        if not set(gens) <= set(p_stab):
+            raise VerificationError("a conjugated inertia generator lies outside the "
+                                    "inertia group", {"signs": lam.signs})
+    tables.inertia_generators[lam.signs] = gens
     tables.inertia[lam.signs] = p_stab
     return p_stab
 
@@ -265,16 +288,12 @@ def _linear_characters(elements, gens, mul, identity, inverse, base):
 
     moves = [(None, c) for c in comms] + [(inv[s], s) for s in gens]
     derived = orbit({identity: None}, moves, act, len(elems))
-    # coset representatives of the abelianization
+    # coset representatives of the abelianization, each the least of its coset
     rep_of = {}
-    reps = []
     for x in elems:
-        if x in rep_of:
-            continue
-        coset = sorted(mul(x, d) for d in derived)
-        for y in coset:
-            rep_of[y] = coset[0]
-        reps.append(coset[0])
+        if x not in rep_of:
+            rep_of.update(dict.fromkeys([mul(x, d) for d in derived], x))
+    reps = sorted(set(rep_of.values()))
 
     def quotient_mul(x, y):
         return rep_of[mul(x, y)]
@@ -294,22 +313,23 @@ def _linear_characters(elements, gens, mul, identity, inverse, base):
         orders.append(k)
     modulus = math.lcm(base, *orders)
     # the abelianization's Cayley graph on the generators, shared by the
-    # value propagation of every candidate exponent vector
+    # value walk of every candidate exponent vector
     moves = range(len(quotient_gens))
     cayley = {(x, i): quotient_mul(x, quotient_gens[i]) for x in reps for i in moves}
 
-    def step_on(x, i):
-        return cayley[x, i]
-
     chars = []
     for exps in iproduct(*[range(o) for o in orders]):
-        def step(v, i):
-            return (v + exps[i] * (modulus // orders[i])) % modulus
+        def step(point, i):
+            x, v = point
+            return cayley[x, i], (v + exps[i] * (modulus // orders[i])) % modulus
 
-        values = orbit({one: 0}, moves, step_on, len(reps), step)
-        if (len(values) == len(reps)
-                and broken_edge(values, moves, step_on, step) is None):
-            chars.append({x: values[rep_of[x]] for x in elems})
+        # one value per coset, so |Q| (coset, value) pairs, exactly when the
+        # exponents define a character
+        try:
+            values = dict(orbit({(one, 0): None}, moves, step, len(reps)).keys())
+        except BudgetExceededError:
+            continue
+        chars.append({x: values[rep_of[x]] for x in elems})
     expected = len(reps)
     if len(chars) != expected:
         raise VerificationError(
@@ -322,13 +342,16 @@ def _linear_characters(elements, gens, mul, identity, inverse, base):
 @dataclass
 class ExtensionCharacter:
     """A linear character of V'_lam = C' x| P'_lam, evaluated as
-    theta(c) + mu(p) through the unique decomposition x = c * p."""
+    theta(c) + mu(p) through the unique decomposition x = c * p; one
+    transported from its orbit's representative reads the representative's
+    theta and mu at x y x^{-1}, x its `transporter`."""
 
     tables: CharacterTables
     lam: HPrimeCharacter
     modulus: int
     theta_exp: int  # exponent on each c_i' (times modulus / (4 d0))
     mu: dict  # P'_lam element -> exponent, on all of P'_lam
+    transporter: MonomialElement | None = None
 
     def theta(self, c: MonomialElement) -> int:
         """theta(c) for c in C': theta_exp times the cyclic sum of c, as an
@@ -337,6 +360,8 @@ class ExtensionCharacter:
         return self.theta_exp * self.tables.data.ctx.cyclic_sum(c) * scale % self.modulus
 
     def value(self, x: MonomialElement) -> int:
+        if self.transporter is not None:
+            x = self.tables.data.ctx.group.conj(self.transporter, x)
         c, p = self.tables.decompose(x) or (None, None)
         if p not in self.mu:
             raise ValueError("element is not in the inertia subgroup")
@@ -390,11 +415,11 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
     on C', mu is one on P'_lam and theta(p c p^{-1}) = theta(c).  Checked,
     S being the generators of P'_lam in `tables.inertia_generators`:
 
-    - mu is defined on P'_lam exactly, and 1 and each s in S decompose as
-      1 * s, so `value` reads theta(c) + mu(p) off the decomposition of V';
-    - mu labels the `orbit` of 1 under S, x s getting mu(x) + mu(s), and
-      every Cayley edge over S agrees: a labelling consistent on every edge
-      over generators is a homomorphism;
+    - mu is defined on P'_lam exactly, with mu(1) = 0, and 1 and each s in S
+      decompose as 1 * s, so `value` reads theta(c) + mu(p) off V';
+    - the `orbit` of 1 under S reaches all of P'_lam, and its act checks
+      mu(x s) = mu(x) + mu(s) on each Cayley edge: a labelling that adds
+      up on every edge over generators is a homomorphism;
     - for each c_i' and each s in S: s c_i' s^{-1} lies in C' and has the
       theta-value of c_i'; conjugation by s, and so by all of P'_lam, is
       then an automorphism of C' that theta cannot tell from the identity.
@@ -413,21 +438,21 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
             "extension is not multiplicative", {"signs": ext.lam.signs, **pair}
         )
 
-    if set(ext.mu) != set(p_stab):
-        fail(mu_domain=len(ext.mu), p_part=len(p_stab))
+    if set(ext.mu) != set(p_stab) or ext.mu[g.identity]:
+        fail(mu_domain=len(ext.mu), p_part=len(p_stab), mu_of_1=ext.mu.get(g.identity))
     for p in [g.identity] + gens:
         if tables.decompose(p) != (g.identity, p):
             fail(p=p, decomposition=tables.decompose(p))
 
-    def step(v, s):
-        return (v + ext.mu[s]) % ext.modulus
+    def act(x, s):
+        y = g.mul(x, s)
+        if ext.mu.get(y) != (ext.mu[x] + ext.mu[s]) % ext.modulus:
+            fail(p=y)
+        return y
 
-    labels = orbit({g.identity: 0}, gens, g.mul, len(p_stab), step)
-    if labels != ext.mu:
-        fail(p=next(p for p in p_stab if labels.get(p) != ext.mu[p]))
-    bad = broken_edge(labels, gens, g.mul, step)
-    if bad is not None:
-        fail(p=bad)
+    reached = orbit({g.identity: None}, gens, act, len(p_stab))
+    if len(reached) != len(p_stab):
+        fail(p=next(p for p in p_stab if p not in reached))
     for s in gens:
         for c in data.c_primes:
             image = g.conj(s, c)
@@ -440,9 +465,9 @@ def check_multiplicative(tables: CharacterTables, ext: ExtensionCharacter) -> in
 
 
 def verify_equivariance(tables: CharacterTables) -> dict:
-    """Build the extension map on orbit representatives, the least members
-    of `tables.orbits`, transport along its movers, and check
-    V'-equivariance on generators, probing the c_i' and the generators of
+    """Check V'-equivariance of the extension map `tables.extension`,
+    certified on orbit representatives and transported along the movers of
+    `tables.orbits`, on generators: probing the c_i' and the generators of
     P'_nu, which pin a linear character of V'_nu.  Field automorphisms
     centralize the supplement here, so the outer action is trivial;
     nontrivial outer actions are reported as unexercised."""
@@ -450,45 +475,28 @@ def verify_equivariance(tables: CharacterTables) -> dict:
     g = data.ctx.group
     chars = irr_of_hprime(tables)
     gens = [data.c_primes[0]] + list(data.p_primes)
-    by_signs = {lam.signs: lam for lam in chars}
-    orbits = tables.orbits
-
-    def act(signs, x):
-        return _act_on_signs(tables.head_action(x), signs)
-
-    # each sign vector maps to its representative's extension and the
-    # transporter x = mover^{-1}, the extension being y -> ext(x y x^{-1})
-    extension_of = {}
-    for orb in orbits:
-        rep_signs = min(orb)
-        base_ext = tables.extension(by_signs[rep_signs])
-        for signs, mover in orb.items():
-            extension_of[signs] = (base_ext, None if signs == rep_signs else g.inv(mover))
-
-    def extension_value(signs, y):
-        ext, x = extension_of[signs]
-        return ext.value(y if x is None else g.conj(x, y))
 
     # equivariance on generators: Lambda(lam^x) == Lambda(lam)^x on the
     # inertia subgroup of lam^x
     checked = 0
     gens_with_inverses = [(x, g.inv(x)) for x in gens]
     for lam in chars:
+        ext = tables.extension(lam)
         for x, x_inv in gens_with_inverses:
-            nu = act(lam.signs, x)
-            modulus = extension_of[nu][0].modulus
-            inertia_decomposition(tables, by_signs[nu])
-            probes = list(data.c_primes) + tables.inertia_generators[nu]
+            nu = HPrimeCharacter(_act_on_signs(tables.head_action(x), lam.signs), tables)
+            ext_nu = tables.extension(nu)
+            inertia_decomposition(tables, nu)
+            probes = list(data.c_primes) + tables.inertia_generators[nu.signs]
             for y in probes:
-                want = extension_value(lam.signs, g.mul(g.mul(x_inv, y), x))
-                if extension_value(nu, y) % modulus != want % modulus:
+                want = ext.value(g.mul(g.mul(x_inv, y), x))
+                if ext_nu.value(y) % ext_nu.modulus != want % ext_nu.modulus:
                     raise VerificationError(
                         "extension map is not equivariant",
                         {"lam": lam.signs, "x": x, "probe": y},
                     )
                 checked += 1
     return {
-        "orbits": [sorted(o) for o in orbits],
+        "orbits": [sorted(o) for s, o in tables.orbits.items() if s == min(o)],
         "characters": len(chars),
         "equivariance_probes": checked,
         "outer_action": "trivial (nontrivial hooks not exercised)",
@@ -500,19 +508,11 @@ def verify_equivariance(tables: CharacterTables) -> dict:
 
 def partitions(n: int):
     """All partitions of n, weakly decreasing tuples, lexicographic."""
-    if n == 0:
-        return [()]
-    out = []
+    def below(k, top):
+        return [()] if k == 0 else [(part,) + rest for part in range(min(k, top), 0, -1)
+                                    for rest in below(k - part, part)]
 
-    def rec(remaining, maximum, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(n, n, [])
-    return out
+    return below(n, n)
 
 
 def multipartitions(m: int, t: int):

@@ -252,10 +252,12 @@ def cmd_atlas(args) -> int:
 def cmd_group(args) -> int:
     from .supplement import build_supplement
 
+    if args.d0 < 1 or args.d0 % 2 == 0:
+        print("error: --d0 wants an odd integer >= 1", file=sys.stderr)
+        return USAGE_ERROR
     d0 = args.d if args.d % 2 else args.d // 2
-    if d0 != args.d0 or args.d0 % 2 == 0 or args.tl < 1 or args.m < 0:
-        print("error: need odd d0 with d in {d0, 2 d0} and tl >= 1",
-              file=sys.stderr)
+    if d0 != args.d0 or args.tl < 1 or args.m < 0:
+        print("error: need d in {d0, 2 d0}, tl >= 1 and m >= 0", file=sys.stderr)
         return USAGE_ERROR
     l = 2 * args.d0 * args.tl
     try:

@@ -23,7 +23,6 @@ from .roots import RootSubset, coroot, dot, levi_root_subset
 __all__ = [
     "CosetGroup",
     "SignedPermutation",
-    "broken_edge",
     "centralizer_order",
     "closure",
     "orbit",
@@ -195,8 +194,9 @@ def orbit(seeds: dict, gens, act, budget: int, step=None) -> dict:
     `seeds` maps point -> label.  The result maps every point of the orbit to
     its label, in BFS order: frontier by frontier, each point acted on by
     `gens` in the given order.  A new point y = act(x, g) gets the label
-    step(labels[x], g), or None without `step`.  An orbit may hold at most
-    `budget` points; past that, BudgetExceededError is raised.
+    step(labels[x], g), or None without `step`.  act sees each edge once,
+    those onto known points too, so it may check them.  An orbit may hold
+    at most `budget` points; past that, BudgetExceededError is raised.
     """
     labels = dict(seeds)
     if len(labels) > budget:
@@ -214,18 +214,6 @@ def orbit(seeds: dict, gens, act, budget: int, step=None) -> dict:
                     nxt.append(y)
         frontier = nxt
     return labels
-
-
-def broken_edge(labels: dict, gens, act, step):
-    """The first image act(x, g), in BFS order, whose label differs from
-    step(labels[x], g); None when every edge of the orbit agrees, that is,
-    when the labels are a well-defined function of the point."""
-    for x, label in labels.items():
-        for g in gens:
-            y = act(x, g)
-            if labels[y] != step(label, g):
-                return y
-    return None
 
 
 def closure(generators, budget: int = 2_000_000):

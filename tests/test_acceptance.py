@@ -5,6 +5,8 @@ stated wall-clock budgets are part of the criteria and are asserted.  Run
 with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -23,6 +25,26 @@ from bweyl.suites import (
     suite_tits_core,
     suite_wreath,
 )
+
+
+# SHA-256 of json.dumps([r.as_dict() for r in reports], sort_keys=True) for
+# each point suite over SWEEP_POINTS, in their order.  A passing check
+# carries no details in as_dict, so a digest pins the reports' suites,
+# parameters and each check's id, statement and verdict: a change that keeps
+# every report byte-identical keeps these
+SWEEP_REPORT_DIGESTS = {
+    "supplement": "886ff5ab2d808c13809993ba3cd89cf0f8618a90de9998809dd4dc39d9a36cae",
+    "commutators": "f36af57c02bc1cd05f4e76129f101a9eab5ac73c562be7868d82a07992a9bcc1",
+    "graph-action": "666f8313c3e7f6bfd52e8ca47ee7d2db6a3842689ccf169bd644d97a58f952ac",
+    "extmap-hypotheses": "5d7849e0257c8d982cbf8400427b9a29858f708798dfbe40aee5ff6b883cfab2",
+    "charext": "76dcf76c0da36e6a1abf18dbb475fd248ff029f78d47dcdd7d7e644315cd07f9",
+}
+
+
+def _assert_sweep_digest(suite: str, reports):
+    assert [r.suite for r in reports] == [suite] * len(SWEEP_POINTS)
+    blob = json.dumps([r.as_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SWEEP_REPORT_DIGESTS[suite]
 
 
 def _report(number: int, name: str, passed: bool, elapsed: float, budget: float):
@@ -66,6 +88,7 @@ def test_criterion_4_supplement():
         print(_fail_text(reports))
     _report(4, f"supplement suite over {len(reports)} points", ok,
             time.time() - t0, 600.0)
+    _assert_sweep_digest("supplement", reports)
 
 
 def test_criterion_5_commutators_and_graph():
@@ -76,6 +99,8 @@ def test_criterion_5_commutators_and_graph():
     if not ok:
         print(_fail_text(reports))
     _report(5, "commutator and graph-action suite", ok, time.time() - t0, 120.0)
+    _assert_sweep_digest("commutators", reports[:len(SWEEP_POINTS)])
+    _assert_sweep_digest("graph-action", reports[len(SWEEP_POINTS):])
 
 
 def test_criterion_6_extension_maps():
@@ -86,6 +111,8 @@ def test_criterion_6_extension_maps():
     if not ok:
         print(_fail_text(reports))
     _report(6, "extension-map suite", ok, time.time() - t0, 300.0)
+    _assert_sweep_digest("charext", reports[:len(SWEEP_POINTS)])
+    _assert_sweep_digest("extmap-hypotheses", reports[len(SWEEP_POINTS):])
 
 
 def test_criterion_7_atlas():

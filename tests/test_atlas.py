@@ -120,6 +120,40 @@ def test_twist_stability():
         assert moved == set(datum.root_subset.roots)
 
 
+def _every_root_stable(subset, twist):
+    """Reference: the twist maps every root of the subset into it."""
+    return {twist.act_on_root(a) for a in subset.roots} == subset.roots
+
+
+def _atlas_data(n_max):
+    """Every (root subset, twist) the atlas realizes up to rank n_max."""
+    pairs = set()
+    for n in range(2, n_max + 1):
+        for d in range(1, 2 * n + 1):
+            for row in atlas._rows(n, d, d if d % 2 else d // 2):
+                datum = realize_row(row)
+                pairs.add((datum.root_subset, datum.twist))
+    return pairs
+
+
+def test_twist_stability_matches_every_root_over_the_atlas():
+    # each twist of the atlas up to rank 12, and each of them composed with
+    # a swap of two neighbouring coordinates: 816 of these are unstable
+    pairs = _atlas_data(12)
+    assert len(pairs) > 200
+    verdicts = Counter()
+    for subset, twist in pairs:
+        assert atlas._twist_stable(subset, twist) and _every_root_stable(subset, twist)
+        n = subset.ambient_rank
+        for i in range(1, n):
+            swap = SignedPermutation.from_mapping(n, {i: i + 1, i + 1: i})
+            for planted in (twist * swap, swap * twist):
+                verdict = _every_root_stable(subset, planted)
+                assert atlas._twist_stable(subset, planted) is verdict
+                verdicts[verdict] += 1
+    assert verdicts[False] > 800 and verdicts[True] > 0
+
+
 def test_unstable_twist_rejected_after_stable_datum_on_same_subset():
     stable = case13_levi(3, 1, 2)  # roots +-e_3
     dataclasses.replace(stable, row=stable.row)  # re-checked, and stable

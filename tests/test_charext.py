@@ -1,8 +1,11 @@
 import dataclasses
 import gc
+import hashlib
+import json
 import math
 import weakref
 from collections import Counter
+from itertools import product as iproduct
 
 import pytest
 
@@ -23,11 +26,11 @@ from bweyl.charext import (
     verify_equivariance,
     wreath_character_degrees,
 )
-from bweyl.sperm import broken_edge, orbit
+from bweyl.sperm import orbit
 from bweyl.suites import SWEEP_POINTS, suite_charext
 from bweyl.supplement import SupplementContext, SupplementData, build_supplement
 from bweyl.tits import ExtendedWeylGroup, GeneratedSubgroup
-from test_supplement import c_prime_closure, reference_cyclic_sums
+from test_supplement import broken_edge, c_prime_closure, reference_cyclic_sums
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +542,121 @@ def test_equivariance_rejects_an_extension_that_is_no_class_function(tables_t3):
         verify_equivariance(tables)
 
 
+def per_character_extensions(tables):
+    """Reference: every head character extended and certified on its own,
+    `extend_character` then `check_multiplicative`, with no transport."""
+    exts = {}
+    for lam in irr_of_hprime(tables):
+        exts[lam.signs] = extend_character(tables, lam)
+        check_multiplicative(tables, exts[lam.signs])
+    return exts
+
+
+def _materialised(tables, ext):
+    """ext with its mu read off its values on P'_lam, no transporter left."""
+    p_stab = inertia_decomposition(tables, ext.lam)
+    return dataclasses.replace(ext, transporter=None,
+                               mu={p: ext.value(p) for p in p_stab})
+
+
+@pytest.mark.parametrize("d0,t_l,m,d", SWEEP_POINTS + [(1, 5, 0, 1)])
+def test_transported_extensions_match_the_per_character_path(monkeypatch, d0, t_l, m, d):
+    if (d0, t_l, m, d) not in SWEEP_POINTS:
+        monkeypatch.setattr(supplement, "_supplement_cache", {})
+    tables = CharacterTables(build_supplement(2 * d0 * t_l, d, m))
+    for lam in irr_of_hprime(tables):
+        ext = tables.extension(lam)
+        rep = min(tables.orbits[lam.signs])
+        assert (ext.transporter is None) is (lam.signs == rep)
+        if ext.transporter is None:
+            continue
+        # a transported extension is certified as a representative's is,
+        # once its mu is a table on P'_lam
+        plain = _materialised(tables, ext)
+        assert check_multiplicative(tables, plain) > 0
+        _check_restriction(plain)
+        assert all(plain.value(c) == ext.value(c) for c in tables.data.c_primes)
+    assert set(per_character_extensions(tables)) == set(tables.extensions)
+
+
+def _tables_with_mover(data, signs, mover_of):
+    """Fresh tables whose orbits give `signs` the mover mover_of(orbit)."""
+    tables = CharacterTables(data)
+    orb = tables.orbits[signs]
+    orb[signs] = mover_of(orb)
+    return tables
+
+
+# at t_l = 3, (0, 1, 0) lies in the orbit of (0, 0, 1) together with
+# (0, 1, 1), and its mover and that mover's inverse act differently
+PLANTED_MOVERS = {
+    "another sign vector's mover": lambda g, orb: orb[(0, 1, 1)],
+    "a mover without its inverse": lambda g, orb: g.inv(orb[(0, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("planted", PLANTED_MOVERS)
+def test_transport_along_a_wrong_mover_is_rejected(tables_t3, planted):
+    g = tables_t3.data.ctx.group
+    tables = _tables_with_mover(tables_t3.data, (0, 1, 0),
+                                lambda orb: PLANTED_MOVERS[planted](g, orb))
+    lam = charext.HPrimeCharacter((0, 1, 0), tables)
+    with pytest.raises(VerificationError, match="does not restrict to the head character"):
+        tables.extension(lam)
+
+
+@pytest.mark.parametrize("planted", PLANTED_MOVERS)
+def test_conjugated_inertia_generator_outside_the_inertia_group_is_rejected(
+        tables_t3, planted):
+    g = tables_t3.data.ctx.group
+    tables = _tables_with_mover(tables_t3.data, (0, 1, 0),
+                                lambda orb: PLANTED_MOVERS[planted](g, orb))
+    lam = charext.HPrimeCharacter((0, 1, 0), tables)
+    with pytest.raises(VerificationError, match="conjugated inertia generator lies outside"):
+        inertia_decomposition(tables, lam)
+
+
+def test_extensions_are_certified_once_per_orbit(monkeypatch):
+    # 16 head characters in 6 orbits at (1, 4, 0, 1)
+    calls = Counter()
+    for name in ("extend_character", "check_multiplicative", "_generating_sequence"):
+        original = getattr(charext, name)
+        monkeypatch.setattr(charext, name, lambda *args, _f=original, _n=name:
+                            calls.update([_n]) or _f(*args))
+    tables = CharacterTables(build_supplement(8, 1, 0))
+    assert suite_charext(1, 4, 0, 1).passed
+    assert len({min(orb) for orb in tables.orbits.values()}) == 6
+    assert len(irr_of_hprime(tables)) == 16
+    # the inertia groups of the 6 representatives and their abelianizations
+    assert calls == {"extend_character": 6, "check_multiplicative": 6,
+                     "_generating_sequence": 12}
+
+
+def test_linear_characters_reject_an_exponent_vector_inconsistent_on_an_edge():
+    # Z/2 x Z/4 on the generators (1, 1) and (0, 1), both of order 4: of the
+    # 16 exponent vectors, the 8 that are consistent on every Cayley edge
+    # are its characters
+    def mul(x, y):
+        return (x[0] + y[0]) % 2, (x[1] + y[1]) % 4
+
+    elements = [(a, b) for a in range(2) for b in range(4)]
+    gens = [(1, 1), (0, 1)]
+    modulus, chars = _linear_characters(elements, gens, mul, (0, 0),
+                                        lambda x: (-x[0] % 2, -x[1] % 4), 1)
+    assert modulus == 4
+    consistent = []
+    for exps in iproduct(range(4), range(4)):
+        def step(v, i, exps=exps):
+            return (v + exps[i]) % 4
+
+        labels = orbit({(0, 0): 0}, range(2), lambda x, i: mul(x, gens[i]), 8, step)
+        if broken_edge(labels, range(2), lambda x, i: mul(x, gens[i]), step) is None:
+            consistent.append(labels)
+    assert len(consistent) == 8
+    assert sorted(map(sorted, (c.items() for c in chars))) == sorted(
+        map(sorted, (c.items() for c in consistent)))
+
+
 def test_head_basis_with_hidden_relation_is_rejected(monkeypatch):
     # (p_1')^2 planted as h_0 in cold supplements: the head closes to half
     # its 2^t_l elements
@@ -682,13 +800,16 @@ def test_linear_characters_runaway_order_is_a_budget_error():
 # and no iota_1 products on generator pairs (1,511 before the last three),
 # P' closed over its own generators with H' closed once (910 before), and
 # the Frobenius-fixed lifts over orbit 1 read from one generator with each
-# decomposition kept per table (881 before)
-CHAREXT_3203_MUL_CEILING = 681
+# decomposition kept per table (881 before), and one extension and one
+# generating set certified per orbit of head characters, each Cayley edge
+# formed once (681 before)
+CHAREXT_3203_MUL_CEILING = 662
 # the same at (1, 4, 0, 1), where all-pairs checks and a stored map of V'
 # took about 0.8 M products in charext alone (34,362 before the normal form,
 # 33,317 before P' and H' were closed once each, 32,258 before the fixed
-# lifts from one generator and the kept decompositions)
-CHAREXT_1401_MUL_CEILING = 22378
+# lifts from one generator and the kept decompositions, 22,378 before the
+# extensions per orbit)
+CHAREXT_1401_MUL_CEILING = 10802
 
 
 def _cold_charext_mul_calls(monkeypatch, point):
@@ -711,8 +832,28 @@ def test_charext_mul_calls_at_1_4_0_1(monkeypatch):
     assert _cold_charext_mul_calls(monkeypatch, (1, 4, 0, 1)) <= CHAREXT_1401_MUL_CEILING
 
 
+def _report_digest(report):
+    return hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 of json.dumps(report.as_dict(), sort_keys=True) for the charext
+# report at each point.  A passing check carries no details in as_dict, so
+# the digest pins the suite, its parameters and each check's id, statement
+# and verdict
+CHAREXT_REPORT_DIGESTS = {
+    (1, 4, 0, 1): "3d897ab4904c58c913b3187f851f85c5d6c274978d29df745222b179f11f7a1a",
+    (1, 5, 0, 1): "3d85bcca1e6a10f62722af52d495ebe18423c1c2091dd6553e35f658ab1bf8ef",
+}
+
+
+def test_charext_report_at_1_4_0_1():
+    assert _report_digest(suite_charext(1, 4, 0, 1)) == CHAREXT_REPORT_DIGESTS[1, 4, 0, 1]
+
+
 def test_charext_passes_at_1_5_0_1(monkeypatch):
     # |P'| = 1920: the reach point that all-pairs checks could not finish;
     # its supplement is dropped with the monkeypatched cache
     monkeypatch.setattr(supplement, "_supplement_cache", {})
-    assert suite_charext(1, 5, 0, 1).passed
+    report = suite_charext(1, 5, 0, 1)
+    assert report.passed
+    assert _report_digest(report) == CHAREXT_REPORT_DIGESTS[1, 5, 0, 1]

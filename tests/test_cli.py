@@ -71,6 +71,14 @@ def test_group_rejects_even_d0(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d0,d", [("-1", "-1"), ("0", "0"), ("-3", "-6")])
+def test_group_rejects_d0_below_1(capsys, d0, d):
+    code, out, err = run_cli(capsys, "group", "--d0", d0, "--tl", "1",
+                             "--m", "0", "--d", d)
+    assert code == 2 and out == ""
+    assert err == "error: --d0 wants an odd integer >= 1\n"
+
+
 def test_group_builds_the_d0_7_supplement(capsys):
     # W(B_7) has 645120 elements; only the twist's centralizer is enumerated
     code, out, _ = run_cli(capsys, "group", "--d0", "7", "--tl", "1",

@@ -475,6 +475,20 @@ def test_orbit_bfs_order_and_labels():
     assert [counts[k] for k in range(10)] == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
 
 
+def test_orbit_acts_once_on_every_edge():
+    # edges onto known points included: an act that checks its edge checks
+    # each edge of the orbit once
+    edges = []
+
+    def act(x, i):
+        edges.append((x, i))
+        return x * B3_GENS[i]
+
+    points = orbit({SignedPermutation.identity(3): None}, range(3), act, 48)
+    assert sorted(edges) == sorted((x, i) for x in points for i in range(3))
+    assert len(edges) == len(set(edges)) == 48 * 3
+
+
 def test_orbit_and_closure_budget_boundary():
     assert len(_b3_orbit(48)) == 48
     with pytest.raises(BudgetExceededError):

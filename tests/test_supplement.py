@@ -8,7 +8,6 @@ from bweyl import BudgetExceededError, VerificationError, supplement
 from bweyl.roots import levi_root_subset
 from bweyl.sperm import (
     SignedPermutation,
-    broken_edge,
     closure as perm_closure,
     orbit,
     relative_weyl_centralizer,
@@ -50,6 +49,19 @@ def reference_cyclic_sums(data):
     each c_i' adding 1 mod 4 d0, and the labels checked on every Cayley
     edge."""
     return _cyclic_sums(data.ctx.group, tuple(data.c_primes), 4 * data.ctx.d0)
+
+
+def broken_edge(labels: dict, gens, act, step):
+    """Reference: the first image act(x, g), in BFS order, whose label
+    differs from step(labels[x], g); None when every edge of the orbit
+    agrees, that is, when the labels are a well-defined function of the
+    point."""
+    for x, label in labels.items():
+        for g in gens:
+            y = act(x, g)
+            if labels[y] != step(label, g):
+                return y
+    return None
 
 
 def normal_form_elements(data):
